@@ -14,6 +14,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .errors import ConfigError
 from .history import BuildRecord, FlipLedger
 from .sensitivity import ScoreVector, make_scores
 
@@ -26,6 +27,10 @@ class RandomPolicy:
 
     seed: int
     runs: int = 100
+
+    def __post_init__(self):
+        if self.runs < 1:
+            raise ConfigError(f"random selection needs runs >= 1, got {self.runs}")
 
 
 def shuffled_universe(universe: Iterable[str], policy: RandomPolicy, run_index: int) -> list[str]:

@@ -40,19 +40,14 @@ def _read_history(path: str) -> list[history.BuildRecord]:
     return history.read_history(path)
 
 
-def _read_change_set(path: str) -> set[str]:
-    changed: set[str] = set()
-    with open(path, encoding="utf-8") as fp:
-        for line in fp:
-            line = line.strip()
-            if line and not line.startswith("#"):
-                changed.add(line)
-    return changed
-
-
-def _read_id_lines(path: str) -> list[str]:
-    with open(path, encoding="utf-8") as fp:
-        return [line.strip() for line in fp if line.strip() and not line.strip().startswith("#")]
+def _read_ids(path: str) -> list[str]:
+    """One id per line, blank lines and # comments skipped; - reads stdin."""
+    if path == "-":
+        lines = sys.stdin.readlines()
+    else:
+        with open(path, encoding="utf-8") as fp:
+            lines = fp.readlines()
+    return [s for s in (line.strip() for line in lines) if s and not s.startswith("#")]
 
 
 def _parse_size_range(text: str) -> list[int]:
@@ -92,17 +87,18 @@ def _machine(doc: dict) -> None:
     print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
 
 
-def _replay_matrix(records, ledger, alpha, d_mode, method="ema"):
-    """Fold the whole history into a prioritisation matrix."""
-    if d_mode is None:
-        d_mode = "linear" if method == "ema" else "constant"
-    update_mode = "ema" if method == "ema" else "cumulative"
-    matrix = sensitivity.empty_matrix(alpha=alpha if method == "ema" else None,
-                                      d_mode=d_mode, update_mode=update_mode)
-    for record in records[1:]:
-        delta = sensitivity.build_delta(record.changed_files, ledger.flipped(record.seq), d_mode)
-        matrix = sensitivity.advance(matrix, delta)
-    return matrix
+def _fold_history(path: str, args) -> tuple[sensitivity.SensitivityMatrix, history.FlipLedger]:
+    """The matrix after the whole history, for --method/--alpha/--d-mode."""
+    records = _read_history(path)
+    ledger = history.extract_flips(records)
+    config = evaluate.MethodConfig(
+        method=args.method,
+        alpha=args.alpha if args.method == "ema" else None,
+        d_mode=args.d_mode,
+    )
+    for matrix in evaluate.fold(records, ledger, config):
+        pass
+    return matrix, ledger
 
 
 # ---------------------------------------------------------------- commands
@@ -141,15 +137,13 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_prioritise(args) -> int:
-    changed = _read_change_set(args.changes)
+    changed = set(_read_ids(args.changes))
     if args.snapshot:
         with open(args.snapshot, encoding="utf-8") as fp:
             matrix = sensitivity.load_matrix(fp)
         universe = set(matrix.tests)
     elif args.history:
-        records = _read_history(args.history)
-        ledger = history.extract_flips(records)
-        matrix = _replay_matrix(records, ledger, args.alpha, args.d_mode, args.method)
+        matrix, ledger = _fold_history(args.history, args)
         universe = set(ledger.universe)
     else:
         raise ValidationError("prioritise needs --history or --snapshot")
@@ -307,9 +301,7 @@ def cmd_heatmap(args) -> int:
         with open(args.snapshot, encoding="utf-8") as fp:
             matrix = sensitivity.load_matrix(fp)
     elif args.input:
-        records = _read_history(args.input)
-        ledger = history.extract_flips(records)
-        matrix = _replay_matrix(records, ledger, args.alpha, args.d_mode, args.method)
+        matrix, _ = _fold_history(args.input, args)
     else:
         raise ValidationError("heatmap needs --input or --snapshot")
     out = Path(args.out)
@@ -398,7 +390,7 @@ def cmd_schedule_stable(args) -> int:
 
 def cmd_schedule_office(args) -> int:
     state = _load_state(args.state)
-    changed = _read_change_set(args.changes)
+    changed = set(_read_ids(args.changes))
     with open(args.matrix, encoding="utf-8") as fp:
         matrix = sensitivity.load_matrix(fp)
     records = _read_history(args.history)
@@ -420,7 +412,7 @@ def cmd_schedule_office(args) -> int:
 
 def cmd_schedule_tick(args) -> int:
     state = _load_state(args.state)
-    executed = _read_id_lines(args.executed) if args.executed else []
+    executed = _read_ids(args.executed) if args.executed else []
     state = schedule.day_tick(state, executed)
     _save_state(state, args.state)
     print(f"cost after tick: {schedule.cost(state)}")
@@ -433,7 +425,7 @@ def cmd_schedule_apply(args) -> int:
         matrix = sensitivity.load_matrix(fp)
     with open(args.results, encoding="utf-8") as fp:
         verdicts = json.load(fp)
-    executed = _read_id_lines(args.executed) if args.executed else sorted(verdicts)
+    executed = _read_ids(args.executed) if args.executed else sorted(verdicts)
     matrix, pending = sensitivity.incremental_apply(matrix, state.pending, executed, verdicts)
     state.pending = pending
     with open(args.matrix, "w", encoding="utf-8") as fp:
@@ -465,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("prioritise", help="rank tests against a change set")
     p.add_argument("--history", help="history file to fold into a matrix")
     p.add_argument("--snapshot", help="previously saved matrix snapshot")
-    p.add_argument("--changes", required=True, help="change-set file, one file id per line")
+    p.add_argument("--changes", required=True, help="change-set file, one file id per line, or - for stdin")
     p.add_argument("-n", type=int, required=True, help="how many tests to select")
     p.add_argument("--method", choices=("ema", "cumulative"), default="ema")
     p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)

@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from itertools import repeat
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .baselines import RandomPolicy, shuffled_universe
 from .errors import ConfigError, UndefinedMetricError, ValidationError
 from .history import BuildRecord, FlipLedger
-from .sensitivity import advance, build_delta, empty_matrix, select_top_n, slice_scores
+from .sensitivity import SensitivityMatrix, advance, build_delta, empty_matrix, select_top_n, slice_scores
 
 METHODS = ("ema", "cumulative", "random")
 FIGURE_METRICS = ("zero_pct", "precision", "recall", "f_measure")
@@ -146,23 +147,7 @@ class EvalReport:
         }
 
 
-def _score_selection(seq: int, selected: Sequence[str], predictable: frozenset[str]) -> BuildMetrics:
-    inter = len(set(selected) & predictable)
-    p = inter / len(selected)
-    r = inter / len(predictable)
-    return BuildMetrics(
-        seq=seq,
-        n_selected=len(selected),
-        n_predictable=len(predictable),
-        intersection=float(inter),
-        precision=p,
-        recall=r,
-        f_measure=f_measure(p, r),
-        zero_fraction=0.0 if inter else 1.0,
-    )
-
-
-def _mean(values: list[float]) -> float:
+def _mean(values: Sequence[float]) -> float:
     return sum(values) / len(values)
 
 
@@ -185,6 +170,40 @@ def _finish_report(config: MethodConfig, n: int, rows: list[BuildMetrics]) -> Ev
     )
 
 
+def fold(
+    records: Sequence[BuildRecord], ledger: FlipLedger, config: MethodConfig
+) -> Iterator[SensitivityMatrix]:
+    """Yield M_0, then the matrix after each build of records[1:].
+
+    The method names the update (ema blends by alpha, cumulative sums) and,
+    unless set, the d_mode; random has no matrix and is rejected.
+    """
+    d_mode = config.resolved_d_mode()
+    matrix = empty_matrix(alpha=config.alpha, d_mode=d_mode, update_mode=config.method)
+    yield matrix
+    for record in records[1:]:
+        delta = build_delta(record.changed_files, ledger.flipped(record.seq), d_mode)
+        matrix = advance(matrix, delta)
+        yield matrix
+
+
+def _build_row(seq: int, selections: list[Sequence[str]], predictable: frozenset[str]) -> BuildMetrics:
+    """One evaluated build; each metric is the mean over the selections."""
+    inter = [len(set(selected) & predictable) for selected in selections]
+    p = [i / len(selected) for i, selected in zip(inter, selections)]
+    r = [i / len(predictable) for i in inter]
+    return BuildMetrics(
+        seq=seq,
+        n_selected=len(selections[0]),
+        n_predictable=len(predictable),
+        intersection=_mean(inter),
+        precision=_mean(p),
+        recall=_mean(r),
+        f_measure=_mean([f_measure(pi, ri) for pi, ri in zip(p, r)]),
+        zero_fraction=_mean([0.0 if i else 1.0 for i in inter]),
+    )
+
+
 def replay_sizes(
     records: Sequence[BuildRecord],
     ledger: FlipLedger,
@@ -193,57 +212,36 @@ def replay_sizes(
 ) -> dict[int, EvalReport]:
     """Replay once, reporting every selection size from the same pass.
 
-    Matrix methods share the matrix trajectory across sizes; the random
-    method shares one permutation per (build, run), so size-n selections
-    are nested prefixes.
+    Each evaluated build has a list of rankings: the random method's fixed
+    permutations, one per run, or a matrix method's single ranking at the
+    largest size. Every size-n selection is a prefix of each ranking, and a
+    row is the mean over the rankings.
     """
     if not sizes or any(n < 1 for n in sizes):
         raise ValueError(f"selection sizes must be >= 1, got {list(sizes)}")
     universe = sorted(ledger.universe)
+    largest = max(sizes)
     rows: dict[int, list[BuildMetrics]] = {n: [] for n in sizes}
-
     if config.method == "random":
         policy = config.policy
-        permutations = [
-            shuffled_universe(universe, policy, run) for run in range(policy.runs)
-        ]
-        for record in records[1:]:
-            predictable = ledger.predictable(record.seq)
-            if not predictable:
-                continue
-            for n in sizes:
-                eff_n = min(n, len(universe))
-                run_rows = [
-                    _score_selection(record.seq, perm[:eff_n], predictable)
-                    for perm in permutations
-                ]
-                rows[n].append(
-                    BuildMetrics(
-                        seq=record.seq,
-                        n_selected=eff_n,
-                        n_predictable=len(predictable),
-                        intersection=_mean([r.intersection for r in run_rows]),
-                        precision=_mean([r.precision for r in run_rows]),
-                        recall=_mean([r.recall for r in run_rows]),
-                        f_measure=_mean([r.f_measure for r in run_rows]),
-                        zero_fraction=_mean([r.zero_fraction for r in run_rows]),
-                    )
-                )
+        permutations = [shuffled_universe(universe, policy, run) for run in range(policy.runs)]
+        matrices = repeat(None)
     else:
-        d_mode = config.resolved_d_mode()
-        update_mode = "ema" if config.method == "ema" else "cumulative"
-        matrix = empty_matrix(alpha=config.alpha, d_mode=d_mode, update_mode=update_mode)
-        for record in records[1:]:
-            predictable = ledger.predictable(record.seq)
-            if predictable:
-                # Selection strictly precedes the update with this build's
-                # delta: scores come from the state after build seq-1.
-                scores = slice_scores(matrix, record.changed_files, config.score_mode)
-                for n in sizes:
-                    selected = select_top_n(scores, n, universe)
-                    rows[n].append(_score_selection(record.seq, selected, predictable))
-            delta = build_delta(record.changed_files, ledger.flipped(record.seq), d_mode)
-            matrix = advance(matrix, delta)
+        matrices = fold(records, ledger, config)
+
+    # zip pairs build k with the state after build k-1, so selection
+    # strictly precedes the update with build k's delta.
+    for record, matrix in zip(records[1:], matrices):
+        predictable = ledger.predictable(record.seq)
+        if not predictable:
+            continue
+        if matrix is None:
+            rankings = permutations
+        else:
+            scores = slice_scores(matrix, record.changed_files, config.score_mode)
+            rankings = [select_top_n(scores, largest, universe)]
+        for n in sizes:
+            rows[n].append(_build_row(record.seq, [r[:n] for r in rankings], predictable))
 
     return {n: _finish_report(config, n, rows[n]) for n in sizes}
 

@@ -143,32 +143,24 @@ def _prune(col: dict[str, float], threshold: float) -> dict[str, float]:
 
 
 def advance(matrix: SensitivityMatrix, delta: SensitivityMatrix) -> SensitivityMatrix:
-    """Fold one build's delta into the matrix (EMA blend or plain sum)."""
+    """Fold one build's delta into the matrix, M = weight * delta + keep * M:
+    (alpha, 1 - alpha) blends an EMA, (1, 1) is a plain sum."""
     if matrix.d_mode != delta.d_mode:
         raise ConfigError(
             f"d_mode mismatch: matrix is {matrix.d_mode!r}, delta is {delta.d_mode!r}"
         )
-    cols: dict[str, dict[str, float]] = {}
     if matrix.update_mode == "ema":
-        alpha = matrix.alpha
-        keep = 1.0 - alpha
-        for t in matrix.cols.keys() | delta.cols.keys():
-            old = matrix.cols.get(t, {})
-            new = delta.cols.get(t, {})
-            col = {f: keep * v for f, v in old.items()}
-            for f, v in new.items():
-                col[f] = alpha * v + col.get(f, 0.0)
-            col = _prune(col, matrix.drop_threshold)
-            if col:
-                cols[t] = col
+        weight, keep = matrix.alpha, 1.0 - matrix.alpha
     else:  # cumulative
-        for t in matrix.cols.keys() | delta.cols.keys():
-            col = dict(matrix.cols.get(t, {}))
-            for f, v in delta.cols.get(t, {}).items():
-                col[f] = col.get(f, 0.0) + v
-            col = _prune(col, matrix.drop_threshold)
-            if col:
-                cols[t] = col
+        weight, keep = 1.0, 1.0
+    cols: dict[str, dict[str, float]] = {}
+    for t in matrix.cols.keys() | delta.cols.keys():
+        col = {f: keep * v for f, v in matrix.cols.get(t, {}).items()}
+        for f, v in delta.cols.get(t, {}).items():
+            col[f] = weight * v + col.get(f, 0.0)
+        col = _prune(col, matrix.drop_threshold)
+        if col:
+            cols[t] = col
     return replace(
         matrix,
         cols=cols,
@@ -269,14 +261,11 @@ def incremental_apply(
         prev = last_verdict.get(t)
         flipped = prev is not None and prev != verdict
         acc = accumulated.get(t, set())
-        old = cols.pop(t, {})
+        col = {f: keep * v for f, v in cols.pop(t, {}).items()}
         if flipped and acc:
             value = alpha / _d(matrix.d_mode, len(acc))
-            col = {f: keep * v for f, v in old.items()}
             for f in acc:
                 col[f] = value + col.get(f, 0.0)
-        else:
-            col = {f: keep * v for f, v in old.items()}
         col = _prune(col, matrix.drop_threshold)
         if col:
             cols[t] = col

@@ -90,6 +90,13 @@ class TestPrioritise:
     def test_requires_an_input(self, changes_file, capsys):
         assert main(["prioritise", "--changes", str(changes_file), "-n", "1"]) == 2
 
+    def test_change_set_from_stdin(self, history_file):
+        cmd = [sys.executable, "-m", "flipsense.cli", "prioritise", "--history", str(history_file),
+               "--changes", "-", "-n", "2"]
+        proc = subprocess.run(cmd, input="# piped\nf1\n", capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[0] == "t1"
+
     def test_from_snapshot(self, history_file, changes_file, tmp_path, capsys):
         snapshot = tmp_path / "matrix.jsonl"
         main(["heatmap", "--input", str(history_file), "--out", str(tmp_path / "hm"),
@@ -125,6 +132,14 @@ class TestReplay:
         ]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["reports"]["ema"]["2"]["evaluated_builds"] >= 1
+
+    def test_zero_random_runs_is_a_usage_error(self, history_file):
+        cmd = [sys.executable, "-m", "flipsense.cli", "replay", "--input", str(history_file),
+               "--method", "random", "--runs", "0"]
+        proc = subprocess.run(cmd, capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
 
     def test_unknown_method(self, history_file, capsys):
         assert main(["replay", "--input", str(history_file), "--method", "bogus"]) == 2

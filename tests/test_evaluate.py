@@ -14,6 +14,7 @@ from flipsense.evaluate import (
     MethodConfig,
     f_measure,
     figure_data,
+    fold,
     improvement_summary,
     precision,
     recall,
@@ -23,6 +24,7 @@ from flipsense.evaluate import (
     sweep_alpha,
 )
 from flipsense.history import extract_flips
+from flipsense.synth import SynthConfig, generate
 
 from conftest import rec
 
@@ -332,3 +334,43 @@ class TestFigureData:
         assert rel["min"] == pytest.approx(0.5)
         assert rel["max"] == pytest.approx(1.0)
         assert rel["avg"] == pytest.approx(0.75)
+
+
+DESK_SIZES = range(5, 26)
+DESK_CONFIGS = (
+    MethodConfig(method="ema", alpha=0.3),
+    MethodConfig(method="cumulative"),
+    MethodConfig(method="random", policy=RandomPolicy(seed=7, runs=20)),
+)
+
+
+@pytest.fixture(scope="module")
+def desk_history():
+    records, _ = generate(SynthConfig(seed=7))
+    return records, extract_flips(records)
+
+
+class TestFold:
+    @pytest.mark.parametrize("config", DESK_CONFIGS[:2], ids=lambda c: c.method)
+    def test_yields_m0_then_one_matrix_per_build(self, desk_history, config):
+        records, ledger = desk_history
+        matrices = list(fold(records, ledger, config))
+        assert len(matrices) == len(records)
+        assert matrices[0].cols == {} and not matrices[0].files and not matrices[0].tests
+        assert [m.last_seq for m in matrices] == list(range(len(records)))
+        assert {m.update_mode for m in matrices} == {config.method}
+        assert {m.d_mode for m in matrices} == {config.resolved_d_mode()}
+
+    def test_random_has_no_matrix(self, desk_history):
+        records, ledger = desk_history
+        with pytest.raises(ConfigError):
+            next(fold(records, ledger, DESK_CONFIGS[2]))
+
+
+class TestSizesAgree:
+    @pytest.mark.parametrize("config", DESK_CONFIGS, ids=lambda c: c.method)
+    def test_multi_size_replay_equals_single_size(self, desk_history, config):
+        records, ledger = desk_history
+        reports = replay_sizes(records, ledger, config, DESK_SIZES)
+        for n in DESK_SIZES:
+            assert reports[n].to_dict() == replay(records, ledger, config, n).to_dict()
