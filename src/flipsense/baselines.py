@@ -9,6 +9,7 @@ dissimilar tests.
 
 from __future__ import annotations
 
+import math
 import random
 import re
 from dataclasses import dataclass
@@ -92,34 +93,29 @@ def _jaccard_distance(a: frozenset[str], b: frozenset[str]) -> float:
 
 
 def dissimilarity_order(
-    candidates: Iterable[str],
-    already_chosen: Sequence[str] = (),
-    tokenize=identifier_tokens,
+    candidates: Iterable[str], already_chosen: Sequence[str] = ()
 ) -> list[str]:
     """Greedy farthest-first ordering under token-set Jaccard distance.
 
     Identifiers are tokenised on '/' and '_'; each step picks the candidate
     with the largest minimum distance to everything chosen so far, ties by
-    id. With nothing chosen yet, the first pick is the smallest id.
+    id. With nothing chosen yet every distance is infinite, so the first
+    pick is the smallest id.
     """
     remaining = sorted(set(candidates))
-    tokens = {t: tokenize(t) for t in remaining}
-    chosen_tokens = [tokenize(t) for t in already_chosen]
+    tokens = {t: identifier_tokens(t) for t in remaining}
+    chosen = [identifier_tokens(t) for t in already_chosen]
+    nearest = {
+        t: min((_jaccard_distance(tokens[t], c) for c in chosen), default=math.inf)
+        for t in remaining
+    }
     ordered: list[str] = []
-
-    if not chosen_tokens and remaining:
-        first = remaining.pop(0)
-        ordered.append(first)
-        chosen_tokens.append(tokens[first])
-
     while remaining:
         # max() keeps the first of equal keys; remaining is id-ascending,
         # so distance ties resolve to the smallest id.
-        best = max(
-            remaining,
-            key=lambda t: min(_jaccard_distance(tokens[t], ct) for ct in chosen_tokens),
-        )
+        best = max(remaining, key=nearest.__getitem__)
         ordered.append(best)
-        chosen_tokens.append(tokens[best])
         remaining.remove(best)
+        for t in remaining:
+            nearest[t] = min(nearest[t], _jaccard_distance(tokens[t], tokens[best]))
     return ordered

@@ -50,6 +50,15 @@ def _read_ids(path: str) -> list[str]:
     return [s for s in (line.strip() for line in lines) if s and not s.startswith("#")]
 
 
+def _write_atomic(path: str, save, value) -> None:
+    """save(value, fp) into path + ".tmp", then rename it over path, so a
+    save that fails halfway leaves the previous file as it was."""
+    tmp = path + ".tmp"
+    with open(tmp, "w", encoding="utf-8") as fp:
+        save(value, fp)
+    os.replace(tmp, path)
+
+
 def _parse_size_range(text: str) -> list[int]:
     if ".." in text:
         lo_s, hi_s = text.split("..", 1)
@@ -311,8 +320,7 @@ def cmd_heatmap(args) -> int:
     ) as fl:
         sensitivity.export_heatmap(matrix, hm, fl)
     if args.save_snapshot:
-        with open(args.save_snapshot, "w", encoding="utf-8") as fp:
-            sensitivity.save_matrix(matrix, fp)
+        _write_atomic(args.save_snapshot, sensitivity.save_matrix, matrix)
     print(f"heat map written to {out / 'heatmap.csv'}")
     print(f"flakiness index written to {out / 'flakiness.csv'}")
     return 0
@@ -351,8 +359,7 @@ def _load_state(path: str) -> schedule.ScheduleState:
 
 
 def _save_state(state: schedule.ScheduleState, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fp:
-        schedule.save_state(state, fp)
+    _write_atomic(path, schedule.save_state, state)
 
 
 def cmd_schedule_init(args) -> int:
@@ -428,8 +435,7 @@ def cmd_schedule_apply(args) -> int:
     executed = _read_ids(args.executed) if args.executed else sorted(verdicts)
     matrix, pending = sensitivity.incremental_apply(matrix, state.pending, executed, verdicts)
     state.pending = pending
-    with open(args.matrix, "w", encoding="utf-8") as fp:
-        sensitivity.save_matrix(matrix, fp)
+    _write_atomic(args.matrix, sensitivity.save_matrix, matrix)
     _save_state(state, args.state)
     print(f"applied {len(executed)} verdicts")
     return 0

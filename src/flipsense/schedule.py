@@ -15,13 +15,17 @@ from dataclasses import dataclass, field
 from typing import IO, Iterable, Mapping, Sequence
 
 from .baselines import dissimilarity_order
+from .errors import ValidationError
 from .history import BuildRecord, FlipLedger
 from .sensitivity import (
     PendingChanges,
     ScoreVector,
     SensitivityMatrix,
+    check_fields,
+    check_ids,
     make_scores,
     new_pending,
+    read_document,
     select_top_n,
     slice_scores,
 )
@@ -84,10 +88,6 @@ def day_tick(state: ScheduleState, executed: Iterable[str]) -> ScheduleState:
     return ScheduleState(staleness=staleness, stable=dict(state.stable), pending=state.pending)
 
 
-def _by_staleness(state: ScheduleState, tests: Iterable[str]) -> list[str]:
-    return sorted(tests, key=lambda t: (-state.staleness.get(t, 0), t))
-
-
 def select_stable(
     state: ScheduleState,
     budget: int,
@@ -96,35 +96,29 @@ def select_stable(
 ) -> list[str]:
     """Pick up to `budget` stable tests for the after-hours pass.
 
-    cost_min executes the stalest tests, which greedily minimises the
-    post-execution cost over all budget-sized subsets. round_robin puts
-    overdue tests (s_i >= window_days) first by staleness and fills the
-    remainder staleness-major, ordering equal-staleness tiers by
-    dissimilarity; overflow beyond the budget carries to the next day.
+    Equally stale tests form a tier. Tiers are taken stalest first until
+    the budget is spent: a tier with s_i >= overdue in id order, any other
+    tier in dissimilarity order against the tests already picked. overdue
+    is window_days for round_robin when the budget cannot cover every
+    candidate, and 0 otherwise, so cost_min executes the stalest tests,
+    which greedily minimises the post-execution cost over all budget-sized
+    subsets. Overflow beyond the budget carries to the next day.
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     candidates = state.stable_tests()
-    if budget >= len(candidates):
-        return _by_staleness(state, candidates)
-
-    if strategy == "cost_min":
-        return _by_staleness(state, candidates)[:budget]
-
-    overdue = _by_staleness(state, [t for t in candidates if state.staleness[t] >= window_days])
-    picked = overdue[:budget]
-    if len(picked) < budget:
-        remaining = [t for t in candidates if t not in set(picked)]
-        tiers: dict[int, list[str]] = {}
-        for t in remaining:
-            tiers.setdefault(state.staleness[t], []).append(t)
-        for s in sorted(tiers, reverse=True):
-            tier = dissimilarity_order(tiers[s], already_chosen=picked)
-            picked.extend(tier[: budget - len(picked)])
-            if len(picked) == budget:
-                break
+    overdue = window_days if strategy == "round_robin" and budget < len(candidates) else 0
+    tiers: dict[int, list[str]] = {}
+    for t in candidates:
+        tiers.setdefault(state.staleness.get(t, 0), []).append(t)
+    picked: list[str] = []
+    for s in sorted(tiers, reverse=True):
+        tier = tiers[s] if s >= overdue else dissimilarity_order(tiers[s], already_chosen=picked)
+        picked.extend(tier[: budget - len(picked)])
+        if len(picked) == budget:
+            break
     return picked
 
 
@@ -182,17 +176,33 @@ def save_state(state: ScheduleState, fp: IO[str]) -> None:
     fp.write("\n")
 
 
+_TEST_FIELDS = {
+    "staleness": int,
+    "stable": bool,
+    "accumulated": list,
+    "last_verdict": (str, type(None)),
+}
+
+
 def load_state(fp: IO[str]) -> ScheduleState:
-    doc = json.load(fp)
+    """Read a save_state document; a malformed one raises ValidationError."""
+    doc = read_document(fp, "schedule-state", {"tests": dict})
     staleness: dict[str, int] = {}
     stable: dict[str, bool] = {}
     accumulated: dict[str, set[str]] = {}
     last_verdict: dict[str, str] = {}
     for t, info in doc["tests"].items():
-        staleness[t] = int(info["staleness"])
-        stable[t] = bool(info["stable"])
+        where = f"schedule-state test {t!r}"
+        check_fields(info, _TEST_FIELDS, where)
+        check_ids(info["accumulated"], where)
+        if info["staleness"] < 0:
+            raise ValidationError(f"{where}: negative staleness {info['staleness']}")
+        if info["last_verdict"] not in (None, "pass", "fail"):
+            raise ValidationError(f"{where}: verdict {info['last_verdict']!r}")
+        staleness[t] = info["staleness"]
+        stable[t] = info["stable"]
         accumulated[t] = set(info["accumulated"])
-        if info.get("last_verdict") is not None:
+        if info["last_verdict"] is not None:
             last_verdict[t] = info["last_verdict"]
     return ScheduleState(
         staleness=staleness,

@@ -325,9 +325,57 @@ def export_heatmap(matrix: SensitivityMatrix, heatmap_fp: IO[str], flakiness_fp:
         fwriter.writerow([t, f"{fraction:.6g}", f"{mean:.6g}"])
 
 
+def read_document(
+    fp: IO[str], kind: str, fields: Mapping[str, type | tuple[type, ...]]
+) -> dict:
+    """Parse one JSON object whose "kind" is `kind` and which holds the
+    given fields; anything else raises ValidationError."""
+    try:
+        doc = json.load(fp)
+    except ValueError as exc:  # invalid JSON or text, e.g. one object per line
+        raise ValidationError(f"{kind}: not one JSON document ({exc})") from exc
+    if not isinstance(doc, dict) or doc.get("kind") != kind:
+        raise ValidationError(f"not a {kind} document")
+    check_fields(doc, fields, kind)
+    return doc
+
+
+def check_fields(obj: object, fields: Mapping[str, type | tuple[type, ...]], where: str) -> None:
+    """Raise ValidationError unless obj is a JSON object holding every named
+    field with a value of its type."""
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{where}: expected an object, got {type(obj).__name__}")
+    for name, types in fields.items():
+        if name not in obj:
+            raise ValidationError(f"{where}: missing field {name!r}")
+        value = obj[name]
+        # JSON true/false load as bool, a subclass of int: never a number here
+        if not isinstance(value, types) or isinstance(value, bool) and types is not bool:
+            raise ValidationError(f"{where}: field {name!r} has type {type(value).__name__}")
+
+
+def check_ids(ids: list, where: str) -> None:
+    if not all(isinstance(i, str) for i in ids):
+        raise ValidationError(f"{where}: ids must be strings")
+
+
+_NUMBER = (int, float)
+_MATRIX_FIELDS = {
+    "d_mode": str,
+    "update_mode": str,
+    "alpha": (*_NUMBER, type(None)),
+    "last_seq": int,
+    "drop_threshold": _NUMBER,
+    "files": list,
+    "tests": list,
+    "cols": dict,
+}
+
+
 def save_matrix(matrix: SensitivityMatrix, fp: IO[str]) -> None:
-    """Persist as one meta line followed by (file, test, value) lines."""
-    meta = {
+    """Persist as one JSON document: the settings, the known files and
+    tests, and the columns (test -> file -> value)."""
+    doc = {
         "kind": "sensitivity-matrix",
         "d_mode": matrix.d_mode,
         "update_mode": matrix.update_mode,
@@ -336,35 +384,28 @@ def save_matrix(matrix: SensitivityMatrix, fp: IO[str]) -> None:
         "drop_threshold": matrix.drop_threshold,
         "files": sorted(matrix.files),
         "tests": sorted(matrix.tests),
+        "cols": matrix.cols,
     }
-    fp.write(json.dumps(meta, sort_keys=True, separators=(",", ":")))
+    json.dump(doc, fp, sort_keys=True, separators=(",", ":"))
     fp.write("\n")
-    entries = sorted(
-        (f, t, v) for t, col in matrix.cols.items() for f, v in col.items()
-    )
-    for f, t, v in entries:
-        fp.write(json.dumps({"file": f, "test": t, "value": v}, sort_keys=True, separators=(",", ":")))
-        fp.write("\n")
 
 
 def load_matrix(fp: IO[str]) -> SensitivityMatrix:
-    lines = [line for line in fp if line.strip()]
-    if not lines:
-        raise ValidationError("matrix snapshot is empty")
-    meta = json.loads(lines[0])
-    if meta.get("kind") != "sensitivity-matrix":
-        raise ValidationError("not a sensitivity-matrix snapshot")
-    cols: dict[str, dict[str, float]] = {}
-    for line in lines[1:]:
-        entry = json.loads(line)
-        cols.setdefault(entry["test"], {})[entry["file"]] = float(entry["value"])
-    return SensitivityMatrix(
+    """Read a save_matrix snapshot; a malformed one raises ValidationError."""
+    doc = read_document(fp, "sensitivity-matrix", _MATRIX_FIELDS)
+    check_ids(doc["files"] + doc["tests"], "sensitivity-matrix")
+    try:
+        settings = empty_matrix(doc["alpha"], doc["d_mode"], doc["update_mode"], doc["drop_threshold"])
+    except ConfigError as exc:
+        raise ValidationError(f"sensitivity-matrix: {exc}") from exc
+    try:
+        cols = {t: {f: float(v) for f, v in col.items()} for t, col in doc["cols"].items()}
+    except (AttributeError, TypeError, ValueError) as exc:  # a column or entry of another type
+        raise ValidationError(f"sensitivity-matrix: bad column entry ({exc})") from exc
+    return replace(
+        settings,
         cols=cols,
-        files=frozenset(meta["files"]),
-        tests=frozenset(meta["tests"]),
-        d_mode=meta["d_mode"],
-        update_mode=meta["update_mode"],
-        alpha=meta["alpha"],
-        last_seq=meta["last_seq"],
-        drop_threshold=meta["drop_threshold"],
+        files=frozenset(doc["files"]),
+        tests=frozenset(doc["tests"]),
+        last_seq=doc["last_seq"],
     )

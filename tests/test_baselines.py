@@ -153,3 +153,25 @@ class TestDissimilarityOrder:
 
         best = max(sorted(candidates - {first}), key=lambda c: dist(c, first))
         assert dist(order[1], first) == dist(best, first)
+
+    @given(
+        st.sets(st.text(alphabet="ab_/", min_size=1, max_size=6), min_size=1, max_size=7),
+        st.lists(st.text(alphabet="ab_/", max_size=6), max_size=3),
+    )
+    @settings(max_examples=100)
+    def test_every_pick_is_farthest_first(self, candidates, already_chosen):
+        # brute force at every step: the pick maximises the minimum distance
+        # to already_chosen plus the earlier picks, ties to the smallest id
+        def dist(x, y):
+            tx, ty = identifier_tokens(x), identifier_tokens(y)
+            union = tx | ty
+            return 1.0 - (len(tx & ty) / len(union) if union else 1.0)
+
+        order = dissimilarity_order(candidates, already_chosen)
+        assert sorted(order) == sorted(candidates)
+        chosen = list(already_chosen)
+        for i, pick in enumerate(order):
+            nearest = {c: min((dist(c, x) for x in chosen), default=math.inf) for c in order[i:]}
+            best = max(nearest.values())
+            assert pick == min(c for c, d in nearest.items() if d == best)
+            chosen.append(pick)

@@ -1,12 +1,15 @@
 """Command-line behaviour: exit codes, formats, and composition."""
 
+import io
 import json
 import subprocess
 import sys
 
 import pytest
 
+from flipsense import sensitivity
 from flipsense.cli import main
+from flipsense.sensitivity import load_matrix, save_matrix
 
 from conftest import history_lines
 
@@ -214,6 +217,155 @@ class TestSchedule:
             "schedule", "apply", "--state", str(state), "--matrix", str(matrix),
             "--results", str(results),
         ]) == 0
+
+
+def _snapshot_doc():
+    return {
+        "kind": "sensitivity-matrix", "d_mode": "linear", "update_mode": "ema", "alpha": 0.8,
+        "last_seq": 3, "drop_threshold": 1e-12, "files": ["f1"], "tests": ["t1"],
+        "cols": {"t1": {"f1": 0.5}},
+    }
+
+
+def _state_doc():
+    return {
+        "kind": "schedule-state",
+        "tests": {"t1": {"staleness": 2, "stable": True, "accumulated": ["f1"],
+                         "last_verdict": "pass"}},
+    }
+
+
+def _edit(doc, path, value):
+    """doc with the field at `path` (a tuple of keys) set to value, or
+    deleted when value is _DROP."""
+    *outer, last = path
+    target = doc
+    for key in outer:
+        target = target[key]
+    if value is _DROP:
+        del target[last]
+    else:
+        target[last] = value
+    return doc
+
+
+_DROP = object()
+_LINE_FORMAT = (
+    '{"alpha":0.8,"d_mode":"linear","drop_threshold":1e-12,"files":["f1"],'
+    '"kind":"sensitivity-matrix","last_seq":3,"tests":["t1"],"update_mode":"ema"}\n'
+    '{"file":"f1","test":"t1","value":0.5}\n'
+)
+
+_BAD_SNAPSHOTS = {
+    "empty": "",
+    "broken json": "{broken",
+    "line format": _LINE_FORMAT,
+    "array": "[]",
+    "no kind": _edit(_snapshot_doc(), ("kind",), _DROP),
+    "state as snapshot": _state_doc(),
+    "no cols": _edit(_snapshot_doc(), ("cols",), _DROP),
+    "no alpha": _edit(_snapshot_doc(), ("alpha",), _DROP),
+    "files a string": _edit(_snapshot_doc(), ("files",), "f1"),
+    "test id a number": _edit(_snapshot_doc(), ("tests",), [1]),
+    "alpha a string": _edit(_snapshot_doc(), ("alpha",), "0.8"),
+    "alpha out of range": _edit(_snapshot_doc(), ("alpha",), 1.5),
+    "last_seq a bool": _edit(_snapshot_doc(), ("last_seq",), True),
+    "unknown update mode": _edit(_snapshot_doc(), ("update_mode",), "lazy"),
+    "column a list": _edit(_snapshot_doc(), ("cols", "t1"), [0.5]),
+    "entry a string": _edit(_snapshot_doc(), ("cols", "t1", "f1"), "x"),
+    "entry null": _edit(_snapshot_doc(), ("cols", "t1", "f1"), None),
+}
+
+_BAD_STATES = {
+    "broken json": "{broken",
+    "array": "[1]",
+    "snapshot as state": _snapshot_doc(),
+    "no tests": _edit(_state_doc(), ("tests",), _DROP),
+    "tests a list": _edit(_state_doc(), ("tests",), ["t1"]),
+    "test not an object": _edit(_state_doc(), ("tests", "t1"), 2),
+    "no staleness": _edit(_state_doc(), ("tests", "t1", "staleness"), _DROP),
+    "negative staleness": _edit(_state_doc(), ("tests", "t1", "staleness"), -1),
+    "staleness a string": _edit(_state_doc(), ("tests", "t1", "staleness"), "2"),
+    "stable a number": _edit(_state_doc(), ("tests", "t1", "stable"), 1),
+    "accumulated a number": _edit(_state_doc(), ("tests", "t1", "accumulated"), [3]),
+    "no last verdict": _edit(_state_doc(), ("tests", "t1", "last_verdict"), _DROP),
+    "unknown verdict": _edit(_state_doc(), ("tests", "t1", "last_verdict"), "maybe"),
+}
+
+
+def _write_doc(path, doc):
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc), encoding="utf-8")
+
+
+class TestMalformedDocuments:
+    @pytest.mark.parametrize("name", sorted(_BAD_SNAPSHOTS))
+    def test_snapshot(self, name, changes_file, tmp_path, capsys):
+        path = tmp_path / "matrix.json"
+        _write_doc(path, _BAD_SNAPSHOTS[name])
+        code = main(["prioritise", "--snapshot", str(path), "--changes", str(changes_file),
+                     "-n", "1"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("name", sorted(_BAD_STATES))
+    def test_state(self, name, tmp_path, capsys):
+        path = tmp_path / "state.json"
+        _write_doc(path, _BAD_STATES[name])
+        code = main(["schedule", "cost", "--state", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+    def test_valid_documents_load(self, changes_file, tmp_path, capsys):
+        # the unedited documents above are accepted, so each case tests its edit
+        _write_doc(tmp_path / "matrix.json", _snapshot_doc())
+        _write_doc(tmp_path / "state.json", _state_doc())
+        assert main(["prioritise", "--snapshot", str(tmp_path / "matrix.json"),
+                     "--changes", str(changes_file), "-n", "1"]) == 0
+        assert main(["schedule", "cost", "--state", str(tmp_path / "state.json")]) == 0
+        assert capsys.readouterr().out == "t1\n4\n"
+
+
+def _failing_save_matrix(matrix, fp):
+    """Write half of a snapshot, then fail as a full disk would."""
+    buf = io.StringIO()
+    save_matrix(matrix, buf)
+    fp.write(buf.getvalue()[: len(buf.getvalue()) // 2])
+    raise OSError("No space left on device")
+
+
+class TestAtomicWrites:
+    def test_failed_snapshot_save_keeps_previous_file(
+        self, history_file, tmp_path, monkeypatch, capsys
+    ):
+        snapshot = tmp_path / "matrix.json"
+        args = ["heatmap", "--input", str(history_file), "--out", str(tmp_path / "hm"),
+                "--save-snapshot", str(snapshot)]
+        assert main(args) == 0
+        before = snapshot.read_text(encoding="utf-8")
+        monkeypatch.setattr(sensitivity, "save_matrix", _failing_save_matrix)
+        assert main(args + ["--alpha", "0.3"]) == 1
+        assert snapshot.read_text(encoding="utf-8") == before
+        with open(snapshot, encoding="utf-8") as fp:
+            assert load_matrix(fp).alpha == 0.8
+
+    def test_failed_apply_keeps_matrix_and_state(
+        self, history_file, tmp_path, monkeypatch, capsys
+    ):
+        state, matrix = tmp_path / "state.json", tmp_path / "matrix.json"
+        main(["schedule", "init", "--history", str(history_file), "--state", str(state)])
+        main(["heatmap", "--input", str(history_file), "--out", str(tmp_path / "hm"),
+              "--save-snapshot", str(matrix)])
+        results = tmp_path / "results.json"
+        results.write_text(json.dumps({"t1": "fail", "a0": "pass"}), encoding="utf-8")
+        before = (state.read_text(encoding="utf-8"), matrix.read_text(encoding="utf-8"))
+        monkeypatch.setattr(sensitivity, "save_matrix", _failing_save_matrix)
+        assert main(["schedule", "apply", "--state", str(state), "--matrix", str(matrix),
+                     "--results", str(results)]) == 1
+        assert (state.read_text(encoding="utf-8"), matrix.read_text(encoding="utf-8")) == before
+        with open(matrix, encoding="utf-8") as fp:
+            load_matrix(fp)
 
 
 class TestSynthCommand:

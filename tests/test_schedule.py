@@ -2,10 +2,14 @@
 
 import io
 import random
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
+from flipsense.baselines import dissimilarity_order
 from flipsense.history import extract_flips
 from flipsense.schedule import (
     ScheduleState,
@@ -70,6 +74,18 @@ class TestSelectStable:
     def test_round_robin_overdue_first(self):
         state = state_of({"a": 8, "b": 2})
         assert select_stable(state, 2, "round_robin", window_days=7) == ["a", "b"]
+
+    def test_round_robin_overdue_tier_in_id_order(self):
+        # dissimilarity would put ui_login second; an overdue tier keeps id order
+        state = state_of({"net_tx_a": 5, "net_tx_b": 5, "ui_login": 5, "db_init": 0})
+        assert dissimilarity_order(["net_tx_a", "net_tx_b", "ui_login"])[1] == "ui_login"
+        assert select_stable(state, 2, "round_robin", window_days=3) == ["net_tx_a", "net_tx_b"]
+
+    def test_round_robin_fresh_tier_ordered_against_overdue_picks(self):
+        # alone, the fresh tier would start at net_tx_b (smallest id); against
+        # the overdue pick net_tx_a, ui_login is farther (1.0 vs 0.5)
+        state = state_of({"net_tx_a": 5, "net_tx_b": 1, "ui_login": 1})
+        assert select_stable(state, 2, "round_robin", window_days=3) == ["net_tx_a", "ui_login"]
 
     def test_budget_covers_all(self):
         state = state_of({"a": 1, "b": 0, "c": 4})
@@ -211,3 +227,12 @@ class TestStatePersistence:
         save_state(state, buf)
         loaded = load_state(io.StringIO(buf.getvalue()))
         assert loaded == state
+
+
+def test_office_hours_sim_runs():
+    # drives select_stable(..., "round_robin") through the whole day loop
+    script = Path(__file__).resolve().parent.parent / "scripts" / "office_hours_sim.py"
+    proc = subprocess.run([sys.executable, str(script), "--seed", "3", "--days", "5"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1].startswith("final staleness cost: ")

@@ -333,12 +333,18 @@ class TestExports:
         assert top_files_for_test(m, "t1", 2) == [("fa", 0.2), ("fb", 0.2)]
 
     def test_snapshot_round_trip(self):
-        m = SensitivityMatrix(
+        ema = SensitivityMatrix(
             cols={"t1": {"f1": 0.25}, "t2": {"f1": 0.5, "f2": 0.125}},
             files=frozenset({"f1", "f2", "f3"}), tests=frozenset({"t1", "t2"}),
             d_mode="linear", update_mode="ema", alpha=0.8, last_seq=9,
         )
-        buf = io.StringIO()
-        save_matrix(m, buf)
-        loaded = load_matrix(io.StringIO(buf.getvalue()))
-        assert loaded == m
+        cumulative = SensitivityMatrix(
+            cols={"t1": {"f1": 3.0, "f2": 1.0 / 3.0}}, files=frozenset({"f1", "f2"}),
+            tests=frozenset({"t1", "t2"}), d_mode="constant", update_mode="cumulative",
+            alpha=None, last_seq=4, drop_threshold=0.0,
+        )
+        for m in (ema, cumulative, empty_matrix(alpha=0.1)):
+            buf = io.StringIO()
+            save_matrix(m, buf)
+            loaded = load_matrix(io.StringIO(buf.getvalue()))
+            assert loaded == m
