@@ -9,6 +9,7 @@ is schema-stable and byte-identical across runs with equal inputs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -52,11 +53,17 @@ def _read_ids(path: str) -> list[str]:
 
 def _write_atomic(path: str, save, value) -> None:
     """save(value, fp) into path + ".tmp", then rename it over path, so a
-    save that fails halfway leaves the previous file as it was."""
+    save that fails halfway leaves the previous file as it was and no
+    temp file behind."""
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fp:
-        save(value, fp)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fp:
+            save(value, fp)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def _parse_size_range(text: str) -> list[int]:

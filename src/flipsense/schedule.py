@@ -172,8 +172,7 @@ def save_state(state: ScheduleState, fp: IO[str]) -> None:
             for t in tests
         },
     }
-    json.dump(doc, fp, sort_keys=True, separators=(",", ":"))
-    fp.write("\n")
+    fp.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 _TEST_FIELDS = {

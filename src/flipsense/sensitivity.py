@@ -22,6 +22,7 @@ objects and never mutate their inputs.
 from __future__ import annotations
 
 import csv
+import heapq
 import json
 from dataclasses import dataclass, field, replace
 from typing import IO, Iterable, Mapping
@@ -64,7 +65,8 @@ class SensitivityMatrix:
 
 @dataclass(frozen=True)
 class ScoreVector:
-    """Test scores with a deterministic (score desc, id asc) ordering."""
+    """Test scores; ``order`` lists the positively scored tests by (score
+    desc, id asc), and every other test ranks after them by id."""
 
     scores: dict[str, float]
     order: tuple[str, ...]
@@ -171,8 +173,10 @@ def advance(matrix: SensitivityMatrix, delta: SensitivityMatrix) -> SensitivityM
 
 
 def make_scores(scores: Mapping[str, float]) -> ScoreVector:
-    order = tuple(sorted(scores, key=lambda t: (-scores[t], t)))
-    return ScoreVector(scores=dict(scores), order=order)
+    scores = dict(scores)
+    order = sorted(t for t, v in scores.items() if v > 0.0)
+    order.sort(key=scores.__getitem__, reverse=True)  # stable: ties stay by id
+    return ScoreVector(scores=scores, order=tuple(order))
 
 
 def slice_scores(
@@ -180,22 +184,22 @@ def slice_scores(
 ) -> ScoreVector:
     """Score every known test against a change set.
 
-    Sum mode adds the changed files' entries per test column; max mode takes
-    the largest. Files the matrix has never seen contribute nothing, and
-    tests with no contribution score 0 (they stay rankable via tie-break).
+    Sum mode adds the changed files' entries per test column, in file id
+    order; max mode takes the largest. Files the matrix has never seen
+    contribute nothing, and tests with no contribution score 0 (they stay
+    rankable via tie-break). A column that holds none of the changed files
+    costs one disjointness test.
     """
     if score_mode not in SCORE_MODES:
         raise ConfigError(f"unknown score_mode {score_mode!r}")
-    changed = set(changed_files)
-    scores: dict[str, float] = {}
-    for t in matrix.tests:
-        col = matrix.cols.get(t)
-        if not col:
-            scores[t] = 0.0
-        elif score_mode == "sum":
-            scores[t] = sum(col.get(f, 0.0) for f in changed)
-        else:
-            scores[t] = max((col.get(f, 0.0) for f in changed), default=0.0)
+    reduce = sum if score_mode == "sum" else max
+    changed_set = set(changed_files)
+    changed = sorted(changed_set)
+    scores = dict.fromkeys(matrix.tests, 0.0)
+    for t, col in matrix.cols.items():
+        # `t in scores`: a loaded snapshot may hold a column it lists no test for
+        if not changed_set.isdisjoint(col) and t in scores:
+            scores[t] = reduce([col[f] for f in changed if f in col])
     return make_scores(scores)
 
 
@@ -209,9 +213,9 @@ def select_top_n(scores: ScoreVector, n: int, universe: Iterable[str]) -> list[s
     if n < 1:
         raise ValueError(f"selection size must be >= 1, got {n}")
     pool = set(universe)
-    positive = [t for t in scores.order if scores.scores[t] > 0.0 and t in pool]
-    padding = sorted(pool - set(positive))
-    return (positive + padding)[: min(n, len(pool))]
+    quota = min(n, len(pool))
+    picked = [t for t in scores.order if t in pool][:quota]
+    return picked + heapq.nsmallest(quota - len(picked), pool.difference(picked))
 
 
 def incremental_observe(
@@ -386,8 +390,7 @@ def save_matrix(matrix: SensitivityMatrix, fp: IO[str]) -> None:
         "tests": sorted(matrix.tests),
         "cols": matrix.cols,
     }
-    json.dump(doc, fp, sort_keys=True, separators=(",", ":"))
-    fp.write("\n")
+    fp.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def load_matrix(fp: IO[str]) -> SensitivityMatrix:

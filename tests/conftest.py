@@ -3,10 +3,18 @@
 from __future__ import annotations
 
 import json
+import os
+from pathlib import Path
 
 import hypothesis.strategies as st
 
+import flipsense
 from flipsense.history import BuildRecord
+
+# Tests that run `python -m flipsense.cli` in a subprocess get the package
+# this process imported, also when only pytest's `pythonpath` found it.
+_SRC = str(Path(flipsense.__file__).resolve().parents[1])
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 
 def rec(seq: int, changes=(), results=None, build_id=None) -> BuildRecord:

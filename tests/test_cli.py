@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -80,6 +81,22 @@ class TestPrioritise:
             ]) == 0
             orders[mode] = capsys.readouterr().out.strip().splitlines()
         assert orders["sum"][0] == orders["max"][0] == "t1"
+
+    def test_output_does_not_depend_on_hash_seed(self, tmp_path):
+        # string hashing, and with it set iteration order, changes with
+        # PYTHONHASHSEED; scores and ties must not
+        hist, changes = tmp_path / "h.jsonl", tmp_path / "changes.txt"
+        assert main(["synth", "--seed", "7", "--out", str(hist)]) == 0
+        changes.write_text("f0012\nf0077\nf0150\nf0003\nf0199\n", encoding="utf-8")
+        cmd = [sys.executable, "-m", "flipsense.cli", "prioritise", "--history", str(hist),
+               "--changes", str(changes), "-n", "25", "--method", "ema", "--format", "machine"]
+        outputs = set()
+        for seed in ("0", "2", "4"):
+            proc = subprocess.run(cmd, capture_output=True, text=True,
+                                  env={**os.environ, "PYTHONHASHSEED": seed})
+            assert proc.returncode == 0, proc.stderr
+            outputs.add(proc.stdout)
+        assert len(outputs) == 1
 
     def test_unknown_files_fall_back_to_lexicographic(self, history_file, tmp_path, capsys):
         changes = tmp_path / "unknown.txt"
@@ -347,6 +364,7 @@ class TestAtomicWrites:
         monkeypatch.setattr(sensitivity, "save_matrix", _failing_save_matrix)
         assert main(args + ["--alpha", "0.3"]) == 1
         assert snapshot.read_text(encoding="utf-8") == before
+        assert not (tmp_path / "matrix.json.tmp").exists()
         with open(snapshot, encoding="utf-8") as fp:
             assert load_matrix(fp).alpha == 0.8
 
@@ -364,6 +382,7 @@ class TestAtomicWrites:
         assert main(["schedule", "apply", "--state", str(state), "--matrix", str(matrix),
                      "--results", str(results)]) == 1
         assert (state.read_text(encoding="utf-8"), matrix.read_text(encoding="utf-8")) == before
+        assert not list(tmp_path.glob("*.tmp"))
         with open(matrix, encoding="utf-8") as fp:
             load_matrix(fp)
 

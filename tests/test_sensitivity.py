@@ -9,6 +9,7 @@ from hypothesis import given, settings
 
 from flipsense.errors import ConfigError
 from flipsense.sensitivity import (
+    SCORE_MODES,
     PendingChanges,
     SensitivityMatrix,
     advance,
@@ -219,6 +220,51 @@ class TestSelectTopN:
         base = select_top_n(make_scores(scores), 3, universe)
         scaled = select_top_n(make_scores({t: v * factor for t, v in scores.items()}), 3, universe)
         assert base == scaled
+
+
+_small_ids = st.text(alphabet="abcd", min_size=1, max_size=2)
+_entries = st.one_of(st.sampled_from([0.125, 0.25, 0.5]), st.integers(1, 999).map(lambda k: k / 1000))
+
+
+@st.composite
+def scoring_cases(draw):
+    """A small matrix, a change set with unseen files, a universe with
+    unknown tests, a size up to |universe| + 2 and a score mode."""
+    files = sorted(draw(st.sets(_small_ids.map("f".__add__), min_size=1, max_size=6)))
+    tests = sorted(draw(st.sets(_small_ids.map("t".__add__), min_size=1, max_size=6)))
+    cols = {}
+    for t in tests:
+        col = {f: draw(_entries) for f in files if draw(st.booleans())}
+        if col:
+            cols[t] = col
+    matrix = SensitivityMatrix(
+        cols=cols, files=frozenset(files), tests=frozenset(tests), d_mode="linear",
+        update_mode="ema", alpha=0.5,
+    )
+    changed = {f for f in files if draw(st.booleans())}
+    changed |= draw(st.sets(_small_ids.map("g".__add__), max_size=2))
+    universe = {t for t in tests if draw(st.booleans())}
+    universe |= draw(st.sets(_small_ids.map("u".__add__), max_size=3))
+    n = draw(st.integers(1, len(universe) + 2))
+    return matrix, changed, universe, n, draw(st.sampled_from(SCORE_MODES))
+
+
+class TestScoringOracle:
+    @given(scoring_cases())
+    @settings(max_examples=200)
+    def test_matches_brute_force(self, case):
+        matrix, changed, universe, n, mode = case
+        expected = {}
+        for t in matrix.tests:
+            hits = [matrix.entry(f, t) for f in sorted(changed)]
+            expected[t] = sum(hits) if mode == "sum" else max(hits, default=0.0)
+        scores = slice_scores(matrix, changed, mode)
+        assert scores.scores == expected
+        positive = sorted((t for t, v in expected.items() if v > 0.0), key=lambda t: (-expected[t], t))
+        assert list(scores.order) == positive
+        ranked = [t for t in positive if t in universe]
+        ranked += sorted(universe - set(ranked))
+        assert select_top_n(scores, n, universe) == ranked[: min(n, len(universe))]
 
 
 class TestIncremental:
