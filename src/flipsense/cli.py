@@ -433,12 +433,28 @@ def cmd_schedule_tick(args) -> int:
     return 0
 
 
+def _read_results(path: str) -> dict[str, str]:
+    """A --results document: one JSON object of test id -> pass/fail."""
+    with open(path, encoding="utf-8") as fp:
+        try:
+            verdicts = json.load(fp)
+        except ValueError as exc:
+            raise ValidationError(f"{path}: not one JSON document ({exc})") from exc
+    if not isinstance(verdicts, dict):
+        raise ValidationError(
+            f"{path}: expected an object of test id -> pass/fail, got {type(verdicts).__name__}"
+        )
+    for t, verdict in verdicts.items():
+        if verdict not in ("pass", "fail"):
+            raise ValidationError(f"{path}: test {t!r} has verdict {verdict!r}, not pass/fail")
+    return verdicts
+
+
 def cmd_schedule_apply(args) -> int:
     state = _load_state(args.state)
     with open(args.matrix, encoding="utf-8") as fp:
         matrix = sensitivity.load_matrix(fp)
-    with open(args.results, encoding="utf-8") as fp:
-        verdicts = json.load(fp)
+    verdicts = _read_results(args.results)
     executed = _read_ids(args.executed) if args.executed else sorted(verdicts)
     matrix, pending = sensitivity.incremental_apply(matrix, state.pending, executed, verdicts)
     state.pending = pending

@@ -173,7 +173,9 @@ def _finish_report(config: MethodConfig, n: int, rows: list[BuildMetrics]) -> Ev
 def fold(
     records: Sequence[BuildRecord], ledger: FlipLedger, config: MethodConfig
 ) -> Iterator[SensitivityMatrix]:
-    """Yield M_0, then the matrix after each build of records[1:].
+    """Yield one live matrix: M_0, then the same object after each build of
+    records[1:], since advance updates it in place. Read each state before
+    asking for the next.
 
     The method names the update (ema blends by alpha, cumulative sums) and,
     unless set, the d_mode; random has no matrix and is rejected.
@@ -183,8 +185,7 @@ def fold(
     yield matrix
     for record in records[1:]:
         delta = build_delta(record.changed_files, ledger.flipped(record.seq), d_mode)
-        matrix = advance(matrix, delta)
-        yield matrix
+        yield advance(matrix, delta)
 
 
 def _build_row(seq: int, selections: list[Sequence[str]], predictable: frozenset[str]) -> BuildMetrics:

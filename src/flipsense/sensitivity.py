@@ -15,8 +15,10 @@ columns (sum or max); higher score = more likely to flip. An incremental
 mode updates single columns when individual tests run, decaying columns of
 tests that ran without flipping.
 
-All values here are treated as immutable; update operations return new
-objects and never mutate their inputs.
+The EMA fold is lazy: ``cols`` holds every entry divided by one running
+``scale``, so a build decays the whole matrix with one multiply and costs
+only its own credits. ``advance`` therefore updates its matrix in place;
+every other operation returns a new object and leaves its inputs alone.
 """
 
 from __future__ import annotations
@@ -37,13 +39,19 @@ SCORE_MODES = ("sum", "max")
 # pruned after an update. Set drop_threshold=0.0 to keep all nonzero entries.
 DEFAULT_DROP_THRESHOLD = 1e-12
 
+# advance folds the scale into the stored values once it falls below this,
+# long before stored values (true value / scale) could overflow
+_SCALE_FLOOR = 1e-200
 
-@dataclass(frozen=True)
+
+@dataclass
 class SensitivityMatrix:
-    """Sparse non-negative matrix keyed (test -> file -> value).
+    """Sparse non-negative matrix keyed (test -> file -> stored value).
 
-    ``files`` and ``tests`` record every id ever seen by an update, even if
-    all its entries have decayed away or been pruned; heat-map fractions and
+    An entry's true value is its stored value times ``scale``, which only
+    ``advance`` moves off 1; ``entry`` gives true values. ``files`` and
+    ``tests`` record every id ever seen by an update, even if all its
+    entries have decayed away or been pruned; heat-map fractions and
     zero-score ranking depend on that registry. No stored entry is 0.
     """
 
@@ -55,9 +63,13 @@ class SensitivityMatrix:
     alpha: float | None = None      # ema mode only
     last_seq: int = 0
     drop_threshold: float = DEFAULT_DROP_THRESHOLD
+    scale: float = 1.0
+    # min-heap of (stored, test, file) pushed by advance for EMA entries that
+    # decay towards drop_threshold; None until advance next needs it
+    _heap: list | None = field(default=None, init=False, repr=False, compare=False)
 
     def entry(self, file_id: str, test_id: str) -> float:
-        return self.cols.get(test_id, {}).get(file_id, 0.0)
+        return self.cols.get(test_id, {}).get(file_id, 0.0) * self.scale
 
     def nnz(self) -> int:
         return sum(len(col) for col in self.cols.values())
@@ -144,9 +156,25 @@ def _prune(col: dict[str, float], threshold: float) -> dict[str, float]:
     return {f: v for f, v in col.items() if v != 0.0 and v >= threshold}
 
 
+def _true_cols(matrix: SensitivityMatrix) -> dict[str, dict[str, float]]:
+    """A fresh copy of the columns holding true values."""
+    s = matrix.scale
+    if s == 1.0:
+        return {t: dict(col) for t, col in matrix.cols.items()}
+    return {t: {f: v * s for f, v in col.items()} for t, col in matrix.cols.items()}
+
+
 def advance(matrix: SensitivityMatrix, delta: SensitivityMatrix) -> SensitivityMatrix:
-    """Fold one build's delta into the matrix, M = weight * delta + keep * M:
-    (alpha, 1 - alpha) blends an EMA, (1, 1) is a plain sum."""
+    """Fold one build's delta into the matrix in place and return it,
+    M = weight * delta + keep * M: (alpha, 1 - alpha) blends an EMA, (1, 1)
+    is a plain sum.
+
+    Decay multiplies ``scale`` by keep, and each delta entry adds
+    weight * v / scale to its stored value, so a build costs O(|delta|).
+    Afterwards no entry whose true value is below ``drop_threshold`` (or 0)
+    remains: an EMA entry is pushed on a min-heap when it is updated and
+    deleted when it is popped below the threshold still holding that value.
+    """
     if matrix.d_mode != delta.d_mode:
         raise ConfigError(
             f"d_mode mismatch: matrix is {matrix.d_mode!r}, delta is {delta.d_mode!r}"
@@ -155,21 +183,64 @@ def advance(matrix: SensitivityMatrix, delta: SensitivityMatrix) -> SensitivityM
         weight, keep = matrix.alpha, 1.0 - matrix.alpha
     else:  # cumulative
         weight, keep = 1.0, 1.0
-    cols: dict[str, dict[str, float]] = {}
-    for t in matrix.cols.keys() | delta.cols.keys():
-        col = {f: keep * v for f, v in matrix.cols.get(t, {}).items()}
-        for f, v in delta.cols.get(t, {}).items():
-            col[f] = weight * v + col.get(f, 0.0)
-        col = _prune(col, matrix.drop_threshold)
+    cols, threshold = matrix.cols, matrix.drop_threshold
+    if keep == 0.0:
+        cols.clear()
+        matrix.scale, matrix._heap = 1.0, None
+    elif keep < 1.0:
+        matrix.scale *= keep
+        if matrix.scale < _SCALE_FLOOR:
+            _renormalise(matrix)
+    scale = matrix.scale
+    heap = None
+    if threshold > 0.0 and keep < 1.0:  # entries decay onto the threshold
+        if matrix._heap is None:
+            matrix._heap = [(v, t, f) for t, col in cols.items() for f, v in col.items()]
+            heapq.heapify(matrix._heap)
+        heap = matrix._heap
+
+    if weight:
+        w = weight / scale
+        push = heapq.heappush
+        for t, dcol in delta.cols.items():
+            col = cols.setdefault(t, {})
+            for f, v in dcol.items():
+                stored = col.get(f, 0.0) + w * v
+                if stored and stored * scale >= threshold:
+                    col[f] = stored
+                    if heap is not None:
+                        push(heap, (stored, t, f))
+                else:
+                    col.pop(f, None)
+            if not col:
+                del cols[t]
+    while heap and heap[0][0] * scale < threshold:
+        stored, t, f = heapq.heappop(heap)
+        col = cols.get(t)
+        if col is not None and col.get(f) == stored:  # else raised since the push
+            del col[f]
+            if not col:
+                del cols[t]
+
+    if not delta.files <= matrix.files:
+        matrix.files = matrix.files | delta.files
+    if not delta.tests <= matrix.tests:
+        matrix.tests = matrix.tests | delta.tests
+    matrix.last_seq += 1
+    return matrix
+
+
+def _renormalise(matrix: SensitivityMatrix) -> None:
+    """Multiply the stored values by the scale and reset it to 1; values
+    that underflow to 0 are dropped, and the heap is rebuilt when next
+    needed."""
+    for t, col in _true_cols(matrix).items():
+        col = {f: v for f, v in col.items() if v}
         if col:
-            cols[t] = col
-    return replace(
-        matrix,
-        cols=cols,
-        files=matrix.files | delta.files,
-        tests=matrix.tests | delta.tests,
-        last_seq=matrix.last_seq + 1,
-    )
+            matrix.cols[t] = col
+        else:
+            del matrix.cols[t]
+    matrix.scale, matrix._heap = 1.0, None
 
 
 def make_scores(scores: Mapping[str, float]) -> ScoreVector:
@@ -185,21 +256,22 @@ def slice_scores(
     """Score every known test against a change set.
 
     Sum mode adds the changed files' entries per test column, in file id
-    order; max mode takes the largest. Files the matrix has never seen
-    contribute nothing, and tests with no contribution score 0 (they stay
-    rankable via tie-break). A column that holds none of the changed files
-    costs one disjointness test.
+    order; max mode takes the largest, and either is scaled to a true value
+    with one multiply. Files the matrix has never seen contribute nothing,
+    and tests with no contribution score 0 (they stay rankable via
+    tie-break). A column that holds none of the changed files costs one
+    disjointness test.
     """
     if score_mode not in SCORE_MODES:
         raise ConfigError(f"unknown score_mode {score_mode!r}")
     reduce = sum if score_mode == "sum" else max
     changed_set = set(changed_files)
     changed = sorted(changed_set)
+    scale = matrix.scale
     scores = dict.fromkeys(matrix.tests, 0.0)
     for t, col in matrix.cols.items():
-        # `t in scores`: a loaded snapshot may hold a column it lists no test for
-        if not changed_set.isdisjoint(col) and t in scores:
-            scores[t] = reduce([col[f] for f in changed if f in col])
+        if not changed_set.isdisjoint(col):
+            scores[t] = scale * reduce([col[f] for f in changed if f in col])
     return make_scores(scores)
 
 
@@ -254,7 +326,7 @@ def incremental_apply(
 
     alpha = matrix.alpha
     keep = 1.0 - alpha
-    cols = {t: dict(col) for t, col in matrix.cols.items()}
+    cols = _true_cols(matrix)
     files = set(matrix.files)
     tests = set(matrix.tests)
     accumulated = {t: set(acc) for t, acc in pending.accumulated.items()}
@@ -279,7 +351,7 @@ def incremental_apply(
         last_verdict[t] = verdict
 
     new_matrix = replace(
-        matrix, cols=cols, files=frozenset(files), tests=frozenset(tests)
+        matrix, cols=cols, files=frozenset(files), tests=frozenset(tests), scale=1.0
     )
     return new_matrix, PendingChanges(accumulated=accumulated, last_verdict=last_verdict)
 
@@ -290,8 +362,9 @@ def top_files_for_test(
     """The k largest entries in a test's column (entry desc, file id asc)."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    s = matrix.scale
     col = matrix.cols.get(test_id, {})
-    ranked = sorted(col.items(), key=lambda item: (-item[1], item[0]))
+    ranked = sorted(((f, v * s) for f, v in col.items()), key=lambda item: (-item[1], item[0]))
     return ranked[:k]
 
 
@@ -305,7 +378,7 @@ def flakiness_index(matrix: SensitivityMatrix) -> list[tuple[str, float, float]]
     rows = []
     for t, col in matrix.cols.items():
         fraction = len(col) / n_files if n_files else 0.0
-        mean = sum(col.values()) / len(col)
+        mean = sum(col.values()) * matrix.scale / len(col)
         rows.append((t, fraction, mean))
     rows.sort(key=lambda r: (-r[1], r[0]))
     return rows
@@ -378,7 +451,7 @@ _MATRIX_FIELDS = {
 
 def save_matrix(matrix: SensitivityMatrix, fp: IO[str]) -> None:
     """Persist as one JSON document: the settings, the known files and
-    tests, and the columns (test -> file -> value)."""
+    tests, and the columns (test -> file -> true value)."""
     doc = {
         "kind": "sensitivity-matrix",
         "d_mode": matrix.d_mode,
@@ -388,13 +461,15 @@ def save_matrix(matrix: SensitivityMatrix, fp: IO[str]) -> None:
         "drop_threshold": matrix.drop_threshold,
         "files": sorted(matrix.files),
         "tests": sorted(matrix.tests),
-        "cols": matrix.cols,
+        "cols": _true_cols(matrix),
     }
     fp.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def load_matrix(fp: IO[str]) -> SensitivityMatrix:
-    """Read a save_matrix snapshot; a malformed one raises ValidationError."""
+    """Read a save_matrix snapshot; a malformed one, or one with a column
+    for an unlisted test or an entry for an unlisted file, raises
+    ValidationError."""
     doc = read_document(fp, "sensitivity-matrix", _MATRIX_FIELDS)
     check_ids(doc["files"] + doc["tests"], "sensitivity-matrix")
     try:
@@ -405,10 +480,13 @@ def load_matrix(fp: IO[str]) -> SensitivityMatrix:
         cols = {t: {f: float(v) for f, v in col.items()} for t, col in doc["cols"].items()}
     except (AttributeError, TypeError, ValueError) as exc:  # a column or entry of another type
         raise ValidationError(f"sensitivity-matrix: bad column entry ({exc})") from exc
-    return replace(
-        settings,
-        cols=cols,
-        files=frozenset(doc["files"]),
-        tests=frozenset(doc["tests"]),
-        last_seq=doc["last_seq"],
-    )
+    files, tests = frozenset(doc["files"]), frozenset(doc["tests"])
+    for t, col in cols.items():
+        if t not in tests:
+            raise ValidationError(f"sensitivity-matrix: column {t!r} is not a listed test")
+        if not files.issuperset(col):
+            unlisted = min(set(col) - files)
+            raise ValidationError(
+                f"sensitivity-matrix: column {t!r} holds an entry for unlisted file {unlisted!r}"
+            )
+    return replace(settings, cols=cols, files=files, tests=tests, last_seq=doc["last_seq"])

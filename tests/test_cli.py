@@ -84,19 +84,27 @@ class TestPrioritise:
 
     def test_output_does_not_depend_on_hash_seed(self, tmp_path):
         # string hashing, and with it set iteration order, changes with
-        # PYTHONHASHSEED; scores and ties must not
-        hist, changes = tmp_path / "h.jsonl", tmp_path / "changes.txt"
+        # PYTHONHASHSEED; scores, ties and replay figures must not
+        hist, big, changes = tmp_path / "h.jsonl", tmp_path / "big.jsonl", tmp_path / "changes.txt"
         assert main(["synth", "--seed", "7", "--out", str(hist)]) == 0
+        assert main(["synth", "--seed", "7", "--builds", "50", "--files", "2000",
+                     "--tests", "1000", "--out", str(big)]) == 0
         changes.write_text("f0012\nf0077\nf0150\nf0003\nf0199\n", encoding="utf-8")
-        cmd = [sys.executable, "-m", "flipsense.cli", "prioritise", "--history", str(hist),
-               "--changes", str(changes), "-n", "25", "--method", "ema", "--format", "machine"]
-        outputs = set()
-        for seed in ("0", "2", "4"):
-            proc = subprocess.run(cmd, capture_output=True, text=True,
-                                  env={**os.environ, "PYTHONHASHSEED": seed})
-            assert proc.returncode == 0, proc.stderr
-            outputs.add(proc.stdout)
-        assert len(outputs) == 1
+        cases = [
+            (["prioritise", "--history", str(hist), "--changes", str(changes), "-n", "25",
+              "--method", "ema"], ("0", "2", "4")),
+            (["replay", "--input", str(big), "--method", "all", "--runs", "5"], ("0", "3")),
+            (["sweep-alpha", "--input", str(big), "--grid", "0.1:0.9:0.4"], ("0", "3")),
+        ]
+        for args, seeds in cases:
+            cmd = [sys.executable, "-m", "flipsense.cli", *args, "--format", "machine"]
+            outputs = set()
+            for seed in seeds:
+                proc = subprocess.run(cmd, capture_output=True, text=True,
+                                      env={**os.environ, "PYTHONHASHSEED": seed})
+                assert proc.returncode == 0, proc.stderr
+                outputs.add(proc.stdout)
+            assert len(outputs) == 1, args[0]
 
     def test_unknown_files_fall_back_to_lexicographic(self, history_file, tmp_path, capsys):
         changes = tmp_path / "unknown.txt"
@@ -235,6 +243,23 @@ class TestSchedule:
             "--results", str(results),
         ]) == 0
 
+    @pytest.mark.parametrize("results", ['"x"', "[1, 2]", '{"t1": 3}'])
+    def test_apply_rejects_malformed_results(self, history_file, tmp_path, capsys, results):
+        state, matrix = tmp_path / "state.json", tmp_path / "matrix.json"
+        main(["schedule", "init", "--history", str(history_file), "--state", str(state)])
+        main(["heatmap", "--input", str(history_file), "--out", str(tmp_path / "hm"),
+              "--save-snapshot", str(matrix)])
+        path = tmp_path / "results.json"
+        path.write_text(results, encoding="utf-8")
+        before = (state.read_text(encoding="utf-8"), matrix.read_text(encoding="utf-8"))
+        capsys.readouterr()
+        code = main(["schedule", "apply", "--state", str(state), "--matrix", str(matrix),
+                     "--results", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+        assert (state.read_text(encoding="utf-8"), matrix.read_text(encoding="utf-8")) == before
+
 
 def _snapshot_doc():
     return {
@@ -291,6 +316,8 @@ _BAD_SNAPSHOTS = {
     "column a list": _edit(_snapshot_doc(), ("cols", "t1"), [0.5]),
     "entry a string": _edit(_snapshot_doc(), ("cols", "t1", "f1"), "x"),
     "entry null": _edit(_snapshot_doc(), ("cols", "t1", "f1"), None),
+    "ghost column": _edit(_snapshot_doc(), ("cols", "zz_ghost"), {"f1": 5.0}),
+    "entry for an unlisted file": _edit(_snapshot_doc(), ("cols", "t1", "f9"), 0.25),
 }
 
 _BAD_STATES = {

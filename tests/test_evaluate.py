@@ -354,12 +354,16 @@ class TestFold:
     @pytest.mark.parametrize("config", DESK_CONFIGS[:2], ids=lambda c: c.method)
     def test_yields_m0_then_one_matrix_per_build(self, desk_history, config):
         records, ledger = desk_history
-        matrices = list(fold(records, ledger, config))
-        assert len(matrices) == len(records)
-        assert matrices[0].cols == {} and not matrices[0].files and not matrices[0].tests
-        assert [m.last_seq for m in matrices] == list(range(len(records)))
-        assert {m.update_mode for m in matrices} == {config.method}
-        assert {m.d_mode for m in matrices} == {config.resolved_d_mode()}
+        # fold yields one live matrix: record each state before the next build
+        states = [
+            (m.cols == {} and not m.files and not m.tests, m.last_seq, m.update_mode, m.d_mode)
+            for m in fold(records, ledger, config)
+        ]
+        assert len(states) == len(records)
+        assert states[0][0]
+        assert [s[1] for s in states] == list(range(len(records)))
+        assert {s[2] for s in states} == {config.method}
+        assert {s[3] for s in states} == {config.resolved_d_mode()}
 
     def test_random_has_no_matrix(self, desk_history):
         records, ledger = desk_history

@@ -156,9 +156,102 @@ class TestAdvance:
         m = empty_matrix(alpha=0.6)
         for changed, flipped in random_delta_sequence(rng, 30, files, tests):
             m = advance(m, build_delta(changed, flipped, "linear"))
-            for col in m.cols.values():
-                for v in col.values():
-                    assert 0.0 < v <= 1.0
+            for t, col in m.cols.items():
+                for f in col:
+                    assert 0.0 < m.entry(f, t) <= 1.0
+
+
+def reference_fold(deltas, update_mode, alpha, d_mode, threshold):
+    """The copy-per-build recursion: each build decays every entry by keep,
+    adds its credits and drops entries below the threshold or at 0. Yields
+    {(test, file): value} after each build."""
+    weight, keep = (alpha, 1.0 - alpha) if update_mode == "ema" else (1.0, 1.0)
+    values = {}
+    for changed, flipped in deltas:
+        values = {key: keep * v for key, v in values.items()}
+        for t in flipped:
+            for f in changed:
+                credit = 1.0 / (len(changed) if d_mode == "linear" else 1)
+                values[t, f] = weight * credit + values.get((t, f), 0.0)
+        values = {key: v for key, v in values.items() if v != 0.0 and v >= threshold}
+        yield values
+
+
+def assert_matches_reference(matrix, expected, threshold):
+    """Same stored entries, except ones within 1e-12 relative of the
+    threshold, and true values within 1e-12 relative."""
+    assert all(matrix.cols.values()), "empty column"
+    ours = {(t, f): matrix.entry(f, t) for t, col in matrix.cols.items() for f in col}
+    assert all(v > 0.0 and v >= threshold for v in ours.values())
+    for key in ours.keys() | expected.keys():
+        if key in ours and key in expected:
+            assert ours[key] == pytest.approx(expected[key], rel=1e-12, abs=0.0), key
+        else:
+            value = ours.get(key, expected.get(key))
+            assert value == pytest.approx(threshold, rel=1e-12, abs=0.0), key
+
+
+_FILE_POOL = [f"f{i}" for i in range(6)]
+_TEST_POOL = [f"t{i}" for i in range(4)]
+_builds = st.lists(
+    st.tuples(st.frozensets(st.sampled_from(_FILE_POOL), max_size=4),
+              st.frozensets(st.sampled_from(_TEST_POOL), max_size=3)),
+    max_size=40,
+)
+# keep = 1 - alpha >= 1e-6 keeps 40 builds of decay (>= 1e-240) clear of
+# subnormals, where the floor of 1e-200 can still be crossed
+_update_settings = st.one_of(
+    st.tuples(st.just("ema"), st.one_of(st.sampled_from([0.0, 1.0]), st.floats(1e-6, 1.0 - 1e-6))),
+    st.tuples(st.just("cumulative"), st.none()),
+)
+
+
+class TestLazyEngine:
+    """advance against the copy-per-build recursion it replaces."""
+
+    @given(_builds, _update_settings, st.sampled_from(["linear", "constant"]),
+           st.sampled_from([0.0, 1e-12, 1e-3, 0.3]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_copy_per_build_recursion(self, deltas, update, d_mode, threshold):
+        update_mode, alpha = update
+        m = empty_matrix(alpha=alpha, d_mode=d_mode, update_mode=update_mode,
+                         drop_threshold=threshold)
+        expected_states = reference_fold(deltas, update_mode, alpha, d_mode, threshold)
+        for k, ((changed, flipped), expected) in enumerate(zip(deltas, expected_states), 1):
+            assert advance(m, build_delta(changed, flipped, d_mode)) is m
+            assert_matches_reference(m, expected, threshold)
+            assert m.last_seq == k
+            assert m.files == frozenset().union(*(c for c, _ in deltas[:k]))
+            assert m.tests == frozenset().union(*(fl for _, fl in deltas[:k]))
+        if update_mode == "cumulative":
+            assert m.scale == 1.0
+
+    @pytest.mark.parametrize("threshold", [0.0, 1e-12])
+    def test_long_history_crosses_the_renormalisation_floor(self, threshold):
+        # 0.1^250 = 1e-250: the scale must be folded into the stored values
+        rng = random.Random(17)
+        deltas = random_delta_sequence(rng, 250, [f"f{i}" for i in range(15)],
+                                       [f"t{i}" for i in range(6)])
+        m = empty_matrix(alpha=0.9, drop_threshold=threshold)
+        expected_states = reference_fold(deltas, "ema", 0.9, "linear", threshold)
+        scales = []
+        for (changed, flipped), expected in zip(deltas, expected_states):
+            advance(m, build_delta(changed, flipped, "linear"))
+            scales.append(m.scale)
+            assert_matches_reference(m, expected, threshold)
+        assert any(b > a for a, b in zip(scales, scales[1:]))  # renormalised
+        assert min(scales) >= 1e-200 * 0.1
+
+    def test_matrix_built_by_hand_is_pruned_as_it_decays(self):
+        m = SensitivityMatrix(
+            cols={"t1": {"f1": 2e-3, "f2": 0.5}}, files=frozenset({"f1", "f2"}),
+            tests=frozenset({"t1"}), d_mode="linear", update_mode="ema", alpha=0.5,
+            drop_threshold=1e-3,
+        )
+        advance(m, build_delta(set(), set(), "linear"))
+        assert m.entry("f1", "t1") == 1e-3  # at the threshold: kept
+        advance(m, build_delta(set(), set(), "linear"))
+        assert set(m.cols["t1"]) == {"f2"} and m.entry("f2", "t1") == 0.125
 
 
 class TestSliceScores:
