@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import accumulate, repeat
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .baselines import RandomPolicy, shuffled_universe
@@ -188,21 +188,21 @@ def fold(
         yield advance(matrix, delta)
 
 
-def _build_row(seq: int, selections: list[Sequence[str]], predictable: frozenset[str]) -> BuildMetrics:
-    """One evaluated build; each metric is the mean over the selections."""
-    inter = [len(set(selected) & predictable) for selected in selections]
-    p = [i / len(selected) for i, selected in zip(inter, selections)]
-    r = [i / len(predictable) for i in inter]
-    return BuildMetrics(
-        seq=seq,
-        n_selected=len(selections[0]),
-        n_predictable=len(predictable),
-        intersection=_mean(inter),
-        precision=_mean(p),
-        recall=_mean(r),
-        f_measure=_mean([f_measure(pi, ri) for pi, ri in zip(p, r)]),
-        zero_fraction=_mean([0.0 if i else 1.0 for i in inter]),
-    )
+def _size_rows(seq: int, rankings: list[Sequence[str]], predictable: frozenset[str],
+               sizes: Sequence[int]) -> list[BuildMetrics]:
+    """One evaluated build at every size, from one pass per ranking (all of one
+    length); each field is the mean over the rankings in their order."""
+    m, length = len(predictable), len(rankings[0])
+    # hits[k]: every ranking's count of predictable tests in its first k entries
+    hits = list(zip(*(accumulate(map(predictable.__contains__, r), initial=0) for r in rankings)))
+    rows = []
+    for n in sizes:
+        k = min(n, length)
+        inter = hits[k]
+        metrics = {i: (i / k, i / m, f_measure(i / k, i / m), 0.0 if i else 1.0) for i in set(inter)}
+        p, r, f, zero = zip(*map(metrics.__getitem__, inter))
+        rows.append(BuildMetrics(seq, k, m, _mean(inter), _mean(p), _mean(r), _mean(f), _mean(zero)))
+    return rows
 
 
 def replay_sizes(
@@ -211,21 +211,21 @@ def replay_sizes(
     config: MethodConfig,
     sizes: Sequence[int],
 ) -> dict[int, EvalReport]:
-    """Replay once, reporting every selection size from the same pass.
-
-    Each evaluated build has a list of rankings: the random method's fixed
-    permutations, one per run, or a matrix method's single ranking at the
-    largest size. Every size-n selection is a prefix of each ranking, and a
-    row is the mean over the rankings.
+    """Replay once, reporting every selection size from the same pass: each
+    evaluated build ranks its largest size once (the random method's fixed
+    permutations, one per run, or a matrix method's single ranking), and a
+    size-n selection is each ranking's first n entries.
     """
     if not sizes or any(n < 1 for n in sizes):
         raise ValueError(f"selection sizes must be >= 1, got {list(sizes)}")
+    if repeated := sorted({n for n in sizes if sizes.count(n) > 1}):
+        raise ValueError(f"selection sizes must be distinct, got {repeated} more than once")
     universe = sorted(ledger.universe)
     largest = max(sizes)
     rows: dict[int, list[BuildMetrics]] = {n: [] for n in sizes}
     if config.method == "random":
         policy = config.policy
-        permutations = [shuffled_universe(universe, policy, run) for run in range(policy.runs)]
+        permutations = [shuffled_universe(universe, policy, run)[:largest] for run in range(policy.runs)]
         matrices = repeat(None)
     else:
         matrices = fold(records, ledger, config)
@@ -241,8 +241,8 @@ def replay_sizes(
         else:
             scores = slice_scores(matrix, record.changed_files, config.score_mode)
             rankings = [select_top_n(scores, largest, universe)]
-        for n in sizes:
-            rows[n].append(_build_row(record.seq, [r[:n] for r in rankings], predictable))
+        for n, row in zip(sizes, _size_rows(record.seq, rankings, predictable, sizes)):
+            rows[n].append(row)
 
     return {n: _finish_report(config, n, rows[n]) for n in sizes}
 

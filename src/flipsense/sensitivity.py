@@ -26,6 +26,7 @@ from __future__ import annotations
 import csv
 import heapq
 import json
+import math
 from dataclasses import dataclass, field, replace
 from typing import IO, Iterable, Mapping
 
@@ -117,6 +118,8 @@ def empty_matrix(
     if update_mode == "ema":
         if alpha is None or not 0.0 <= alpha <= 1.0:
             raise ConfigError(f"ema mode requires alpha in [0, 1], got {alpha!r}")
+    if not 0.0 <= drop_threshold < math.inf:
+        raise ConfigError(f"drop_threshold must be finite and >= 0, got {drop_threshold!r}")
     return SensitivityMatrix(
         cols={},
         files=frozenset(),
@@ -466,24 +469,45 @@ def save_matrix(matrix: SensitivityMatrix, fp: IO[str]) -> None:
     fp.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
 
 
+def _check_column(t: str, col: object) -> dict[str, float]:
+    """The column as floats, or ValidationError unless it is a non-empty
+    object of finite numbers > 0 with a finite sum. Every check is one
+    C-level pass over the entries: their types, their sum (NaN and
+    infinities stay NaN or infinite) and their minimum."""
+    if not isinstance(col, dict) or not col:
+        raise ValidationError(f"sensitivity-matrix: column {t!r} is not a non-empty object")
+    types = set(map(type, col.values()))
+    if not types <= {float, int}:  # also rejects bool, a subclass of int
+        raise ValidationError(f"sensitivity-matrix: column {t!r} holds a non-number entry")
+    try:
+        if int in types:
+            col = dict(zip(col, map(float, col.values())))
+        ok = math.isfinite(sum(col.values())) and min(col.values()) > 0.0
+    except OverflowError:  # an integer beyond the float range
+        ok = False
+    if not ok:
+        raise ValidationError(
+            f"sensitivity-matrix: column {t!r} entries must be finite numbers > 0 with a finite sum"
+        )
+    return col
+
+
 def load_matrix(fp: IO[str]) -> SensitivityMatrix:
-    """Read a save_matrix snapshot; a malformed one, or one with a column
-    for an unlisted test or an entry for an unlisted file, raises
-    ValidationError."""
+    """Read a save_matrix snapshot; a malformed one, one with a column for
+    an unlisted test or an entry for an unlisted file, or one whose entries
+    are not finite and > 0 raises ValidationError."""
     doc = read_document(fp, "sensitivity-matrix", _MATRIX_FIELDS)
     check_ids(doc["files"] + doc["tests"], "sensitivity-matrix")
     try:
         settings = empty_matrix(doc["alpha"], doc["d_mode"], doc["update_mode"], doc["drop_threshold"])
     except ConfigError as exc:
         raise ValidationError(f"sensitivity-matrix: {exc}") from exc
-    try:
-        cols = {t: {f: float(v) for f, v in col.items()} for t, col in doc["cols"].items()}
-    except (AttributeError, TypeError, ValueError) as exc:  # a column or entry of another type
-        raise ValidationError(f"sensitivity-matrix: bad column entry ({exc})") from exc
     files, tests = frozenset(doc["files"]), frozenset(doc["tests"])
+    cols = doc["cols"]
     for t, col in cols.items():
         if t not in tests:
             raise ValidationError(f"sensitivity-matrix: column {t!r} is not a listed test")
+        col = cols[t] = _check_column(t, col)
         if not files.issuperset(col):
             unlisted = min(set(col) - files)
             raise ValidationError(

@@ -1,15 +1,21 @@
 """Command-line behaviour: exit codes, formats, and composition."""
 
+import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from flipsense import sensitivity
 from flipsense.cli import main
+from flipsense.errors import ValidationError
 from flipsense.sensitivity import load_matrix, save_matrix
 
 from conftest import history_lines
@@ -318,6 +324,22 @@ _BAD_SNAPSHOTS = {
     "entry null": _edit(_snapshot_doc(), ("cols", "t1", "f1"), None),
     "ghost column": _edit(_snapshot_doc(), ("cols", "zz_ghost"), {"f1": 5.0}),
     "entry for an unlisted file": _edit(_snapshot_doc(), ("cols", "t1", "f9"), 0.25),
+    "entry NaN": _edit(_snapshot_doc(), ("cols", "t1", "f1"), float("nan")),
+    "entry Infinity": _edit(_snapshot_doc(), ("cols", "t1", "f1"), float("inf")),
+    "entry -Infinity": _edit(_snapshot_doc(), ("cols", "t1", "f1"), float("-inf")),
+    "entry zero": _edit(_snapshot_doc(), ("cols", "t1", "f1"), 0.0),
+    "entry integer zero": _edit(_snapshot_doc(), ("cols", "t1", "f1"), 0),
+    "entry negative": _edit(_snapshot_doc(), ("cols", "t1", "f1"), -0.5),
+    "entry a numeric string": _edit(_snapshot_doc(), ("cols", "t1", "f1"), "0.5"),
+    "entry a bool": _edit(_snapshot_doc(), ("cols", "t1", "f1"), True),
+    "entry an integer beyond floats": _edit(_snapshot_doc(), ("cols", "t1", "f1"), 10**400),
+    "entries summing to Infinity": _edit(
+        _edit(_snapshot_doc(), ("files",), ["f1", "f2"]), ("cols", "t1"), {"f1": 1e308, "f2": 1e308}
+    ),
+    "column empty": _edit(_snapshot_doc(), ("cols", "t1"), {}),
+    "drop_threshold negative": _edit(_snapshot_doc(), ("drop_threshold",), -1e-12),
+    "drop_threshold NaN": _edit(_snapshot_doc(), ("drop_threshold",), float("nan")),
+    "drop_threshold Infinity": _edit(_snapshot_doc(), ("drop_threshold",), float("inf")),
 }
 
 _BAD_STATES = {
@@ -352,6 +374,15 @@ class TestMalformedDocuments:
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize("name", sorted(_BAD_SNAPSHOTS))
+    def test_snapshot_heatmap(self, name, tmp_path, capsys):
+        path = tmp_path / "matrix.json"
+        _write_doc(path, _BAD_SNAPSHOTS[name])
+        code = main(["heatmap", "--snapshot", str(path), "--out", str(tmp_path / "hm")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
     @pytest.mark.parametrize("name", sorted(_BAD_STATES))
     def test_state(self, name, tmp_path, capsys):
         path = tmp_path / "state.json"
@@ -369,6 +400,76 @@ class TestMalformedDocuments:
                      "--changes", str(changes_file), "-n", "1"]) == 0
         assert main(["schedule", "cost", "--state", str(tmp_path / "state.json")]) == 0
         assert capsys.readouterr().out == "t1\n4\n"
+
+
+_ANY_VALUES = st.one_of(
+    st.floats(), st.integers(min_value=-2, max_value=2), st.just(10**400), st.booleans(),
+    st.none(), st.sampled_from(["0.5", "x"]), st.just([0.5]), st.just({}),
+)
+
+
+@st.composite
+def snapshot_texts(draw):
+    """Small snapshot documents: a valid one, or one with a single flaw in
+    an entry, a column, the ids or a setting, drawn from values that may
+    happen to be valid."""
+    files = draw(st.lists(st.sampled_from(["f1", "f2", "f3"]), min_size=1, unique=True))
+    tests = draw(st.lists(st.sampled_from(["t1", "t2", "t3"]), min_size=1, unique=True))
+    entries = st.one_of(st.floats(min_value=5e-324, max_value=1.7e308),
+                        st.integers(min_value=1, max_value=5))
+    column = st.dictionaries(st.sampled_from(files), entries, min_size=1, max_size=3)
+    cols = {t: draw(column) for t in draw(st.lists(st.sampled_from(tests), unique=True))}
+    doc = {
+        "kind": "sensitivity-matrix",
+        "d_mode": draw(st.sampled_from(["linear", "constant"])),
+        "update_mode": draw(st.sampled_from(["ema", "cumulative"])),
+        "alpha": draw(st.sampled_from([0.0, 0.3, 1.0])),
+        "last_seq": draw(st.integers(min_value=0, max_value=9)),
+        "drop_threshold": draw(st.sampled_from([0.0, 1e-12, 0, 1e300])),
+        "files": files,
+        "tests": tests,
+        "cols": cols,
+    }
+    flaw = draw(st.sampled_from([None, "entry", "column", "id", "alpha", "drop_threshold"]))
+    if flaw in ("alpha", "drop_threshold"):
+        doc[flaw] = draw(_ANY_VALUES)
+    elif flaw == "id":
+        t, f = draw(st.sampled_from(tests + ["zz"])), draw(st.sampled_from(files + ["f9"]))
+        cols.setdefault(t, {})[f] = 0.5
+    elif flaw and cols:
+        t = draw(st.sampled_from(sorted(cols)))
+        if flaw == "column":
+            cols[t] = draw(_ANY_VALUES)
+        else:
+            cols[t][draw(st.sampled_from(files))] = draw(_ANY_VALUES)
+    return json.dumps(doc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(snapshot_texts(), st.integers(min_value=1, max_value=4))
+def test_fuzz_load_matrix(text, n):
+    # a snapshot either fails validation or holds only finite entries > 0 in
+    # non-empty columns, and then both snapshot readers exit 0
+    try:
+        matrix = load_matrix(io.StringIO(text))
+    except ValidationError:
+        return
+    for col in matrix.cols.values():
+        assert col
+        assert all(type(v) is float and math.isfinite(v) and v > 0.0 for v in col.values())
+    with tempfile.TemporaryDirectory() as tmp:
+        path, changes = os.path.join(tmp, "matrix.json"), os.path.join(tmp, "changes.txt")
+        with open(path, "w", encoding="utf-8") as fp:
+            fp.write(text)
+        with open(changes, "w", encoding="utf-8") as fp:
+            fp.write("f1\nf2\nf9\n")
+        for argv in (["heatmap", "--snapshot", path, "--out", os.path.join(tmp, "hm")],
+                     ["prioritise", "--snapshot", path, "--changes", changes, "-n", str(n),
+                      "--show-scores"]):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code == 0 and "Traceback" not in err.getvalue(), (argv[0], err.getvalue())
 
 
 def _failing_save_matrix(matrix, fp):

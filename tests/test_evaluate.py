@@ -10,6 +10,7 @@ from flipsense.baselines import RandomPolicy
 from flipsense.errors import ConfigError, UndefinedMetricError, ValidationError
 from flipsense.evaluate import (
     FIGURE_METRICS,
+    BuildMetrics,
     EvalReport,
     MethodConfig,
     f_measure,
@@ -22,6 +23,7 @@ from flipsense.evaluate import (
     replay_sizes,
     report_to_json,
     sweep_alpha,
+    _size_rows,
 )
 from flipsense.history import extract_flips
 from flipsense.synth import SynthConfig, generate
@@ -180,6 +182,64 @@ class TestReplay:
             f_small = f_measure(precision(small, pred), recall(small, pred))
             f_large = f_measure(precision(large, pred), recall(large, pred))
             assert f_large <= f_small + 1e-15
+
+    def test_duplicate_sizes_rejected(self):
+        records = two_flip_history()
+        ledger = extract_flips(records)
+        config = MethodConfig(method="ema", alpha=0.8)
+        with pytest.raises(ValueError, match=r"distinct, got \[1, 3\] more than once"):
+            replay_sizes(records, ledger, config, [3, 1, 2, 3, 1])
+        with pytest.raises(ValueError, match=r"\[1\] more than once"):
+            sweep_alpha(records, ledger, [0.5], [1, 1])
+
+
+def _oracle_row(seq, selections, predictable):
+    """One evaluated build by the set-intersection definition: every metric
+    is the mean over the selections, in their order."""
+    def mean(values):
+        return sum(values) / len(values)
+
+    inter = [len(set(selected) & predictable) for selected in selections]
+    p = [i / len(selected) for i, selected in zip(inter, selections)]
+    r = [i / len(predictable) for i in inter]
+    return BuildMetrics(
+        seq=seq,
+        n_selected=len(selections[0]),
+        n_predictable=len(predictable),
+        intersection=mean(inter),
+        precision=mean(p),
+        recall=mean(r),
+        f_measure=mean([f_measure(pi, ri) for pi, ri in zip(p, r)]),
+        zero_fraction=mean([0.0 if i else 1.0 for i in inter]),
+    )
+
+
+@st.composite
+def ranked_builds(draw):
+    """(rankings, predictable, sizes) as replay_sizes hands them to a row:
+    one ranking or several runs, each min(max(sizes), |universe|) distinct
+    ids long; the universe may be shorter than the largest size, and the
+    predictable tests may fall inside or outside the rankings."""
+    universe = draw(st.lists(st.sampled_from([f"t{i:02d}" for i in range(30)]),
+                             min_size=1, max_size=20, unique=True))
+    sizes = draw(st.lists(st.integers(min_value=1, max_value=24), min_size=1, max_size=6,
+                          unique=True))
+    predictable = frozenset(draw(st.sets(st.sampled_from(universe), min_size=1)))
+    length = min(max(sizes), len(universe))
+    runs = draw(st.one_of(st.just(1), st.integers(min_value=2, max_value=16)))
+    rankings = [draw(st.permutations(universe))[:length] for _ in range(runs)]
+    return rankings, predictable, sizes
+
+
+class TestSizeRowsOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(ranked_builds(), st.integers(min_value=1, max_value=99))
+    def test_every_field_equals_set_intersection(self, build, seq):
+        rankings, predictable, sizes = build
+        rows = _size_rows(seq, rankings, predictable, sizes)
+        assert len(rows) == len(sizes)
+        for n, row in zip(sizes, rows):
+            assert row == _oracle_row(seq, [r[:n] for r in rankings], predictable), n
 
 
 class TestMethodConfig:

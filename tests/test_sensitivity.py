@@ -1,6 +1,7 @@
 """Matrix deltas, EMA/cumulative folding, slicing, selection, and exports."""
 
 import io
+import json
 import random
 
 import hypothesis.strategies as st
@@ -48,6 +49,13 @@ def closed_form_entry(deltas, alpha, f, t, d_mode="linear"):
             d = len(changed) if d_mode == "linear" else 1
             total += alpha * (1.0 - alpha) ** (k - j) * (1.0 / d)
     return total
+
+
+class TestEmptyMatrix:
+    @pytest.mark.parametrize("threshold", [-1e-12, float("nan"), float("inf"), float("-inf")])
+    def test_bad_drop_threshold(self, threshold):
+        with pytest.raises(ConfigError, match="drop_threshold"):
+            empty_matrix(alpha=0.5, drop_threshold=threshold)
 
 
 class TestBuildDelta:
@@ -487,3 +495,13 @@ class TestExports:
             save_matrix(m, buf)
             loaded = load_matrix(io.StringIO(buf.getvalue()))
             assert loaded == m
+
+    def test_integer_entries_load_as_floats(self):
+        text = json.dumps({
+            "kind": "sensitivity-matrix", "d_mode": "constant", "update_mode": "cumulative",
+            "alpha": None, "last_seq": 2, "drop_threshold": 0, "files": ["f1", "f2"],
+            "tests": ["t1"], "cols": {"t1": {"f1": 2, "f2": 0.5}},
+        })
+        loaded = load_matrix(io.StringIO(text))
+        assert loaded.cols == {"t1": {"f1": 2.0, "f2": 0.5}}
+        assert [type(v) for v in loaded.cols["t1"].values()] == [float, float]
