@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -84,6 +85,8 @@ def _parse_grid(text: str) -> list[float]:
     if len(parts) != 3:
         raise ValueError(f"grid must be lo:hi:step, got {text!r}")
     lo, hi, step = (float(p) for p in parts)
+    if not all(map(math.isfinite, (lo, hi, step))):
+        raise ValueError(f"grid bounds and step must be finite, got {text!r}")
     if step <= 0 or hi < lo:
         raise ValueError(f"bad grid {text!r}")
     count = int(round((hi - lo) / step)) + 1
@@ -103,8 +106,9 @@ def _machine(doc: dict) -> None:
     print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
 
 
-def _fold_history(path: str, args) -> tuple[sensitivity.SensitivityMatrix, history.FlipLedger]:
-    """The matrix after the whole history, for --method/--alpha/--d-mode."""
+def _fold_history(path: str, args) -> sensitivity.SensitivityMatrix:
+    """The matrix after the whole history, for --method/--alpha/--d-mode,
+    knowing every test in the history, as its snapshot would."""
     records = _read_history(path)
     ledger = history.extract_flips(records)
     config = evaluate.MethodConfig(
@@ -114,7 +118,8 @@ def _fold_history(path: str, args) -> tuple[sensitivity.SensitivityMatrix, histo
     )
     for matrix in evaluate.fold(records, ledger, config):
         pass
-    return matrix, ledger
+    matrix.tests |= ledger.universe
+    return matrix
 
 
 # ---------------------------------------------------------------- commands
@@ -157,14 +162,12 @@ def cmd_prioritise(args) -> int:
     if args.snapshot:
         with open(args.snapshot, encoding="utf-8") as fp:
             matrix = sensitivity.load_matrix(fp)
-        universe = set(matrix.tests)
     elif args.history:
-        matrix, ledger = _fold_history(args.history, args)
-        universe = set(ledger.universe)
+        matrix = _fold_history(args.history, args)
     else:
         raise ValidationError("prioritise needs --history or --snapshot")
     scores = sensitivity.slice_scores(matrix, changed, args.score_mode)
-    selected = sensitivity.select_top_n(scores, args.n, universe)
+    selected = sensitivity.select_top_n(scores, args.n, matrix.tests)
     if args.format == "machine":
         _machine(
             {
@@ -317,7 +320,7 @@ def cmd_heatmap(args) -> int:
         with open(args.snapshot, encoding="utf-8") as fp:
             matrix = sensitivity.load_matrix(fp)
     elif args.input:
-        matrix, _ = _fold_history(args.input, args)
+        matrix = _fold_history(args.input, args)
     else:
         raise ValidationError("heatmap needs --input or --snapshot")
     out = Path(args.out)

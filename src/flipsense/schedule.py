@@ -22,7 +22,6 @@ from .sensitivity import (
     ScoreVector,
     SensitivityMatrix,
     check_fields,
-    check_ids,
     make_scores,
     new_pending,
     read_document,
@@ -162,11 +161,13 @@ def save_state(state: ScheduleState, fp: IO[str]) -> None:
     tests = sorted(state.staleness.keys() | state.stable.keys() | state.pending.tests())
     doc = {
         "kind": "schedule-state",
+        "clock": state.pending.clock,
+        "changed_at": state.pending.changed_at,
         "tests": {
             t: {
                 "staleness": state.staleness.get(t, 0),
                 "stable": state.stable.get(t, False),
-                "accumulated": sorted(state.pending.accumulated.get(t, set())),
+                "last_run": state.pending.last_run.get(t, state.pending.clock),
                 "last_verdict": state.pending.last_verdict.get(t),
             }
             for t in tests
@@ -178,33 +179,39 @@ def save_state(state: ScheduleState, fp: IO[str]) -> None:
 _TEST_FIELDS = {
     "staleness": int,
     "stable": bool,
-    "accumulated": list,
+    "last_run": int,
     "last_verdict": (str, type(None)),
 }
 
 
 def load_state(fp: IO[str]) -> ScheduleState:
     """Read a save_state document; a malformed one raises ValidationError."""
-    doc = read_document(fp, "schedule-state", {"tests": dict})
+    doc = read_document(fp, "schedule-state", {"clock": int, "changed_at": dict, "tests": dict})
+    clock, changed_at = doc["clock"], doc["changed_at"]
+    if clock < 0:
+        raise ValidationError(f"schedule-state: negative clock {clock}")
+    if not all(type(s) is int and 0 < s <= clock for s in changed_at.values()):
+        raise ValidationError(f"schedule-state: changed_at stamps must be integers in 1..{clock}")
     staleness: dict[str, int] = {}
     stable: dict[str, bool] = {}
-    accumulated: dict[str, set[str]] = {}
+    last_run: dict[str, int] = {}
     last_verdict: dict[str, str] = {}
     for t, info in doc["tests"].items():
         where = f"schedule-state test {t!r}"
         check_fields(info, _TEST_FIELDS, where)
-        check_ids(info["accumulated"], where)
         if info["staleness"] < 0:
             raise ValidationError(f"{where}: negative staleness {info['staleness']}")
+        if not 0 <= info["last_run"] <= clock:
+            raise ValidationError(f"{where}: last_run {info['last_run']} outside 0..{clock}")
         if info["last_verdict"] not in (None, "pass", "fail"):
             raise ValidationError(f"{where}: verdict {info['last_verdict']!r}")
         staleness[t] = info["staleness"]
         stable[t] = info["stable"]
-        accumulated[t] = set(info["accumulated"])
+        last_run[t] = info["last_run"]
         if info["last_verdict"] is not None:
             last_verdict[t] = info["last_verdict"]
     return ScheduleState(
         staleness=staleness,
         stable=stable,
-        pending=PendingChanges(accumulated=accumulated, last_verdict=last_verdict),
+        pending=PendingChanges(clock, changed_at, last_run, last_verdict),
     )

@@ -23,6 +23,7 @@ every other operation returns a new object and leaves its inputs alone.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import heapq
 import json
@@ -87,21 +88,34 @@ class ScoreVector:
 
 @dataclass
 class PendingChanges:
-    """Per-test bookkeeping for the incremental update mode.
+    """Per-test bookkeeping for the incremental update mode, as two clocks:
+    each observe ticks ``clock`` and stamps the files it changed, and each
+    run stamps its tests, so the files changed since test t last ran are
+    exactly ``{f : changed_at[f] > last_run[t]}``."""
 
-    ``accumulated`` holds the files changed since each test last ran; it only
-    grows between executions and resets to empty when the test runs.
-    """
-
-    accumulated: dict[str, set[str]] = field(default_factory=dict)
+    clock: int = 0
+    changed_at: dict[str, int] = field(default_factory=dict)
+    last_run: dict[str, int] = field(default_factory=dict)
     last_verdict: dict[str, str] = field(default_factory=dict)
 
     def tests(self) -> frozenset[str]:
-        return frozenset(self.accumulated) | frozenset(self.last_verdict)
+        return frozenset(self.last_run) | frozenset(self.last_verdict)
+
+    @property
+    def accumulated(self) -> dict[str, set[str]]:
+        """A computed copy: each tracked test's files changed since it ran."""
+        since = self._changed_since()
+        return {t: since(stamp) for t, stamp in self.last_run.items()}
+
+    def _changed_since(self):
+        """Stamp -> the set of files stamped after it: one sort, then a bisect a call."""
+        files = sorted(self.changed_at, key=self.changed_at.__getitem__)
+        stamps = [self.changed_at[f] for f in files]
+        return lambda stamp: set(files[bisect.bisect_right(stamps, stamp):])
 
 
 def new_pending(tests: Iterable[str] = ()) -> PendingChanges:
-    return PendingChanges(accumulated={t: set() for t in tests}, last_verdict={})
+    return PendingChanges(last_run=dict.fromkeys(tests, 0))
 
 
 def empty_matrix(
@@ -115,9 +129,10 @@ def empty_matrix(
         raise ConfigError(f"unknown d_mode {d_mode!r}")
     if update_mode not in UPDATE_MODES:
         raise ConfigError(f"unknown update_mode {update_mode!r}")
-    if update_mode == "ema":
-        if alpha is None or not 0.0 <= alpha <= 1.0:
-            raise ConfigError(f"ema mode requires alpha in [0, 1], got {alpha!r}")
+    if update_mode == "ema" and alpha is None:
+        raise ConfigError("ema mode requires alpha in [0, 1], got None")
+    if alpha is not None and not 0.0 <= alpha <= 1.0:
+        raise ConfigError(f"alpha must be null or in [0, 1], got {alpha!r}")
     if not 0.0 <= drop_threshold < math.inf:
         raise ConfigError(f"drop_threshold must be finite and >= 0, got {drop_threshold!r}")
     return SensitivityMatrix(
@@ -296,12 +311,10 @@ def select_top_n(scores: ScoreVector, n: int, universe: Iterable[str]) -> list[s
 def incremental_observe(
     pending: PendingChanges, changed_files: Iterable[str]
 ) -> PendingChanges:
-    """Record a change set against every tracked test (sets only grow)."""
-    changed = set(changed_files)
-    return PendingChanges(
-        accumulated={t: acc | changed for t, acc in pending.accumulated.items()},
-        last_verdict=dict(pending.last_verdict),
-    )
+    """Record a change set: tick the clock and stamp the changed files."""
+    clock = pending.clock + 1
+    changed_at = {**pending.changed_at, **dict.fromkeys(changed_files, clock)}
+    return PendingChanges(clock, changed_at, dict(pending.last_run), dict(pending.last_verdict))
 
 
 def incremental_apply(
@@ -332,14 +345,15 @@ def incremental_apply(
     cols = _true_cols(matrix)
     files = set(matrix.files)
     tests = set(matrix.tests)
-    accumulated = {t: set(acc) for t, acc in pending.accumulated.items()}
+    last_run = dict(pending.last_run)
     last_verdict = dict(pending.last_verdict)
+    since = pending._changed_since()
 
     for t in sorted(executed_set):
         verdict = new_verdicts[t]
         prev = last_verdict.get(t)
         flipped = prev is not None and prev != verdict
-        acc = accumulated.get(t, set())
+        acc = since(last_run.get(t, pending.clock))  # a test seen first starts now
         col = {f: keep * v for f, v in cols.pop(t, {}).items()}
         if flipped and acc:
             value = alpha / _d(matrix.d_mode, len(acc))
@@ -350,13 +364,13 @@ def incremental_apply(
             cols[t] = col
         files.update(acc)
         tests.add(t)
-        accumulated[t] = set()
+        last_run[t] = pending.clock
         last_verdict[t] = verdict
 
     new_matrix = replace(
         matrix, cols=cols, files=frozenset(files), tests=frozenset(tests), scale=1.0
     )
-    return new_matrix, PendingChanges(accumulated=accumulated, last_verdict=last_verdict)
+    return new_matrix, PendingChanges(pending.clock, dict(pending.changed_at), last_run, last_verdict)
 
 
 def top_files_for_test(
@@ -498,6 +512,8 @@ def load_matrix(fp: IO[str]) -> SensitivityMatrix:
     are not finite and > 0 raises ValidationError."""
     doc = read_document(fp, "sensitivity-matrix", _MATRIX_FIELDS)
     check_ids(doc["files"] + doc["tests"], "sensitivity-matrix")
+    if doc["last_seq"] < 0:
+        raise ValidationError(f"sensitivity-matrix: negative last_seq {doc['last_seq']}")
     try:
         settings = empty_matrix(doc["alpha"], doc["d_mode"], doc["update_mode"], doc["drop_threshold"])
     except ConfigError as exc:

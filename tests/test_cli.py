@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from flipsense import sensitivity
 from flipsense.cli import main
 from flipsense.errors import ValidationError
+from flipsense.schedule import load_state
 from flipsense.sensitivity import load_matrix, save_matrix
 
 from conftest import history_lines
@@ -143,6 +144,21 @@ class TestPrioritise:
         out = capsys.readouterr().out
         assert out.startswith("t1\t")
 
+    @pytest.mark.parametrize("fmt", ["human", "machine"])
+    def test_snapshot_pads_like_history(self, history_file, changes_file, tmp_path, capsys, fmt):
+        # a0 never flipped: both ways pad with it once the credited tests run out
+        snapshot = tmp_path / "matrix.json"
+        main(["heatmap", "--input", str(history_file), "--out", str(tmp_path / "hm"),
+              "--save-snapshot", str(snapshot)])
+        capsys.readouterr()
+        outs = []
+        for source in (["--history", str(history_file)], ["--snapshot", str(snapshot)]):
+            assert main(["prioritise", *source, "--changes", str(changes_file), "-n", "3",
+                         "--show-scores", "--format", fmt]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        assert "a0" in outs[1]
+
 
 class TestReplay:
     def test_figure_tables_written(self, history_file, tmp_path, capsys):
@@ -188,6 +204,12 @@ class TestSweep:
         doc = json.loads(capsys.readouterr().out)
         assert doc["best_alpha"] in (0.0, 0.4, 0.8)
         assert len(doc["table"]) == 3
+
+    @pytest.mark.parametrize("grid", ["0:inf:1", "-inf:1:0.5", "0:1:inf", "0:nan:0.5"])
+    def test_non_finite_grid_is_a_usage_error(self, history_file, grid, capsys):
+        assert main(["sweep-alpha", "--input", str(history_file), f"--grid={grid}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
 
 class TestHeatmap:
@@ -277,9 +299,8 @@ def _snapshot_doc():
 
 def _state_doc():
     return {
-        "kind": "schedule-state",
-        "tests": {"t1": {"staleness": 2, "stable": True, "accumulated": ["f1"],
-                         "last_verdict": "pass"}},
+        "kind": "schedule-state", "clock": 3, "changed_at": {"f1": 3, "f2": 1},
+        "tests": {"t1": {"staleness": 2, "stable": True, "last_run": 1, "last_verdict": "pass"}},
     }
 
 
@@ -317,6 +338,12 @@ _BAD_SNAPSHOTS = {
     "test id a number": _edit(_snapshot_doc(), ("tests",), [1]),
     "alpha a string": _edit(_snapshot_doc(), ("alpha",), "0.8"),
     "alpha out of range": _edit(_snapshot_doc(), ("alpha",), 1.5),
+    "cumulative alpha out of range": _edit(
+        _edit(_snapshot_doc(), ("update_mode",), "cumulative"), ("alpha",), 1.5),
+    "cumulative alpha NaN, last_seq negative": _edit(_edit(
+        _edit(_snapshot_doc(), ("update_mode",), "cumulative"), ("alpha",), float("nan")),
+        ("last_seq",), -7),
+    "last_seq negative": _edit(_snapshot_doc(), ("last_seq",), -1),
     "last_seq a bool": _edit(_snapshot_doc(), ("last_seq",), True),
     "unknown update mode": _edit(_snapshot_doc(), ("update_mode",), "lazy"),
     "column a list": _edit(_snapshot_doc(), ("cols", "t1"), [0.5]),
@@ -353,7 +380,24 @@ _BAD_STATES = {
     "negative staleness": _edit(_state_doc(), ("tests", "t1", "staleness"), -1),
     "staleness a string": _edit(_state_doc(), ("tests", "t1", "staleness"), "2"),
     "stable a number": _edit(_state_doc(), ("tests", "t1", "stable"), 1),
-    "accumulated a number": _edit(_state_doc(), ("tests", "t1", "accumulated"), [3]),
+    "old format with accumulated": {  # every test's pending file list
+        "kind": "schedule-state",
+        "tests": {"t1": {"staleness": 2, "stable": True, "accumulated": ["f1"],
+                         "last_verdict": "pass"}},
+    },
+    "no clock": _edit(_state_doc(), ("clock",), _DROP),
+    "negative clock": _edit(_edit(_state_doc(), ("clock",), -1), ("changed_at",), {}),
+    "clock a float": _edit(_state_doc(), ("clock",), 3.0),
+    "no changed_at": _edit(_state_doc(), ("changed_at",), _DROP),
+    "changed_at a list": _edit(_state_doc(), ("changed_at",), ["f1"]),
+    "stamp a bool": _edit(_state_doc(), ("changed_at", "f1"), True),
+    "stamp zero": _edit(_state_doc(), ("changed_at", "f1"), 0),
+    "stamp above clock": _edit(_state_doc(), ("changed_at", "f1"), 4),
+    "stamp a float": _edit(_state_doc(), ("changed_at", "f1"), 2.0),
+    "no last_run": _edit(_state_doc(), ("tests", "t1", "last_run"), _DROP),
+    "last_run above clock": _edit(_state_doc(), ("tests", "t1", "last_run"), 4),
+    "last_run negative": _edit(_state_doc(), ("tests", "t1", "last_run"), -1),
+    "last_run a bool": _edit(_state_doc(), ("tests", "t1", "last_run"), True),
     "no last verdict": _edit(_state_doc(), ("tests", "t1", "last_verdict"), _DROP),
     "unknown verdict": _edit(_state_doc(), ("tests", "t1", "last_verdict"), "maybe"),
 }
@@ -470,6 +514,60 @@ def test_fuzz_load_matrix(text, n):
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                 code = main(argv)
             assert code == 0 and "Traceback" not in err.getvalue(), (argv[0], err.getvalue())
+
+
+@st.composite
+def state_texts(draw):
+    """Small state documents: a valid one, or one with a single flaw in the
+    clock, the change stamps, a test or one of its fields, drawn from values
+    that may happen to be valid."""
+    clock = draw(st.integers(min_value=0, max_value=5))
+    stamps = st.integers(min_value=1, max_value=max(clock, 1))
+    changed_at = draw(st.dictionaries(st.sampled_from(["f1", "f2", "f3"]), stamps)) if clock else {}
+    tests = {
+        t: {"staleness": draw(st.integers(min_value=0, max_value=9)), "stable": draw(st.booleans()),
+            "last_run": draw(st.integers(min_value=0, max_value=clock)),
+            "last_verdict": draw(st.sampled_from([None, "pass", "fail"]))}
+        for t in draw(st.lists(st.sampled_from(["t1", "t2", "t3"]), unique=True))
+    }
+    doc = {"kind": "schedule-state", "clock": clock, "changed_at": changed_at, "tests": tests}
+    flaw = draw(st.sampled_from([None, "clock", "changed_at", "stamp", "test", "field"]))
+    if flaw in ("clock", "changed_at"):
+        doc[flaw] = draw(_ANY_VALUES)
+    elif flaw == "stamp":
+        changed_at[draw(st.sampled_from(["f1", "f2", "f3"]))] = draw(_ANY_VALUES)
+    elif flaw and tests:
+        t = draw(st.sampled_from(sorted(tests)))
+        if flaw == "test":
+            tests[t] = draw(_ANY_VALUES)
+        else:
+            tests[t][draw(st.sampled_from(sorted(tests[t])))] = draw(_ANY_VALUES)
+    return json.dumps(doc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(state_texts(), st.integers(min_value=1, max_value=4))
+def test_fuzz_load_state(text, n):
+    # a state either fails validation or holds only integer stamps in range,
+    # and then the state readers exit 0
+    try:
+        state = load_state(io.StringIO(text))
+    except ValidationError:
+        return
+    pending = state.pending
+    assert type(pending.clock) is int and pending.clock >= 0
+    assert all(type(s) is int and 0 < s <= pending.clock for s in pending.changed_at.values())
+    assert all(type(s) is int and 0 <= s <= pending.clock for s in pending.last_run.values())
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "state.json")
+        with open(path, "w", encoding="utf-8") as fp:
+            fp.write(text)
+        for argv in (["schedule", "cost", "--state", path],
+                     ["schedule", "stable", "--state", path, "--budget", str(n)]):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code == 0 and "Traceback" not in err.getvalue(), (argv[1], err.getvalue())
 
 
 def _failing_save_matrix(matrix, fp):

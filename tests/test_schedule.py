@@ -7,7 +7,9 @@ import sys
 from itertools import combinations
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from flipsense.baselines import dissimilarity_order
 from flipsense.history import extract_flips
@@ -25,6 +27,8 @@ from flipsense.schedule import (
 from flipsense.sensitivity import (
     SensitivityMatrix,
     empty_matrix,
+    incremental_apply,
+    incremental_observe,
     make_scores,
     new_pending,
     select_top_n,
@@ -221,12 +225,116 @@ class TestStatePersistence:
         ]
         state = state_from_history(records, extract_flips(records))
         state.staleness["b"] = 4
-        state.pending.accumulated["a"].update({"f1", "f2"})
+        pending = incremental_observe(state.pending, {"f1", "f2"})
+        _, pending = incremental_apply(empty_matrix(alpha=0.8), pending, {"b"}, {"b": "fail"})
+        state.pending = incremental_observe(pending, {"f3"})
         state.pending.last_verdict["a"] = "fail"
+        assert state.pending.accumulated == {"a": {"f1", "f2", "f3"}, "b": {"f3"}}
         buf = io.StringIO()
         save_state(state, buf)
         loaded = load_state(io.StringIO(buf.getvalue()))
         assert loaded == state
+        assert loaded.pending.accumulated == state.pending.accumulated
+
+
+class SetPerTestModel:
+    """The pending-change bookkeeping as one file set per tracked test, with
+    the column-wise EMA updates it drives and the day counter."""
+
+    def __init__(self, alpha, tests):
+        self.alpha = alpha
+        self.acc = {t: set() for t in tests}
+        self.last = {}
+        self.cols, self.files, self.tests = {}, set(), set()
+        self.staleness = dict.fromkeys(tests, 0)
+
+    def observe(self, changed):
+        for acc in self.acc.values():
+            acc |= changed
+
+    def apply(self, verdicts):
+        for t in sorted(verdicts):
+            acc = self.acc.get(t, set())
+            col = {f: (1.0 - self.alpha) * v for f, v in self.cols.pop(t, {}).items()}
+            if self.last.get(t, verdicts[t]) != verdicts[t] and acc:
+                for f in acc:
+                    col[f] = self.alpha / len(acc) + col.get(f, 0.0)
+            col = {f: v for f, v in col.items() if v}
+            if col:
+                self.cols[t] = col
+            self.files |= acc
+            self.tests.add(t)
+            self.acc[t] = set()
+            self.last[t] = verdicts[t]
+
+    def tick(self, executed):
+        self.staleness = {t: 0 if t in executed else s + 1 for t, s in self.staleness.items()}
+        self.staleness.update(dict.fromkeys(executed, 0))
+
+    def reload(self, saved):
+        # a saved state lists every test it knows, and each loads as tracked
+        for t in saved:
+            self.acc.setdefault(t, set())
+            self.staleness.setdefault(t, 0)
+
+
+_FILES = [f"f{i}" for i in range(5)]
+_TESTS = [f"t{i}" for i in range(5)]
+_STEPS = st.lists(
+    st.tuples(
+        st.one_of(
+            st.tuples(st.just("observe"), st.sets(st.sampled_from(_FILES), max_size=3)),
+            st.tuples(st.just("apply"), st.dictionaries(
+                st.sampled_from(_TESTS), st.sampled_from(["pass", "fail"]), max_size=4)),
+            st.tuples(st.just("tick"), st.sets(st.sampled_from(_TESTS), max_size=3)),
+        ),
+        st.booleans(),
+    ),
+    max_size=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([0.3, 0.8, 1.0]), st.sets(st.sampled_from(_TESTS)), _STEPS)
+def test_pending_changes_match_a_file_set_per_test(alpha, tracked, steps):
+    # two clocks give the file-set-per-test semantics step for step: the
+    # accumulated view, the matrix columns they feed, and a saved state;
+    # no step changes the state it was given
+    model = SetPerTestModel(alpha, sorted(tracked))
+    matrix = empty_matrix(alpha=alpha, drop_threshold=0.0)
+    state = ScheduleState(staleness=dict.fromkeys(tracked, 0),
+                          stable=dict.fromkeys(tracked, True), pending=new_pending(tracked))
+    for (op, arg), reload in steps:
+        before, seen = state.pending, state.pending.accumulated
+        if op == "observe":
+            state.pending = incremental_observe(state.pending, arg)
+            model.observe(arg)
+        elif op == "apply":
+            matrix, state.pending = incremental_apply(matrix, state.pending, sorted(arg), arg)
+            model.apply(arg)
+        else:
+            state = day_tick(state, arg)
+            model.tick(arg)
+        assert before.accumulated == seen
+        if state.pending is not before:
+            assert not {id(before.changed_at), id(before.last_run), id(before.last_verdict)} & {
+                id(state.pending.changed_at), id(state.pending.last_run),
+                id(state.pending.last_verdict)}
+        assert state.pending.accumulated == model.acc
+        assert state.pending.last_verdict == model.last
+        assert (matrix.cols, matrix.files, matrix.tests) == (model.cols, model.files, model.tests)
+        assert state.staleness == model.staleness
+        buf = io.StringIO()
+        save_state(state, buf)
+        loaded = load_state(io.StringIO(buf.getvalue()))
+        saved = state.staleness.keys() | state.stable.keys() | model.acc.keys()
+        assert loaded.pending.accumulated == {t: model.acc.get(t, set()) for t in saved}
+        assert loaded.pending.last_verdict == model.last
+        assert loaded.staleness == {t: state.staleness.get(t, 0) for t in saved}
+        assert loaded.stable == {t: state.stable.get(t, False) for t in saved}
+        if reload:
+            state = loaded
+            model.reload(saved)
 
 
 def test_office_hours_sim_runs():
