@@ -93,14 +93,16 @@ def _jaccard_distance(a: frozenset[str], b: frozenset[str]) -> float:
 
 
 def dissimilarity_order(
-    candidates: Iterable[str], already_chosen: Sequence[str] = ()
+    candidates: Iterable[str], already_chosen: Sequence[str] = (), limit: int | None = None
 ) -> list[str]:
     """Greedy farthest-first ordering under token-set Jaccard distance.
 
     Identifiers are tokenised on '/' and '_'; each step picks the candidate
     with the largest minimum distance to everything chosen so far, ties by
     id. With nothing chosen yet every distance is infinite, so the first
-    pick is the smallest id.
+    pick is the smallest id. A pick never depends on later ones, so the
+    first `limit` picks, when a limit is given, are a prefix of the whole
+    order.
     """
     remaining = sorted(set(candidates))
     tokens = {t: identifier_tokens(t) for t in remaining}
@@ -110,7 +112,7 @@ def dissimilarity_order(
         for t in remaining
     }
     ordered: list[str] = []
-    while remaining:
+    while remaining and len(ordered) != limit:
         # max() keeps the first of equal keys; remaining is id-ascending,
         # so distance ties resolve to the smallest id.
         best = max(remaining, key=nearest.__getitem__)

@@ -17,13 +17,7 @@ import sys
 from pathlib import Path
 
 from . import baselines, evaluate, history, schedule, sensitivity, synth
-from .errors import (
-    ConfigError,
-    FlipsenseError,
-    HistoryParseError,
-    UndefinedMetricError,
-    ValidationError,
-)
+from .errors import FlipsenseError, ValidationError
 
 DEFAULT_ALPHA = 0.8
 
@@ -37,9 +31,7 @@ def _env_out() -> str:
 
 
 def _read_history(path: str) -> list[history.BuildRecord]:
-    if path == "-":
-        return history.ingest_history(sys.stdin)
-    return history.read_history(path)
+    return history.read_history(sys.stdin if path == "-" else path)
 
 
 def _read_ids(path: str) -> list[str]:
@@ -50,6 +42,11 @@ def _read_ids(path: str) -> list[str]:
         with open(path, encoding="utf-8") as fp:
             lines = fp.readlines()
     return [s for s in (line.strip() for line in lines) if s and not s.startswith("#")]
+
+
+def _load(path: str, load):
+    with open(path, encoding="utf-8") as fp:
+        return load(fp)
 
 
 def _write_atomic(path: str, save, value) -> None:
@@ -67,17 +64,17 @@ def _write_atomic(path: str, save, value) -> None:
         raise
 
 
+def _parse_int_range(text: str) -> tuple[int, int]:
+    lo, dots, hi = text.partition("..")
+    return int(lo), int(hi if dots else lo)
+
+
 def _parse_size_range(text: str) -> list[int]:
-    if ".." in text:
-        lo_s, hi_s = text.split("..", 1)
-        lo, hi = int(lo_s), int(hi_s)
-        if lo < 1 or hi < lo:
-            raise ValueError(f"bad size range {text!r}")
-        return list(range(lo, hi + 1))
-    n = int(text)
-    if n < 1:
-        raise ValueError(f"selection size must be >= 1, got {n}")
-    return [n]
+    lo, hi = _parse_int_range(text)
+    if lo < 1 or hi < lo:
+        raise ValueError(f"bad size range {text!r}" if ".." in text
+                         else f"selection size must be >= 1, got {lo}")
+    return list(range(lo, hi + 1))
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -94,29 +91,43 @@ def _parse_grid(text: str) -> list[float]:
     return [a for a in grid if lo <= a <= hi + 1e-12]
 
 
-def _parse_int_range(text: str) -> tuple[int, int]:
-    if ".." in text:
-        lo_s, hi_s = text.split("..", 1)
-        return int(lo_s), int(hi_s)
-    n = int(text)
-    return n, n
+def _dumps(doc) -> str:
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-def _machine(doc: dict) -> None:
-    print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+def _emit(args, doc: dict, lines) -> None:
+    """Print the machine document or the human lines, as --format asks."""
+    if args.format == "machine":
+        print(_dumps(doc))
+        return
+    for line in lines:
+        print(line)
 
 
-def _fold_history(path: str, args) -> sensitivity.SensitivityMatrix:
-    """The matrix after the whole history, for --method/--alpha/--d-mode,
-    knowing every test in the history, as its snapshot would."""
+def _method_config(method: str, args, score_mode: str = "sum") -> evaluate.MethodConfig:
+    """The config the flags name: --alpha for ema only (so a cumulative
+    snapshot keeps "alpha": null) and --d-mode for every matrix method,
+    which otherwise keeps its own default."""
+    return evaluate.MethodConfig(
+        method=method,
+        alpha=args.alpha if method == "ema" else None,
+        d_mode=None if method == "random" else args.d_mode,
+        score_mode=score_mode,
+        policy=baselines.RandomPolicy(seed=args.seed, runs=args.runs) if method == "random" else None,
+    )
+
+
+def _matrix(args, path: str | None, flag: str) -> sensitivity.SensitivityMatrix:
+    """--snapshot loaded, or else the history at path folded for
+    --method/--alpha/--d-mode, knowing every test in the history, as its
+    snapshot would."""
+    if args.snapshot:
+        return _load(args.snapshot, sensitivity.load_matrix)
+    if not path:
+        raise ValidationError(f"{args.command} needs {flag} or --snapshot")
     records = _read_history(path)
     ledger = history.extract_flips(records)
-    config = evaluate.MethodConfig(
-        method=args.method,
-        alpha=args.alpha if args.method == "ema" else None,
-        d_mode=args.d_mode,
-    )
-    for matrix in evaluate.fold(records, ledger, config):
+    for matrix in evaluate.fold(records, ledger, _method_config(args.method, args)):
         pass
     matrix.tests |= ledger.universe
     return matrix
@@ -130,57 +141,39 @@ def cmd_ingest(args) -> int:
     stats = history.history_stats(records)
     ledger = history.extract_flips(records)
     buckets = history.predictable_build_stats(ledger)
-    if args.format == "machine":
-        _machine(
-            {
-                "builds": stats.n_builds,
-                "files": stats.n_files,
-                "tests": stats.n_tests,
-                "flip_events": len(ledger.events),
-                "predictable_builds": buckets.qualifying_builds,
-                "predictable_buckets": {
-                    "le_5": buckets.bucket_le_5,
-                    "6_to_25": buckets.bucket_6_to_25,
-                    "gt_25": buckets.bucket_gt_25,
-                },
-            }
-        )
-    else:
-        print(f"builds:              {stats.n_builds}")
-        print(f"distinct files:      {stats.n_files}")
-        print(f"distinct tests:      {stats.n_tests}")
-        print(f"flip events:         {len(ledger.events)}")
-        print(f"predictable builds:  {buckets.qualifying_builds}")
-        print(f"  with <=5 predictable:   {buckets.bucket_le_5}")
-        print(f"  with 6..25 predictable: {buckets.bucket_6_to_25}")
-        print(f"  with >25 predictable:   {buckets.bucket_gt_25}")
+    doc = {
+        "builds": stats.n_builds,
+        "files": stats.n_files,
+        "tests": stats.n_tests,
+        "flip_events": len(ledger.events),
+        "predictable_builds": buckets.qualifying_builds,
+        "predictable_buckets": {
+            "le_5": buckets.bucket_le_5,
+            "6_to_25": buckets.bucket_6_to_25,
+            "gt_25": buckets.bucket_gt_25,
+        },
+    }
+    _emit(args, doc, [
+        f"builds:              {stats.n_builds}",
+        f"distinct files:      {stats.n_files}",
+        f"distinct tests:      {stats.n_tests}",
+        f"flip events:         {len(ledger.events)}",
+        f"predictable builds:  {buckets.qualifying_builds}",
+        f"  with <=5 predictable:   {buckets.bucket_le_5}",
+        f"  with 6..25 predictable: {buckets.bucket_6_to_25}",
+        f"  with >25 predictable:   {buckets.bucket_gt_25}",
+    ])
     return 0
 
 
 def cmd_prioritise(args) -> int:
     changed = set(_read_ids(args.changes))
-    if args.snapshot:
-        with open(args.snapshot, encoding="utf-8") as fp:
-            matrix = sensitivity.load_matrix(fp)
-    elif args.history:
-        matrix = _fold_history(args.history, args)
-    else:
-        raise ValidationError("prioritise needs --history or --snapshot")
+    matrix = _matrix(args, args.history, "--history")
     scores = sensitivity.slice_scores(matrix, changed, args.score_mode)
     selected = sensitivity.select_top_n(scores, args.n, matrix.tests)
-    if args.format == "machine":
-        _machine(
-            {
-                "selected": selected,
-                "scores": {t: scores.scores.get(t, 0.0) for t in selected},
-            }
-        )
-    else:
-        for t in selected:
-            if args.show_scores:
-                print(f"{t}\t{scores.scores.get(t, 0.0):.6g}")
-            else:
-                print(t)
+    top = {t: scores.scores.get(t, 0.0) for t in selected}
+    _emit(args, {"selected": selected, "scores": top},
+          [f"{t}\t{s:.6g}" if args.show_scores else t for t, s in top.items()])
     return 0
 
 
@@ -196,14 +189,8 @@ def _method_list(text: str) -> list[str]:
     return methods
 
 
-def _method_config(method: str, args) -> evaluate.MethodConfig:
-    return evaluate.MethodConfig(
-        method=method,
-        alpha=args.alpha if method == "ema" else None,
-        d_mode=args.d_mode if method == "ema" else None,
-        score_mode=args.score_mode,
-        policy=baselines.RandomPolicy(seed=args.seed, runs=args.runs) if method == "random" else None,
-    )
+def _pct(value: float | None) -> str:
+    return "n/a" if value is None else f"{value:+.1%}"
 
 
 def cmd_replay(args) -> int:
@@ -212,65 +199,49 @@ def cmd_replay(args) -> int:
     sizes = _parse_size_range(args.select)
     methods = _method_list(args.method)
 
-    reports = {m: evaluate.replay_sizes(records, ledger, _method_config(m, args), sizes) for m in methods}
+    reports = {
+        m: evaluate.replay_sizes(records, ledger, _method_config(m, args, args.score_mode), sizes)
+        for m in methods
+    }
     figures = evaluate.figure_data(reports)
-
-    improvement = None
+    improvement = {}
     if len(methods) > 1:
         baseline = args.baseline or ("cumulative" if "cumulative" in methods else methods[0])
         if baseline not in methods:
             raise ValidationError(f"baseline {baseline!r} is not among the replayed methods")
         improvement = {
-            m: evaluate.improvement_summary(figures, baseline, m)
-            for m in methods
-            if m != baseline
+            m: evaluate.improvement_summary(figures, baseline, m) for m in methods if m != baseline
         }
+    doc = {
+        "figures": figures.to_dict(),
+        "reports": {m: {str(n): r.to_dict() for n, r in reports[m].items()} for m in methods},
+        "improvement": {m: s.to_dict() for m, s in improvement.items()} or None,
+    }
 
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         for metric in evaluate.FIGURE_METRICS:
             (out / f"{metric}.csv").write_text(figures.to_csv(metric), encoding="utf-8")
-        doc = {m: {str(n): reports[m][n].to_dict() for n in sizes} for m in methods}
-        (out / "reports.json").write_text(
-            json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n", encoding="utf-8"
-        )
-        if improvement:
-            (out / "improvement.json").write_text(
-                json.dumps({m: s.to_dict() for m, s in improvement.items()},
-                           sort_keys=True, separators=(",", ":")) + "\n",
-                encoding="utf-8",
-            )
+        for name in ("reports", "improvement"):
+            if doc[name]:
+                (out / f"{name}.json").write_text(_dumps(doc[name]) + "\n", encoding="utf-8")
 
-    if args.format == "machine":
-        _machine(
-            {
-                "figures": figures.to_dict(),
-                "reports": {m: {str(n): reports[m][n].to_dict() for n in sizes} for m in methods},
-                "improvement": {m: s.to_dict() for m, s in improvement.items()} if improvement else None,
-            }
-        )
-    else:
-        for m in methods:
-            for n in sizes:
-                r = reports[m][n]
-                if r.evaluated_builds == 0:
-                    print(f"{m} n={n}: no predictable builds to evaluate")
-                    continue
-                print(
-                    f"{m} n={n}: builds={r.evaluated_builds} "
-                    f"zero={r.zero_pct:.1%} precision={r.mean_precision:.3f} "
-                    f"recall={r.mean_recall:.3f} f={r.mean_f_measure:.3f}"
-                )
-        if improvement:
-            for m, s in improvement.items():
-                rec = s.relative["recall"]["avg"]
-                zero = s.relative["zero_pct"]["avg"]
-                rec_s = "n/a" if rec is None else f"{rec:+.1%}"
-                zero_s = "n/a" if zero is None else f"{zero:+.1%}"
-                print(f"{m} vs {s.baseline}: recall {rec_s}, zero results {zero_s} (avg over sizes)")
-        if args.out:
-            print(f"tables written to {args.out}")
+    lines = []
+    for m in methods:
+        for n, r in reports[m].items():
+            lines.append(
+                f"{m} n={n}: no predictable builds to evaluate" if r.evaluated_builds == 0
+                else f"{m} n={n}: builds={r.evaluated_builds} "
+                f"zero={r.zero_pct:.1%} precision={r.mean_precision:.3f} "
+                f"recall={r.mean_recall:.3f} f={r.mean_f_measure:.3f}"
+            )
+    for m, s in improvement.items():
+        lines.append(f"{m} vs {s.baseline}: recall {_pct(s.relative['recall']['avg'])}, zero results "
+                     f"{_pct(s.relative['zero_pct']['avg'])} (avg over sizes)")
+    if args.out:
+        lines.append(f"tables written to {args.out}")
+    _emit(args, doc, lines)
     return 0
 
 
@@ -293,36 +264,25 @@ def cmd_sweep_alpha(args) -> int:
                 + f",{point.total_zero}"
             )
         (out / "sweep.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    if args.format == "machine":
-        _machine(
+    doc = {
+        "best_alpha": best,
+        "sizes": sizes,
+        "table": [
             {
-                "best_alpha": best,
-                "sizes": sizes,
-                "table": [
-                    {
-                        "alpha": p.alpha,
-                        "zero_counts": {str(n): c for n, c in p.zero_counts.items()},
-                        "total_zero": p.total_zero,
-                    }
-                    for p in table
-                ],
+                "alpha": p.alpha,
+                "zero_counts": {str(n): c for n, c in p.zero_counts.items()},
+                "total_zero": p.total_zero,
             }
-        )
-    else:
-        print(f"best alpha: {best}")
-        for p in table:
-            print(f"  alpha={p.alpha:<6} total zero results={p.total_zero}")
+            for p in table
+        ],
+    }
+    _emit(args, doc, [f"best alpha: {best}"]
+          + [f"  alpha={p.alpha:<6} total zero results={p.total_zero}" for p in table])
     return 0
 
 
 def cmd_heatmap(args) -> int:
-    if args.snapshot:
-        with open(args.snapshot, encoding="utf-8") as fp:
-            matrix = sensitivity.load_matrix(fp)
-    elif args.input:
-        matrix = _fold_history(args.input, args)
-    else:
-        raise ValidationError("heatmap needs --input or --snapshot")
+    matrix = _matrix(args, args.input, "--input")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "heatmap.csv", "w", encoding="utf-8") as hm, open(
@@ -363,75 +323,54 @@ def cmd_synth(args) -> int:
 # ------------------------------------------------------------- schedule
 
 
-def _load_state(path: str) -> schedule.ScheduleState:
-    with open(path, encoding="utf-8") as fp:
-        return schedule.load_state(fp)
-
-
-def _save_state(state: schedule.ScheduleState, path: str) -> None:
-    _write_atomic(path, schedule.save_state, state)
-
-
 def cmd_schedule_init(args) -> int:
     records = _read_history(args.history)
     ledger = history.extract_flips(records)
     state = schedule.state_from_history(
         records, ledger, always_passed_only=(args.stable_rule == "always-passed")
     )
-    _save_state(state, args.state)
+    _write_atomic(args.state, schedule.save_state, state)
     print(f"{len(state.staleness)} tests tracked, {len(state.stable_tests())} stable")
     return 0
 
 
 def cmd_schedule_cost(args) -> int:
-    state = _load_state(args.state)
-    if args.format == "machine":
-        _machine({"cost": schedule.cost(state)})
-    else:
-        print(schedule.cost(state))
+    cost = schedule.cost(_load(args.state, schedule.load_state))
+    _emit(args, {"cost": cost}, [str(cost)])
     return 0
 
 
 def cmd_schedule_stable(args) -> int:
-    state = _load_state(args.state)
+    state = _load(args.state, schedule.load_state)
     selected = schedule.select_stable(
         state, args.budget, strategy=args.strategy, window_days=args.window
     )
-    if args.format == "machine":
-        _machine({"selected": selected})
-    else:
-        for t in selected:
-            print(t)
+    _emit(args, {"selected": selected}, selected)
     return 0
 
 
 def cmd_schedule_office(args) -> int:
-    state = _load_state(args.state)
+    state = _load(args.state, schedule.load_state)
     changed = set(_read_ids(args.changes))
-    with open(args.matrix, encoding="utf-8") as fp:
-        matrix = sensitivity.load_matrix(fp)
+    matrix = _load(args.matrix, sensitivity.load_matrix)
     records = _read_history(args.history)
     ledger = history.extract_flips(records)
     recency = baselines.hbtp_scores(records, ledger, len(records))
     if args.observe:
         state.pending = sensitivity.incremental_observe(state.pending, changed)
-        _save_state(state, args.state)
+        _write_atomic(args.state, schedule.save_state, state)
     selected = schedule.office_hours_tick(
         matrix, state.pending, changed, recency, args.k, w=args.weight, score_mode=args.score_mode
     )
-    if args.format == "machine":
-        _machine({"selected": selected})
-    else:
-        for t in selected:
-            print(t)
+    _emit(args, {"selected": selected}, selected)
     return 0
 
 
 def cmd_schedule_tick(args) -> int:
-    state = _load_state(args.state)
+    state = _load(args.state, schedule.load_state)
     executed = _read_ids(args.executed) if args.executed else []
     state = schedule.day_tick(state, executed)
-    _save_state(state, args.state)
+    _write_atomic(args.state, schedule.save_state, state)
     print(f"cost after tick: {schedule.cost(state)}")
     return 0
 
@@ -441,7 +380,7 @@ def _read_results(path: str) -> dict[str, str]:
     with open(path, encoding="utf-8") as fp:
         try:
             verdicts = json.load(fp)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ValidationError(f"{path}: not one JSON document ({exc})") from exc
     if not isinstance(verdicts, dict):
         raise ValidationError(
@@ -454,24 +393,18 @@ def _read_results(path: str) -> dict[str, str]:
 
 
 def cmd_schedule_apply(args) -> int:
-    state = _load_state(args.state)
-    with open(args.matrix, encoding="utf-8") as fp:
-        matrix = sensitivity.load_matrix(fp)
+    state = _load(args.state, schedule.load_state)
+    matrix = _load(args.matrix, sensitivity.load_matrix)
     verdicts = _read_results(args.results)
     executed = _read_ids(args.executed) if args.executed else sorted(verdicts)
-    matrix, pending = sensitivity.incremental_apply(matrix, state.pending, executed, verdicts)
-    state.pending = pending
+    matrix, state.pending = sensitivity.incremental_apply(matrix, state.pending, executed, verdicts)
     _write_atomic(args.matrix, sensitivity.save_matrix, matrix)
-    _save_state(state, args.state)
+    _write_atomic(args.state, schedule.save_state, state)
     print(f"applied {len(executed)} verdicts")
     return 0
 
 
 # --------------------------------------------------------------- parser
-
-
-def _add_format(parser) -> None:
-    parser.add_argument("--format", choices=("human", "machine"), default="human")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -481,56 +414,50 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ingest", help="validate a history file and print summary stats")
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("human", "machine"), default="human")
+    score = argparse.ArgumentParser(add_help=False)
+    score.add_argument("--score-mode", choices=sensitivity.SCORE_MODES, default="sum")
+    decay = argparse.ArgumentParser(add_help=False)
+    decay.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
+    decay.add_argument("--d-mode", choices=sensitivity.D_MODES, default=None,
+                       help="default: linear for ema, constant for cumulative")
+    matrix = argparse.ArgumentParser(add_help=False, parents=[decay])
+    matrix.add_argument("--method", choices=("ema", "cumulative"), default="ema")
+    matrix.add_argument("--snapshot", help="previously saved matrix snapshot")
+
+    p = sub.add_parser("ingest", parents=[fmt], help="validate a history file and print summary stats")
     p.add_argument("input", help="history file (JSON lines), or - for stdin")
-    _add_format(p)
     p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("prioritise", help="rank tests against a change set")
+    p = sub.add_parser("prioritise", parents=[fmt, score, matrix], help="rank tests against a change set")
     p.add_argument("--history", help="history file to fold into a matrix")
-    p.add_argument("--snapshot", help="previously saved matrix snapshot")
     p.add_argument("--changes", required=True, help="change-set file, one file id per line, or - for stdin")
     p.add_argument("-n", type=int, required=True, help="how many tests to select")
-    p.add_argument("--method", choices=("ema", "cumulative"), default="ema")
-    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
-    p.add_argument("--d-mode", choices=sensitivity.D_MODES, default=None,
-                   help="default: linear for ema, constant for cumulative")
-    p.add_argument("--score-mode", choices=sensitivity.SCORE_MODES, default="sum")
     p.add_argument("--show-scores", action="store_true")
-    _add_format(p)
     p.set_defaults(func=cmd_prioritise)
 
-    p = sub.add_parser("replay", help="replay a history and score selection methods")
+    p = sub.add_parser("replay", parents=[fmt, score, decay],
+                       help="replay a history and score selection methods")
     p.add_argument("--input", required=True, help="history file, or - for stdin")
     p.add_argument("--method", default="ema", help="ema, cumulative, random, a comma list, or all")
-    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
-    p.add_argument("--d-mode", choices=sensitivity.D_MODES, default=None)
-    p.add_argument("--score-mode", choices=sensitivity.SCORE_MODES, default="sum")
     p.add_argument("--select", default="5..25", help="selection size n or range lo..hi")
     p.add_argument("--seed", type=int, default=_env_seed())
     p.add_argument("--runs", type=int, default=100, help="random-method averaging runs")
     p.add_argument("--baseline", default=None, help="baseline method for improvement summary")
     p.add_argument("--out", default=None, help="directory for figure tables and reports")
-    _add_format(p)
     p.set_defaults(func=cmd_replay)
 
-    p = sub.add_parser("sweep-alpha", help="choose alpha by minimising zero results")
+    p = sub.add_parser("sweep-alpha", parents=[fmt, score], help="choose alpha by minimising zero results")
     p.add_argument("--input", required=True)
     p.add_argument("--grid", default="0:1:0.01", help="alpha grid lo:hi:step")
     p.add_argument("--select", default="5..25")
-    p.add_argument("--score-mode", choices=sensitivity.SCORE_MODES, default="sum")
     p.add_argument("--d-mode", choices=sensitivity.D_MODES, default="linear")
     p.add_argument("--out", default=None)
-    _add_format(p)
     p.set_defaults(func=cmd_sweep_alpha)
 
-    p = sub.add_parser("heatmap", help="export the matrix heat map and flakiness index")
+    p = sub.add_parser("heatmap", parents=[matrix], help="export the matrix heat map and flakiness index")
     p.add_argument("--input", help="history file to fold into a matrix")
-    p.add_argument("--snapshot", help="previously saved matrix snapshot")
-    p.add_argument("--method", choices=("ema", "cumulative"), default="ema")
-    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
-    p.add_argument("--d-mode", choices=sensitivity.D_MODES, default=None,
-                   help="default: linear for ema, constant for cumulative")
     p.add_argument("--out", default=_env_out())
     p.add_argument("--save-snapshot", default=None, help="also save the matrix snapshot here")
     p.set_defaults(func=cmd_heatmap)
@@ -544,29 +471,26 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--stable-rule", choices=("never-flipped", "always-passed"), default="never-flipped")
     sp.set_defaults(func=cmd_schedule_init)
 
-    sp = ssub.add_parser("cost", help="current staleness cost sum(s_i^2)")
+    sp = ssub.add_parser("cost", parents=[fmt], help="current staleness cost sum(s_i^2)")
     sp.add_argument("--state", required=True)
-    _add_format(sp)
     sp.set_defaults(func=cmd_schedule_cost)
 
-    sp = ssub.add_parser("stable", help="pick stable tests for the after-hours pass")
+    sp = ssub.add_parser("stable", parents=[fmt], help="pick stable tests for the after-hours pass")
     sp.add_argument("--state", required=True)
     sp.add_argument("--budget", type=int, required=True)
     sp.add_argument("--strategy", choices=schedule.STRATEGIES, default="cost_min")
     sp.add_argument("--window", type=int, default=7)
-    _add_format(sp)
     sp.set_defaults(func=cmd_schedule_stable)
 
-    sp = ssub.add_parser("office", help="office-hours selection: sensitivity + failure recency")
+    sp = ssub.add_parser("office", parents=[fmt, score],
+                         help="office-hours selection: sensitivity + failure recency")
     sp.add_argument("--state", required=True)
     sp.add_argument("--matrix", required=True, help="matrix snapshot file")
     sp.add_argument("--history", required=True, help="history for the recency scores")
     sp.add_argument("--changes", required=True)
     sp.add_argument("-k", type=int, required=True)
     sp.add_argument("-w", "--weight", type=float, default=0.5)
-    sp.add_argument("--score-mode", choices=sensitivity.SCORE_MODES, default="sum")
     sp.add_argument("--observe", action="store_true", help="record the change set into pending state")
-    _add_format(sp)
     sp.set_defaults(func=cmd_schedule_office)
 
     sp = ssub.add_parser("tick", help="advance the day counter")
@@ -602,12 +526,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (HistoryParseError, ValidationError, ConfigError, UndefinedMetricError, ValueError) as exc:
+    except (FlipsenseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FlipsenseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -18,7 +18,7 @@ minimising it over the whole history.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import accumulate, repeat
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -28,7 +28,14 @@ from .history import BuildRecord, FlipLedger
 from .sensitivity import SensitivityMatrix, advance, build_delta, empty_matrix, select_top_n, slice_scores
 
 METHODS = ("ema", "cumulative", "random")
-FIGURE_METRICS = ("zero_pct", "precision", "recall", "f_measure")
+# figure metric -> the EvalReport aggregate that fills its table
+FIGURE_FIELDS = {
+    "zero_pct": "zero_pct",
+    "precision": "mean_precision",
+    "recall": "mean_recall",
+    "f_measure": "mean_f_measure",
+}
+FIGURE_METRICS = tuple(FIGURE_FIELDS)
 
 
 def precision(selected: Iterable[str], predictable: Iterable[str]) -> float:
@@ -125,25 +132,8 @@ class EvalReport:
             "seed": self.seed,
             "runs": self.runs,
             "evaluated_builds": self.evaluated_builds,
-            "aggregates": {
-                "mean_precision": self.mean_precision,
-                "mean_recall": self.mean_recall,
-                "mean_f_measure": self.mean_f_measure,
-                "zero_pct": self.zero_pct,
-            },
-            "per_build": [
-                {
-                    "seq": row.seq,
-                    "n_selected": row.n_selected,
-                    "n_predictable": row.n_predictable,
-                    "intersection": row.intersection,
-                    "precision": row.precision,
-                    "recall": row.recall,
-                    "f_measure": row.f_measure,
-                    "zero_fraction": row.zero_fraction,
-                }
-                for row in self.per_build
-            ],
+            "aggregates": {field: getattr(self, field) for field in FIGURE_FIELDS.values()},
+            "per_build": [asdict(row) for row in self.per_build],
         }
 
 
@@ -337,16 +327,10 @@ def figure_data(reports_by_method: Mapping[str, Mapping[int, EvalReport]]) -> Fi
             raise ValidationError(
                 f"inconsistent selection sizes: {methods[0]} covers {sizes}, {m} covers {s}"
             )
-    values: dict[str, dict[int, dict[str, float | None]]] = {
-        metric: {n: {} for n in sizes} for metric in FIGURE_METRICS
+    values = {
+        metric: {n: {m: getattr(reports_by_method[m][n], field) for m in methods} for n in sizes}
+        for metric, field in FIGURE_FIELDS.items()
     }
-    for m in methods:
-        for n in sizes:
-            report = reports_by_method[m][n]
-            values["zero_pct"][n][m] = report.zero_pct
-            values["precision"][n][m] = report.mean_precision
-            values["recall"][n][m] = report.mean_recall
-            values["f_measure"][n][m] = report.mean_f_measure
     return FigureData(methods=methods, sizes=sizes, values=values)
 
 
@@ -370,45 +354,31 @@ class ImprovementSummary:
         }
 
 
+def _spread(deltas: list[float], avg_of_averages: float | None) -> dict[str, float | None]:
+    return {
+        "min": min(deltas, default=None),
+        "max": max(deltas, default=None),
+        "avg": _mean(deltas) if deltas else None,
+        "avg_of_averages": avg_of_averages,
+    }
+
+
 def improvement_summary(data: FigureData, baseline: str, target: str) -> ImprovementSummary:
     if baseline not in data.methods or target not in data.methods:
         raise ValidationError(f"methods {baseline!r}/{target!r} not present in the tables")
     relative: dict[str, dict[str, float | None]] = {}
     absolute: dict[str, dict[str, float | None]] = {}
     for metric in FIGURE_METRICS:
-        rel_deltas: list[float] = []
-        abs_deltas: list[float] = []
-        base_vals: list[float] = []
-        target_vals: list[float] = []
-        for n in data.sizes:
-            b = data.values[metric][n][baseline]
-            t = data.values[metric][n][target]
-            if b is None or t is None:
-                continue
-            base_vals.append(b)
-            target_vals.append(t)
-            abs_deltas.append(t - b)
-            if b != 0.0:
-                rel_deltas.append((t - b) / b)
-        base_mean = _mean(base_vals) if base_vals else None
-        target_mean = _mean(target_vals) if target_vals else None
-        avg_of_averages = None
-        if base_mean not in (None, 0.0) and target_mean is not None:
-            avg_of_averages = (target_mean - base_mean) / base_mean
-        relative[metric] = {
-            "min": min(rel_deltas) if rel_deltas else None,
-            "max": max(rel_deltas) if rel_deltas else None,
-            "avg": _mean(rel_deltas) if rel_deltas else None,
-            "avg_of_averages": avg_of_averages,
-        }
-        absolute[metric] = {
-            "min": min(abs_deltas) if abs_deltas else None,
-            "max": max(abs_deltas) if abs_deltas else None,
-            "avg": _mean(abs_deltas) if abs_deltas else None,
-            "avg_of_averages": None
-            if base_mean is None or target_mean is None
-            else target_mean - base_mean,
-        }
+        table = data.values[metric]
+        pairs = [(table[n][baseline], table[n][target]) for n in data.sizes
+                 if table[n][baseline] is not None and table[n][target] is not None]
+        rel_of_means = abs_of_means = None
+        if pairs:
+            base_mean, target_mean = (_mean(v) for v in zip(*pairs))
+            abs_of_means = target_mean - base_mean
+            rel_of_means = None if base_mean == 0.0 else abs_of_means / base_mean
+        relative[metric] = _spread([(t - b) / b for b, t in pairs if b != 0.0], rel_of_means)
+        absolute[metric] = _spread([t - b for b, t in pairs], abs_of_means)
     return ImprovementSummary(baseline=baseline, target=target, relative=relative, absolute=absolute)
 
 

@@ -84,6 +84,8 @@ def _parse_line(line_no: int, line: str) -> tuple[str, frozenset[str], dict[str,
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
         raise HistoryParseError(line_no, f"invalid JSON ({exc.msg})") from exc
+    except RecursionError as exc:
+        raise HistoryParseError(line_no, "invalid JSON (nested too deeply)") from exc
     if not isinstance(obj, dict):
         raise HistoryParseError(line_no, "record is not an object")
     missing = {"build", "changes", "results"} - obj.keys()

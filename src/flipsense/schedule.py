@@ -114,8 +114,9 @@ def select_stable(
         tiers.setdefault(state.staleness.get(t, 0), []).append(t)
     picked: list[str] = []
     for s in sorted(tiers, reverse=True):
-        tier = tiers[s] if s >= overdue else dissimilarity_order(tiers[s], already_chosen=picked)
-        picked.extend(tier[: budget - len(picked)])
+        room = budget - len(picked)
+        tier = tiers[s] if s >= overdue else dissimilarity_order(tiers[s], picked, limit=room)
+        picked.extend(tier[:room])
         if len(picked) == budget:
             break
     return picked

@@ -426,7 +426,7 @@ def read_document(
     given fields; anything else raises ValidationError."""
     try:
         doc = json.load(fp)
-    except ValueError as exc:  # invalid JSON or text, e.g. one object per line
+    except (ValueError, RecursionError) as exc:  # invalid JSON or text, or nested too deeply
         raise ValidationError(f"{kind}: not one JSON document ({exc})") from exc
     if not isinstance(doc, dict) or doc.get("kind") != kind:
         raise ValidationError(f"not a {kind} document")

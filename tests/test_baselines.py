@@ -175,3 +175,13 @@ class TestDissimilarityOrder:
             best = max(nearest.values())
             assert pick == min(c for c, d in nearest.items() if d == best)
             chosen.append(pick)
+
+    @given(
+        st.sets(st.text(alphabet="ab_/", min_size=1, max_size=6), min_size=1, max_size=7),
+        st.lists(st.text(alphabet="ab_/", max_size=6), max_size=3),
+        st.integers(min_value=0, max_value=9),
+    )
+    @settings(max_examples=100)
+    def test_limited_order_is_a_prefix(self, candidates, already_chosen, limit):
+        full = dissimilarity_order(candidates, already_chosen)
+        assert dissimilarity_order(candidates, already_chosen, limit=limit) == full[:limit]

@@ -1,6 +1,7 @@
 """Command-line behaviour: exit codes, formats, and composition."""
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -16,6 +17,8 @@ from hypothesis import given, settings
 from flipsense import sensitivity
 from flipsense.cli import main
 from flipsense.errors import ValidationError
+from flipsense.evaluate import MethodConfig, replay_sizes
+from flipsense.history import extract_flips, read_history
 from flipsense.schedule import load_state
 from flipsense.sensitivity import load_matrix, save_matrix
 
@@ -193,6 +196,16 @@ class TestReplay:
 
     def test_unknown_method(self, history_file, capsys):
         assert main(["replay", "--input", str(history_file), "--method", "bogus"]) == 2
+
+    def test_d_mode_applies_to_cumulative(self, history_file, capsys):
+        assert main(["replay", "--input", str(history_file), "--method", "cumulative",
+                     "--d-mode", "linear", "--select", "1..2", "--format", "machine"]) == 0
+        reports = json.loads(capsys.readouterr().out)["reports"]["cumulative"]
+        records = read_history(str(history_file))
+        config = MethodConfig(method="cumulative", d_mode="linear")
+        expected = replay_sizes(records, extract_flips(records), config, [1, 2])
+        assert reports == {str(n): r.to_dict() for n, r in expected.items()}
+        assert {r["d_mode"] for r in reports.values()} == {"linear"}
 
 
 class TestSweep:
@@ -638,3 +651,77 @@ class TestSynthCommand:
                                      capture_output=True, text=True)
         assert replay_proc.returncode == 0, replay_proc.stderr
         json.loads(replay_proc.stdout)
+
+
+class TestDeeplyNestedJson:
+    @pytest.mark.parametrize("command", ["ingest", "prioritise", "schedule cost", "schedule apply"])
+    def test_exits_2_with_one_line(self, command, history_file, changes_file, tmp_path, capsys):
+        deep = str(tmp_path / "deep.json")
+        with open(deep, "w", encoding="utf-8") as fp:
+            fp.write("[" * 5000)
+        state, matrix = str(tmp_path / "state.json"), str(tmp_path / "matrix.json")
+        main(["schedule", "init", "--history", str(history_file), "--state", state])
+        main(["heatmap", "--input", str(history_file), "--out", str(tmp_path / "hm"),
+              "--save-snapshot", matrix])
+        capsys.readouterr()
+        argv = {
+            "ingest": ["ingest", deep],
+            "prioritise": ["prioritise", "--snapshot", deep, "--changes", str(changes_file), "-n", "3"],
+            "schedule cost": ["schedule", "cost", "--state", deep],
+            "schedule apply": ["schedule", "apply", "--state", state, "--matrix", matrix,
+                               "--results", deep],
+        }[command]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def desk_history(tmp_path_factory):
+    """The default synth history: 50 builds, 200 files, 100 tests."""
+    root = tmp_path_factory.mktemp("desk")
+    path, changes = root / "history.jsonl", root / "changes.txt"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["synth", "--seed", "7", "--out", str(path)]) == 0
+    changes.write_text("f0012\nf0077\nf0150\nf0003\nf0199\n", encoding="utf-8")
+    return root, str(path), str(changes)
+
+
+def _stdout_md5(argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    return hashlib.md5(out.getvalue().encode("utf-8")).hexdigest()
+
+
+class TestPinnedOutputs:
+    """Output bytes of `synth --seed 7`, pinned so that a refactor which
+    changes any of them fails here; whatever the hash seed is."""
+
+    def test_replay_all_and_its_tables(self, desk_history):
+        root, path, _ = desk_history
+        out = root / "figs"
+        assert _stdout_md5(["replay", "--input", path, "--method", "all", "--alpha", "0.3",
+                            "--runs", "20", "--format", "machine", "--out", str(out)]) \
+            == "e24c84f517de7c53a89487471deb50ca"
+        files = {p.name: hashlib.md5(p.read_bytes()).hexdigest() for p in out.iterdir()}
+        assert files == {
+            "f_measure.csv": "a6d49ae4e9be4ff1db94162f19fef46a",
+            "improvement.json": "3edf56b27fe6e06df9a8b0ab0b36f4ba",
+            "precision.csv": "e61b9da32a2df0f4dc9dd57835c485de",
+            "recall.csv": "5686d9067aac23ce2e0f7b16512bbc21",
+            "reports.json": "9a89ab4fb2b659482022778ca74b1822",
+            "zero_pct.csv": "46378769017a6b84553f6c3278a7d1a3",
+        }
+
+    @pytest.mark.parametrize("argv, digest", [
+        (["sweep-alpha", "--input", "{history}", "--grid", "0:1:0.1", "--format", "machine"],
+         "5a2d38e2a83b3d49dd796804d1b06e94"),
+        (["prioritise", "--history", "{history}", "--changes", "{changes}", "-n", "25",
+          "--method", "ema", "--format", "machine"], "eed498681b5875c91eb4179f72c9071d"),
+        (["replay", "--input", "{history}", "--method", "cumulative", "--score-mode", "max",
+          "--format", "machine"], "be48c83f38739d3441837dca5a271f6c"),
+    ], ids=["sweep-alpha", "prioritise", "replay-cumulative-max"])
+    def test_command(self, desk_history, argv, digest):
+        _, path, changes = desk_history
+        assert _stdout_md5([a.format(history=path, changes=changes) for a in argv]) == digest
