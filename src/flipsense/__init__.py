@@ -6,7 +6,7 @@ flip for a given change set, evaluates selection methods by replaying the
 history, and schedules the stable remainder under a staleness budget.
 """
 
-from .baselines import RandomPolicy, dissimilarity_order, hbtp_scores, random_select
+from .baselines import RandomPolicy, dissimilarity_order, hbtp_scores
 from .errors import (
     ConfigError,
     FlipsenseError,
@@ -28,13 +28,11 @@ from .evaluate import (
 )
 from .history import (
     BuildRecord,
-    FlipEvent,
     FlipLedger,
     extract_flips,
-    history_stats,
     ingest_history,
-    predictable_build_stats,
     read_history,
+    summarise,
     write_history,
 )
 from .schedule import (

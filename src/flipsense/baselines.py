@@ -35,29 +35,15 @@ class RandomPolicy:
 
 
 def shuffled_universe(universe: Iterable[str], policy: RandomPolicy, run_index: int) -> list[str]:
-    """One deterministic permutation of the universe per (seed, run_index)."""
+    """One deterministic permutation of the universe per (seed, run_index);
+    its first n tests are a uniform random selection of n, so the
+    selections of one run are nested prefixes."""
     if not 0 <= run_index < policy.runs:
         raise ValueError(f"run_index {run_index} outside 0..{policy.runs - 1}")
     pool = sorted(universe)
     rng = random.Random(policy.seed * (1 << 20) + run_index)
     rng.shuffle(pool)
     return pool
-
-
-def random_select(
-    universe: Iterable[str], n: int, policy: RandomPolicy, run_index: int = 0
-) -> list[str]:
-    """Uniform sample of n tests without replacement.
-
-    Fully determined by (seed, run_index, sorted universe); selections for
-    different n under the same run are nested prefixes of one permutation.
-    """
-    pool = shuffled_universe(universe, policy, run_index)
-    if n < 1:
-        raise ValueError(f"selection size must be >= 1, got {n}")
-    if n > len(pool):
-        raise ValueError(f"cannot select {n} tests from a universe of {len(pool)}")
-    return pool[:n]
 
 
 def hbtp_scores(

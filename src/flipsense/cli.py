@@ -21,6 +21,9 @@ from .errors import FlipsenseError, ValidationError
 
 DEFAULT_ALPHA = 0.8
 
+# the most entries a --select range or an alpha --grid may ask for
+MAX_ENTRIES = 10_000
+
 
 def _env_seed() -> int:
     return int(os.environ.get("FLIPSENSE_SEED", "0"))
@@ -74,6 +77,8 @@ def _parse_size_range(text: str) -> list[int]:
     if lo < 1 or hi < lo:
         raise ValueError(f"bad size range {text!r}" if ".." in text
                          else f"selection size must be >= 1, got {lo}")
+    if hi - lo + 1 > MAX_ENTRIES:
+        raise ValueError(f"size range {text!r} has more than {MAX_ENTRIES} sizes")
     return list(range(lo, hi + 1))
 
 
@@ -86,7 +91,10 @@ def _parse_grid(text: str) -> list[float]:
         raise ValueError(f"grid bounds and step must be finite, got {text!r}")
     if step <= 0 or hi < lo:
         raise ValueError(f"bad grid {text!r}")
-    count = int(round((hi - lo) / step)) + 1
+    # clamped, so that a tiny step overflows neither round() nor the list
+    count = round(min((hi - lo) / step, MAX_ENTRIES)) + 1
+    if count > MAX_ENTRIES:
+        raise ValueError(f"grid {text!r} has more than {MAX_ENTRIES} points")
     grid = [round(lo + i * step, 10) for i in range(count)]
     return [a for a in grid if lo <= a <= hi + 1e-12]
 
@@ -137,31 +145,17 @@ def _matrix(args, path: str | None, flag: str) -> sensitivity.SensitivityMatrix:
 
 
 def cmd_ingest(args) -> int:
-    records = _read_history(args.input)
-    stats = history.history_stats(records)
-    ledger = history.extract_flips(records)
-    buckets = history.predictable_build_stats(ledger)
-    doc = {
-        "builds": stats.n_builds,
-        "files": stats.n_files,
-        "tests": stats.n_tests,
-        "flip_events": len(ledger.events),
-        "predictable_builds": buckets.qualifying_builds,
-        "predictable_buckets": {
-            "le_5": buckets.bucket_le_5,
-            "6_to_25": buckets.bucket_6_to_25,
-            "gt_25": buckets.bucket_gt_25,
-        },
-    }
+    doc = history.summarise(_read_history(args.input))
+    buckets = doc["predictable_buckets"]
     _emit(args, doc, [
-        f"builds:              {stats.n_builds}",
-        f"distinct files:      {stats.n_files}",
-        f"distinct tests:      {stats.n_tests}",
-        f"flip events:         {len(ledger.events)}",
-        f"predictable builds:  {buckets.qualifying_builds}",
-        f"  with <=5 predictable:   {buckets.bucket_le_5}",
-        f"  with 6..25 predictable: {buckets.bucket_6_to_25}",
-        f"  with >25 predictable:   {buckets.bucket_gt_25}",
+        f"builds:              {doc['builds']}",
+        f"distinct files:      {doc['files']}",
+        f"distinct tests:      {doc['tests']}",
+        f"flip events:         {doc['flip_events']}",
+        f"predictable builds:  {doc['predictable_builds']}",
+        f"  with <=5 predictable:   {buckets['le_5']}",
+        f"  with 6..25 predictable: {buckets['6_to_25']}",
+        f"  with >25 predictable:   {buckets['gt_25']}",
     ])
     return 0
 
@@ -386,8 +380,9 @@ def _read_results(path: str) -> dict[str, str]:
         raise ValidationError(
             f"{path}: expected an object of test id -> pass/fail, got {type(verdicts).__name__}"
         )
+    sensitivity.check_ids(list(verdicts), path)
     for t, verdict in verdicts.items():
-        if verdict not in ("pass", "fail"):
+        if verdict not in history.VERDICTS:
             raise ValidationError(f"{path}: test {t!r} has verdict {verdict!r}, not pass/fail")
     return verdicts
 

@@ -17,7 +17,6 @@ minimising it over the whole history.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 from itertools import accumulate, repeat
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -380,7 +379,3 @@ def improvement_summary(data: FigureData, baseline: str, target: str) -> Improve
         relative[metric] = _spread([(t - b) / b for b, t in pairs if b != 0.0], rel_of_means)
         absolute[metric] = _spread([t - b for b, t in pairs], abs_of_means)
     return ImprovementSummary(baseline=baseline, target=target, relative=relative, absolute=absolute)
-
-
-def report_to_json(report: EvalReport) -> str:
-    return json.dumps(report.to_dict(), sort_keys=True, separators=(",", ":"))

@@ -21,9 +21,6 @@ from .errors import HistoryParseError, ValidationError
 
 VERDICTS = ("pass", "fail")
 
-BROKEN = "broken"  # pass -> fail
-FIXED = "fixed"    # fail -> pass
-
 
 @dataclass(frozen=True)
 class BuildRecord:
@@ -36,47 +33,21 @@ class BuildRecord:
 
 
 @dataclass(frozen=True)
-class FlipEvent:
-    seq: int
-    test_id: str
-    direction: str  # BROKEN or FIXED
-
-
-@dataclass(frozen=True)
 class FlipLedger:
-    """All flip events of a history plus the derived per-build sets."""
+    """The flipped and the predictable tests of each build (a build with
+    none is absent), and every test that has a verdict. A test flips at
+    most once a build, so the flips of a history number the sum of the
+    flipped_at set sizes."""
 
-    events: tuple[FlipEvent, ...]
     flipped_at: dict[int, frozenset[str]]
     predictable_at: dict[int, frozenset[str]]
     universe: frozenset[str]
-    n_builds: int
 
     def flipped(self, seq: int) -> frozenset[str]:
         return self.flipped_at.get(seq, frozenset())
 
     def predictable(self, seq: int) -> frozenset[str]:
         return self.predictable_at.get(seq, frozenset())
-
-    def ever_flipped(self) -> frozenset[str]:
-        return frozenset(e.test_id for e in self.events)
-
-
-@dataclass(frozen=True)
-class HistoryStats:
-    n_builds: int
-    n_files: int
-    n_tests: int
-
-
-@dataclass(frozen=True)
-class PredictableStats:
-    """How many builds have predictable tests, bucketed by how many."""
-
-    qualifying_builds: int
-    bucket_le_5: int
-    bucket_6_to_25: int
-    bucket_gt_25: int
 
 
 def _parse_line(line_no: int, line: str) -> tuple[str, frozenset[str], dict[str, str]]:
@@ -163,40 +134,22 @@ def write_history(records: Iterable[BuildRecord], fp: IO[str]) -> None:
         fp.write("\n")
 
 
-def history_stats(records: list[BuildRecord]) -> HistoryStats:
-    files: set[str] = set()
-    tests: set[str] = set()
-    for record in records:
-        files.update(record.changed_files)
-        tests.update(record.verdicts)
-    return HistoryStats(n_builds=len(records), n_files=len(files), n_tests=len(tests))
-
-
 def extract_flips(records: list[BuildRecord]) -> FlipLedger:
-    """Derive flip events and predictable sets from a validated history.
+    """Derive the flipped and predictable sets from a validated history.
 
     A test's verdict at build k is compared against its most recent known
     verdict (carry-forward); the first verdict ever seen for a test never
-    counts as a flip, so flipped_at[0] is always empty.
+    counts as a flip, so flipped(0) is always empty.
     """
     last_verdict: dict[str, str] = {}
     flipped_before: set[str] = set()
-    events: list[FlipEvent] = []
     flipped_at: dict[int, frozenset[str]] = {}
     predictable_at: dict[int, frozenset[str]] = {}
-    universe: set[str] = set()
 
     for record in records:
-        flipped_now: list[str] = []
-        for test_id in sorted(record.verdicts):
-            verdict = record.verdicts[test_id]
-            universe.add(test_id)
-            prev = last_verdict.get(test_id)
-            if prev is not None and prev != verdict:
-                direction = BROKEN if verdict == "fail" else FIXED
-                events.append(FlipEvent(record.seq, test_id, direction))
-                flipped_now.append(test_id)
-            last_verdict[test_id] = verdict
+        # a test seen for the first time compares with its own verdict
+        flipped_now = [t for t, v in record.verdicts.items() if last_verdict.get(t, v) != v]
+        last_verdict.update(record.verdicts)
         if flipped_now:
             flipped_at[record.seq] = frozenset(flipped_now)
             predictable = frozenset(t for t in flipped_now if t in flipped_before)
@@ -204,29 +157,23 @@ def extract_flips(records: list[BuildRecord]) -> FlipLedger:
                 predictable_at[record.seq] = predictable
             flipped_before.update(flipped_now)
 
-    return FlipLedger(
-        events=tuple(events),
-        flipped_at=flipped_at,
-        predictable_at=predictable_at,
-        universe=frozenset(universe),
-        n_builds=len(records),
-    )
+    return FlipLedger(flipped_at, predictable_at, frozenset(last_verdict))
 
 
-def predictable_build_stats(ledger: FlipLedger) -> PredictableStats:
-    """Bucket the builds that have at least one predictable test by set size."""
-    le_5 = mid = gt_25 = 0
-    for tests in ledger.predictable_at.values():
-        size = len(tests)
-        if size <= 5:
-            le_5 += 1
-        elif size <= 25:
-            mid += 1
-        else:
-            gt_25 += 1
-    return PredictableStats(
-        qualifying_builds=len(ledger.predictable_at),
-        bucket_le_5=le_5,
-        bucket_6_to_25=mid,
-        bucket_gt_25=gt_25,
-    )
+def summarise(records: list[BuildRecord]) -> dict:
+    """The counts `ingest` reports: builds, distinct files and tests, flips,
+    and the builds with predictable tests, bucketed by how many they have."""
+    ledger = extract_flips(records)
+    sizes = [len(tests) for tests in ledger.predictable_at.values()]
+    return {
+        "builds": len(records),
+        "files": len(frozenset().union(*(r.changed_files for r in records))),
+        "tests": len(ledger.universe),
+        "flip_events": sum(map(len, ledger.flipped_at.values())),
+        "predictable_builds": len(sizes),
+        "predictable_buckets": {
+            "le_5": sum(size <= 5 for size in sizes),
+            "6_to_25": sum(5 < size <= 25 for size in sizes),
+            "gt_25": sum(size > 25 for size in sizes),
+        },
+    }

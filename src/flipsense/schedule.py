@@ -16,12 +16,13 @@ from typing import IO, Iterable, Mapping, Sequence
 
 from .baselines import dissimilarity_order
 from .errors import ValidationError
-from .history import BuildRecord, FlipLedger
+from .history import VERDICTS, BuildRecord, FlipLedger
 from .sensitivity import (
     PendingChanges,
     ScoreVector,
     SensitivityMatrix,
     check_fields,
+    check_ids,
     make_scores,
     new_pending,
     read_document,
@@ -47,7 +48,7 @@ def stable_tests(
 ) -> frozenset[str]:
     """Tests that never flipped; optionally restricted to ones that also
     never failed."""
-    never_flipped = ledger.universe - ledger.ever_flipped()
+    never_flipped = ledger.universe.difference(*ledger.flipped_at.values())
     if not always_passed_only:
         return never_flipped
     failed_once = {
@@ -191,6 +192,7 @@ def load_state(fp: IO[str]) -> ScheduleState:
     clock, changed_at = doc["clock"], doc["changed_at"]
     if clock < 0:
         raise ValidationError(f"schedule-state: negative clock {clock}")
+    check_ids([*changed_at, *doc["tests"]], "schedule-state")
     if not all(type(s) is int and 0 < s <= clock for s in changed_at.values()):
         raise ValidationError(f"schedule-state: changed_at stamps must be integers in 1..{clock}")
     staleness: dict[str, int] = {}
@@ -204,7 +206,7 @@ def load_state(fp: IO[str]) -> ScheduleState:
             raise ValidationError(f"{where}: negative staleness {info['staleness']}")
         if not 0 <= info["last_run"] <= clock:
             raise ValidationError(f"{where}: last_run {info['last_run']} outside 0..{clock}")
-        if info["last_verdict"] not in (None, "pass", "fail"):
+        if info["last_verdict"] not in (None, *VERDICTS):
             raise ValidationError(f"{where}: verdict {info['last_verdict']!r}")
         staleness[t] = info["staleness"]
         stable[t] = info["stable"]

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field, replace
 from typing import IO, Iterable, Mapping
 
 from .errors import ConfigError, ValidationError
+from .history import VERDICTS
 
 D_MODES = ("linear", "constant")
 UPDATE_MODES = ("ema", "cumulative")
@@ -72,9 +73,6 @@ class SensitivityMatrix:
 
     def entry(self, file_id: str, test_id: str) -> float:
         return self.cols.get(test_id, {}).get(file_id, 0.0) * self.scale
-
-    def nnz(self) -> int:
-        return sum(len(col) for col in self.cols.values())
 
 
 @dataclass(frozen=True)
@@ -168,10 +166,6 @@ def build_delta(
     return SensitivityMatrix(
         cols=cols, files=changed, tests=flipped_set, d_mode=d_mode
     )
-
-
-def _prune(col: dict[str, float], threshold: float) -> dict[str, float]:
-    return {f: v for f, v in col.items() if v != 0.0 and v >= threshold}
 
 
 def _true_cols(matrix: SensitivityMatrix) -> dict[str, dict[str, float]]:
@@ -332,12 +326,11 @@ def incremental_apply(
     """
     if matrix.update_mode != "ema":
         raise ConfigError("incremental updates require an ema matrix")
-    executed_set = set(executed)
-    for t in executed_set:
+    executed = sorted(set(executed))
+    for t in executed:
         if t not in new_verdicts:
             raise ValueError(f"executed test {t!r} has no verdict")
-    for t in executed_set:
-        if new_verdicts[t] not in ("pass", "fail"):
+        if new_verdicts[t] not in VERDICTS:
             raise ValueError(f"test {t!r} has verdict {new_verdicts[t]!r}")
 
     alpha = matrix.alpha
@@ -349,7 +342,7 @@ def incremental_apply(
     last_verdict = dict(pending.last_verdict)
     since = pending._changed_since()
 
-    for t in sorted(executed_set):
+    for t in executed:
         verdict = new_verdicts[t]
         prev = last_verdict.get(t)
         flipped = prev is not None and prev != verdict
@@ -359,7 +352,7 @@ def incremental_apply(
             value = alpha / _d(matrix.d_mode, len(acc))
             for f in acc:
                 col[f] = value + col.get(f, 0.0)
-        col = _prune(col, matrix.drop_threshold)
+        col = {f: v for f, v in col.items() if v and v >= matrix.drop_threshold}
         if col:
             cols[t] = col
         files.update(acc)
@@ -449,8 +442,8 @@ def check_fields(obj: object, fields: Mapping[str, type | tuple[type, ...]], whe
 
 
 def check_ids(ids: list, where: str) -> None:
-    if not all(isinstance(i, str) for i in ids):
-        raise ValidationError(f"{where}: ids must be strings")
+    if not all(isinstance(i, str) and i for i in ids):
+        raise ValidationError(f"{where}: ids must be non-empty strings")
 
 
 _NUMBER = (int, float)

@@ -1,4 +1,5 @@
-"""Random selection, failure-recency scores, and dissimilarity ordering."""
+"""Random selection (a prefix of a seeded permutation), failure-recency
+scores, and dissimilarity ordering."""
 
 import math
 
@@ -11,7 +12,7 @@ from flipsense.baselines import (
     dissimilarity_order,
     hbtp_scores,
     identifier_tokens,
-    random_select,
+    shuffled_universe,
 )
 from flipsense.history import extract_flips
 
@@ -20,33 +21,30 @@ from conftest import rec
 
 class TestRandomSelect:
     def test_forced_single(self):
-        assert random_select({"a"}, 1, RandomPolicy(seed=1, runs=1), 0) == ["a"]
+        assert shuffled_universe({"a"}, RandomPolicy(seed=1, runs=1), 0)[:1] == ["a"]
 
     def test_deterministic_per_seed_and_run(self):
         policy = RandomPolicy(seed=99, runs=10)
         universe = {f"t{i}" for i in range(20)}
-        assert random_select(universe, 5, policy, 3) == random_select(universe, 5, policy, 3)
-        assert random_select(universe, 5, policy, 3) != random_select(universe, 5, policy, 4)
-
-    def test_oversized_selection_rejected(self):
-        with pytest.raises(ValueError):
-            random_select({"a", "b"}, 3, RandomPolicy(seed=1, runs=1), 0)
+        first = shuffled_universe(universe, policy, 3)[:5]
+        assert shuffled_universe(universe, policy, 3)[:5] == first
+        assert shuffled_universe(universe, policy, 4)[:5] != first
 
     def test_run_index_out_of_range(self):
         with pytest.raises(ValueError):
-            random_select({"a"}, 1, RandomPolicy(seed=1, runs=2), 2)
+            shuffled_universe({"a"}, RandomPolicy(seed=1, runs=2), 2)
 
     def test_nested_prefixes_across_sizes(self):
         policy = RandomPolicy(seed=4, runs=1)
         universe = {f"t{i}" for i in range(10)}
-        small = random_select(universe, 3, policy, 0)
-        large = random_select(universe, 7, policy, 0)
+        small = shuffled_universe(universe, policy, 0)[:3]
+        large = shuffled_universe(universe, policy, 0)[:7]
         assert large[:3] == small
 
     def test_two_element_frequency(self):
         # binomial bound: 10000 draws of n=1 from {a,b}, freq(a) in 0.5 +- 0.02
         policy = RandomPolicy(seed=2024, runs=10_000)
-        hits = sum(random_select({"a", "b"}, 1, policy, r) == ["a"] for r in range(10_000))
+        hits = sum(shuffled_universe({"a", "b"}, policy, r)[:1] == ["a"] for r in range(10_000))
         assert abs(hits / 10_000 - 0.5) < 0.02
 
     def test_uniform_coverage_within_3_sigma(self):
@@ -55,7 +53,7 @@ class TestRandomSelect:
         policy = RandomPolicy(seed=7, runs=runs)
         counts = {t: 0 for t in universe}
         for r in range(runs):
-            counts[random_select(universe, 1, policy, r)[0]] += 1
+            counts[shuffled_universe(universe, policy, r)[0]] += 1
         expected = runs / len(universe)
         sigma = math.sqrt(runs * 0.2 * 0.8)
         for t, c in counts.items():

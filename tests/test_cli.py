@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 
 from flipsense import sensitivity
-from flipsense.cli import main
+from flipsense.cli import _parse_grid, _parse_size_range, main
 from flipsense.errors import ValidationError
 from flipsense.evaluate import MethodConfig, replay_sizes
 from flipsense.history import extract_flips, read_history
@@ -225,6 +225,29 @@ class TestSweep:
         assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
 
+class TestListFlags:
+    """--select and --grid are counted before their lists are built."""
+
+    def test_size_range_is_capped(self):
+        assert len(_parse_size_range("1..10000")) == 10_000
+        with pytest.raises(ValueError, match="more than 10000 sizes"):
+            _parse_size_range("1..10001")
+
+    def test_grid_is_capped(self):
+        assert len(_parse_grid("0:1:0.01")) == 101
+        with pytest.raises(ValueError, match="more than 10000 points"):
+            _parse_grid("0:1:0.0001")  # 10,001 points
+
+    @pytest.mark.parametrize("argv", [
+        ["replay", "--select", "1..10001"],
+        ["sweep-alpha", "--grid", "0:1:5e-324"],  # (hi - lo) / step overflows to inf
+    ])
+    def test_over_cap_is_a_usage_error(self, history_file, argv, capsys):
+        assert main([*argv, "--input", str(history_file)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
 class TestHeatmap:
     def test_files_written(self, history_file, tmp_path, capsys):
         out = tmp_path / "hm"
@@ -284,7 +307,7 @@ class TestSchedule:
             "--results", str(results),
         ]) == 0
 
-    @pytest.mark.parametrize("results", ['"x"', "[1, 2]", '{"t1": 3}'])
+    @pytest.mark.parametrize("results", ['"x"', "[1, 2]", '{"t1": 3}', '{"": "pass"}'])
     def test_apply_rejects_malformed_results(self, history_file, tmp_path, capsys, results):
         state, matrix = tmp_path / "state.json", tmp_path / "matrix.json"
         main(["schedule", "init", "--history", str(history_file), "--state", str(state)])
@@ -349,6 +372,8 @@ _BAD_SNAPSHOTS = {
     "no alpha": _edit(_snapshot_doc(), ("alpha",), _DROP),
     "files a string": _edit(_snapshot_doc(), ("files",), "f1"),
     "test id a number": _edit(_snapshot_doc(), ("tests",), [1]),
+    "test id empty": _edit(_snapshot_doc(), ("tests",), ["", "t1"]),
+    "file id empty": _edit(_snapshot_doc(), ("files",), ["f1", ""]),
     "alpha a string": _edit(_snapshot_doc(), ("alpha",), "0.8"),
     "alpha out of range": _edit(_snapshot_doc(), ("alpha",), 1.5),
     "cumulative alpha out of range": _edit(
@@ -412,6 +437,8 @@ _BAD_STATES = {
     "last_run negative": _edit(_state_doc(), ("tests", "t1", "last_run"), -1),
     "last_run a bool": _edit(_state_doc(), ("tests", "t1", "last_run"), True),
     "no last verdict": _edit(_state_doc(), ("tests", "t1", "last_verdict"), _DROP),
+    "test id empty": _edit(_state_doc(), ("tests", ""), _state_doc()["tests"]["t1"]),
+    "changed_at file id empty": _edit(_state_doc(), ("changed_at", ""), 2),
     "unknown verdict": _edit(_state_doc(), ("tests", "t1", "last_verdict"), "maybe"),
 }
 
@@ -721,7 +748,15 @@ class TestPinnedOutputs:
           "--method", "ema", "--format", "machine"], "eed498681b5875c91eb4179f72c9071d"),
         (["replay", "--input", "{history}", "--method", "cumulative", "--score-mode", "max",
           "--format", "machine"], "be48c83f38739d3441837dca5a271f6c"),
-    ], ids=["sweep-alpha", "prioritise", "replay-cumulative-max"])
+        (["ingest", "{history}"], "65e68cc8b36a6cc1b065449b07c9a809"),
+        (["ingest", "{history}", "--format", "machine"], "4c2139febaf3b741c8c5e0eb139f0305"),
+    ], ids=["sweep-alpha", "prioritise", "replay-cumulative-max", "ingest", "ingest-machine"])
     def test_command(self, desk_history, argv, digest):
         _, path, changes = desk_history
         assert _stdout_md5([a.format(history=path, changes=changes) for a in argv]) == digest
+
+    def test_schedule_init_state(self, desk_history):
+        root, path, _ = desk_history
+        state = root / "state.json"
+        _stdout_md5(["schedule", "init", "--history", path, "--state", str(state)])
+        assert hashlib.md5(state.read_bytes()).hexdigest() == "f7ecace1a336a1418c789c1f40d454de"

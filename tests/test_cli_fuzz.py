@@ -1,8 +1,5 @@
 """Every subcommand, run in process on malformed files and flag values,
 ends with exit code 0, 1 or 2 and never with an uncaught exception.
-
-Drawn sizes stay small: `--select` and `--grid` build a list as long as
-they are asked for, so only short ranges and coarse grids are drawn.
 """
 
 import contextlib
@@ -35,9 +32,10 @@ def _mostly(valid, invalid):
 INTS = _mostly(["1", "2", "3", "7"], ["-1", "0", "x", "1.5", ""])
 FLOATS = _mostly(["0", "0.3", "1", "1e-300"], ["-0.5", "2", "nan", "inf", "x"])
 SIZES = _mostly(["1", "3", "1..4", "2..2"], ["0", "-1", "5..2", "0..3", "x", "2..", "..3",
-                                            "1..3..5", ""])
+                                            "1..3..5", "", "1..10001", "7..1000000000"])
 GRIDS = _mostly(["0:1:0.5", "0.2:0.4:0.1", "0:0:1"], ["0:1:0", "1:0:0.1", "a:b:c", "0:1", "0:inf:1",
-                                                     "-1:1:0.5"])
+                                                     "-1:1:0.5", "0:1:0.0001", "0:1:1e-9",
+                                                     "0:1:5e-324"])
 RANGES = _mostly(["1..2", "1..1", "1"], ["2..1", "0..2", "x", "1..9"])
 
 

@@ -8,13 +8,10 @@ from hypothesis import given, settings
 
 from flipsense.errors import HistoryParseError, ValidationError
 from flipsense.history import (
-    BROKEN,
-    FIXED,
     extract_flips,
-    history_stats,
     ingest_history,
-    predictable_build_stats,
     record_to_line,
+    summarise,
     write_history,
 )
 
@@ -78,8 +75,8 @@ class TestIngest:
             hi = n_files if k == n_builds - 1 else lo + per_build
             files = [f"f{i:05d}" for i in range(lo, hi)]
             lines.append(json.dumps({"build": f"b{k}", "changes": files, "results": tests}))
-        stats = history_stats(ingest_history(lines))
-        assert (stats.n_builds, stats.n_files, stats.n_tests) == (176, 6720, 1254)
+        doc = summarise(ingest_history(lines))
+        assert (doc["builds"], doc["files"], doc["tests"]) == (176, 6720, 1254)
 
 
 class TestExtractFlips:
@@ -89,7 +86,6 @@ class TestExtractFlips:
         ledger = extract_flips(records)
         assert dict(ledger.flipped_at) == {1: frozenset({"tc"}), 3: frozenset({"tc"})}
         assert dict(ledger.predictable_at) == {3: frozenset({"tc"})}
-        assert [e.direction for e in ledger.events] == [BROKEN, FIXED]
 
     def test_carry_forward_over_missing_verdict(self):
         records = [
@@ -103,20 +99,12 @@ class TestExtractFlips:
     def test_constant_verdict_never_flips(self):
         records = [rec(i, [], {"tc": "fail"}) for i in range(3)]
         ledger = extract_flips(records)
-        assert not ledger.events
+        assert not ledger.flipped_at
         assert not ledger.predictable_at
 
     def test_first_verdict_is_not_a_flip(self):
         records = [rec(0, [], {}), rec(1, [], {"tc": "fail"})]
-        assert not extract_flips(records).events
-
-    def test_events_ordered_by_seq_then_test(self):
-        records = [
-            rec(0, [], {"b": "pass", "a": "pass"}),
-            rec(1, [], {"b": "fail", "a": "fail"}),
-        ]
-        events = extract_flips(records).events
-        assert [(e.seq, e.test_id) for e in events] == [(1, "a"), (1, "b")]
+        assert not extract_flips(records).flipped_at
 
     def test_universe_includes_never_flipping_tests(self):
         records = [rec(0, [], {"a": "pass", "b": "pass"}), rec(1, [], {"a": "fail"})]
@@ -129,7 +117,7 @@ class TestExtractFlips:
         for t in ledger.universe:
             seen = [r.verdicts[t] for r in records if t in r.verdicts]
             sign_changes = sum(1 for a, b in zip(seen, seen[1:]) if a != b)
-            assert sum(1 for e in ledger.events if e.test_id == t) == sign_changes
+            assert sum(t in tests for tests in ledger.flipped_at.values()) == sign_changes
 
     @given(histories())
     @settings(max_examples=60)
@@ -176,16 +164,13 @@ class TestPredictableStats:
             rec(1, [], {"a": "fail", "b": "fail"}),
             rec(2, [], {"a": "pass", "b": "pass"}),
         ]
-        stats = predictable_build_stats(extract_flips(records))
-        assert stats.qualifying_builds == 1
-        assert stats.bucket_le_5 == 1
-        assert stats.bucket_6_to_25 == 0
-        assert stats.bucket_gt_25 == 0
+        doc = summarise(records)
+        assert doc["predictable_builds"] == 1
+        assert doc["predictable_buckets"] == {"le_5": 1, "6_to_25": 0, "gt_25": 0}
 
     def test_no_predictable_tests(self):
         records = [rec(0, [], {"a": "pass"}), rec(1, [], {"a": "fail"})]
-        stats = predictable_build_stats(extract_flips(records))
-        assert stats.qualifying_builds == 0
+        assert summarise(records)["predictable_builds"] == 0
 
     def test_industrial_scale_predictable_builds(self):
         # one test alternating through builds 1..133 makes builds 2..133
@@ -196,6 +181,6 @@ class TestPredictableStats:
             if 1 <= seq <= 133:
                 verdict = "fail" if verdict == "pass" else "pass"
             records.append(rec(seq, [], {"tc": verdict, "anchor": "pass"}))
-        stats = predictable_build_stats(extract_flips(records))
-        assert stats.qualifying_builds == 132
-        assert stats.bucket_le_5 + stats.bucket_6_to_25 + stats.bucket_gt_25 == 132
+        doc = summarise(records)
+        assert doc["predictable_builds"] == 132
+        assert sum(doc["predictable_buckets"].values()) == 132

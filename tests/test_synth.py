@@ -5,7 +5,7 @@ import io
 import pytest
 
 from flipsense.errors import ValidationError
-from flipsense.history import extract_flips, history_stats, ingest_history, write_history
+from flipsense.history import extract_flips, ingest_history, summarise, write_history
 from flipsense.synth import SynthConfig, generate, validate_config
 
 
@@ -49,7 +49,7 @@ class TestDynamics:
         config = small(flip_probability_hit=0.0, flip_probability_noise=0.0)
         records, _ = generate(config)
         ledger = extract_flips(records)
-        assert not ledger.events
+        assert not ledger.flipped_at
         assert not ledger.predictable_at
 
     def test_determinism(self):
@@ -71,18 +71,19 @@ class TestDynamics:
         records, truth = generate(config)
         ledger = extract_flips(records)
         by_seq = {r.seq: r for r in records}
-        assert ledger.events  # hit probability high enough to flip something
-        for event in ledger.events:
-            assert set(truth[event.test_id]) & by_seq[event.seq].changed_files
+        assert ledger.flipped_at  # hit probability high enough to flip something
+        for seq, tests in ledger.flipped_at.items():
+            for t in tests:
+                assert set(truth[t]) & by_seq[seq].changed_files
 
     def test_output_passes_ingestion(self):
         records, _ = generate(small())
         buf = io.StringIO()
         write_history(records, buf)
         re_records = ingest_history(io.StringIO(buf.getvalue()))
-        stats = history_stats(re_records)
-        assert stats.n_builds == 10
-        assert stats.n_tests == 5
+        doc = summarise(re_records)
+        assert doc["builds"] == 10
+        assert doc["tests"] == 5
         assert re_records == records
 
     def test_every_test_runs_every_build(self):
