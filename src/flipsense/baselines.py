@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 from .errors import ConfigError
 from .history import BuildRecord, FlipLedger
-from .sensitivity import ScoreVector, make_scores
+from .sensitivity import ScoreVector
 
 _TOKEN_SPLIT = re.compile(r"[/_]")
 
@@ -61,10 +61,8 @@ def hbtp_scores(
         for test_id, verdict in record.verdicts.items():
             if verdict == "fail":
                 last_fail[test_id] = record.seq
-    scores = {t: 0.0 for t in ledger.universe}
-    for t, seq in last_fail.items():
-        scores[t] = 1.0 / (1 + (at_seq - 1 - seq))
-    return make_scores(scores)
+    positive = {t: 1.0 / (1 + (at_seq - 1 - seq)) for t, seq in last_fail.items()}
+    return ScoreVector(positive, ledger.universe)
 
 
 def identifier_tokens(test_id: str) -> frozenset[str]:

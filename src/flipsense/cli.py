@@ -165,7 +165,7 @@ def cmd_prioritise(args) -> int:
     matrix = _matrix(args, args.history, "--history")
     scores = sensitivity.slice_scores(matrix, changed, args.score_mode)
     selected = sensitivity.select_top_n(scores, args.n, matrix.tests)
-    top = {t: scores.scores.get(t, 0.0) for t in selected}
+    top = {t: scores.positive.get(t, 0.0) for t in selected}
     _emit(args, {"selected": selected, "scores": top},
           [f"{t}\t{s:.6g}" if args.show_scores else t for t, s in top.items()])
     return 0

@@ -17,7 +17,7 @@ minimising it over the whole history.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from itertools import accumulate, repeat
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -102,6 +102,9 @@ class BuildMetrics:
     zero_fraction: float
 
 
+_ROW_FIELDS = tuple(f.name for f in fields(BuildMetrics))
+
+
 @dataclass(frozen=True)
 class EvalReport:
     method: str
@@ -132,7 +135,7 @@ class EvalReport:
             "runs": self.runs,
             "evaluated_builds": self.evaluated_builds,
             "aggregates": {field: getattr(self, field) for field in FIGURE_FIELDS.values()},
-            "per_build": [asdict(row) for row in self.per_build],
+            "per_build": [{name: getattr(row, name) for name in _ROW_FIELDS} for row in self.per_build],
         }
 
 
@@ -209,7 +212,7 @@ def replay_sizes(
         raise ValueError(f"selection sizes must be >= 1, got {list(sizes)}")
     if repeated := sorted({n for n in sizes if sizes.count(n) > 1}):
         raise ValueError(f"selection sizes must be distinct, got {repeated} more than once")
-    universe = sorted(ledger.universe)
+    universe = frozenset(ledger.universe)
     largest = max(sizes)
     rows: dict[int, list[BuildMetrics]] = {n: [] for n in sizes}
     if config.method == "random":

@@ -123,11 +123,9 @@ def select_stable(
     return picked
 
 
-def _normalise(scores: Mapping[str, float]) -> dict[str, float]:
-    top = max(scores.values(), default=0.0)
-    if top <= 0.0:
-        return dict(scores)
-    return {t: v / top for t, v in scores.items()}
+def _normalise(positive: Mapping[str, float]) -> dict[str, float]:
+    top = max(positive.values(), default=1.0)
+    return {t: v / top for t, v in positive.items()}
 
 
 def office_hours_tick(
@@ -142,19 +140,21 @@ def office_hours_tick(
     """One office-hours selection: blend sensitivity with failure recency.
 
     combined = w * sensitivity / max(sensitivity) + (1-w) * hbtp / max(hbtp)
-    (each divisor skipped when its vector is all zero), then the top k under
-    the usual (score desc, id asc) rule. Read-only: pending only widens the
+    over the positive scores of either vector, then the top k under the
+    usual (score desc, id asc) rule from the matrix's tests, hbtp's known
+    tests and the pending tests. Read-only: pending only widens the
     candidate pool, bookkeeping stays with incremental_observe/apply.
     """
     if not 0.0 <= w <= 1.0:
         raise ValueError(f"blend weight must be in [0, 1], got {w}")
     if k < 1:
         raise ValueError(f"selection size must be >= 1, got {k}")
-    sens = _normalise(slice_scores(matrix, changed_files, score_mode).scores)
-    recency = _normalise(hbtp.scores)
-    universe = set(sens) | set(recency) | set(pending.tests())
+    sens = _normalise(slice_scores(matrix, changed_files, score_mode).positive)
+    recency = _normalise(hbtp.positive)
+    universe = matrix.tests | hbtp.known | pending.tests()
     combined = {
-        t: w * sens.get(t, 0.0) + (1.0 - w) * recency.get(t, 0.0) for t in universe
+        t: w * sens.get(t, 0.0) + (1.0 - w) * recency.get(t, 0.0)
+        for t in sens.keys() | recency.keys()
     }
     return select_top_n(make_scores(combined), k, universe)
 

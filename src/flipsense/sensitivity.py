@@ -29,7 +29,7 @@ import heapq
 import json
 import math
 from dataclasses import dataclass, field, replace
-from typing import IO, Iterable, Mapping
+from typing import IO, AbstractSet, Iterable, Mapping
 
 from .errors import ConfigError, ValidationError
 from .history import VERDICTS
@@ -77,11 +77,27 @@ class SensitivityMatrix:
 
 @dataclass(frozen=True)
 class ScoreVector:
-    """Test scores; ``order`` lists the positively scored tests by (score
-    desc, id asc), and every other test ranks after them by id."""
+    """Scores of the ``known`` tests: ``positive`` holds every score above
+    0, ``order`` lists those tests by (score desc, id asc), and every other
+    known test scores 0 and ranks after them by id. ``known`` is held by
+    reference, so a vector costs the tests it credits, not the tests known."""
 
-    scores: dict[str, float]
-    order: tuple[str, ...]
+    positive: dict[str, float]
+    known: AbstractSet[str] = field(repr=False)
+    order: tuple[str, ...] = field(init=False)
+
+    def __post_init__(self):
+        order = sorted(self.positive)
+        order.sort(key=self.positive.__getitem__, reverse=True)  # stable: ties stay by id
+        object.__setattr__(self, "order", tuple(order))
+
+    @property
+    def scores(self) -> dict[str, float]:
+        """A computed copy: every known test's score, zeros included. Hot
+        paths read ``positive`` and ``order`` instead."""
+        scores = dict.fromkeys(self.known, 0.0)
+        scores.update(self.positive)
+        return scores
 
 
 @dataclass
@@ -256,10 +272,15 @@ def _renormalise(matrix: SensitivityMatrix) -> None:
 
 
 def make_scores(scores: Mapping[str, float]) -> ScoreVector:
-    scores = dict(scores)
-    order = sorted(t for t, v in scores.items() if v > 0.0)
-    order.sort(key=scores.__getitem__, reverse=True)  # stable: ties stay by id
-    return ScoreVector(scores=scores, order=tuple(order))
+    """The vector of the given scores, which must be >= 0 (not NaN); the
+    mapping's tests are its known tests."""
+    positive = {}
+    for t, v in scores.items():
+        if v > 0.0:
+            positive[t] = v
+        elif v != 0.0:
+            raise ValueError(f"test {t!r} has score {v!r}; scores must be >= 0")
+    return ScoreVector(positive, frozenset(scores))
 
 
 def slice_scores(
@@ -271,8 +292,8 @@ def slice_scores(
     order; max mode takes the largest, and either is scaled to a true value
     with one multiply. Files the matrix has never seen contribute nothing,
     and tests with no contribution score 0 (they stay rankable via
-    tie-break). A column that holds none of the changed files costs one
-    disjointness test.
+    tie-break) without being stored. A column that holds none of the
+    changed files costs one disjointness test.
     """
     if score_mode not in SCORE_MODES:
         raise ConfigError(f"unknown score_mode {score_mode!r}")
@@ -280,11 +301,13 @@ def slice_scores(
     changed_set = set(changed_files)
     changed = sorted(changed_set)
     scale = matrix.scale
-    scores = dict.fromkeys(matrix.tests, 0.0)
+    positive = {}
     for t, col in matrix.cols.items():
         if not changed_set.isdisjoint(col):
-            scores[t] = scale * reduce([col[f] for f in changed if f in col])
-    return make_scores(scores)
+            score = scale * reduce([col[f] for f in changed if f in col])
+            if score > 0.0:  # else the product underflowed
+                positive[t] = score
+    return ScoreVector(positive, matrix.tests)
 
 
 def select_top_n(scores: ScoreVector, n: int, universe: Iterable[str]) -> list[str]:
@@ -292,14 +315,17 @@ def select_top_n(scores: ScoreVector, n: int, universe: Iterable[str]) -> list[s
     asc), then zero-score universe members by id until the quota is filled.
 
     Padding keeps the selection size fixed even when the matrix knows
-    nothing about the change set.
+    nothing about the change set. A set or frozenset universe is used as
+    given, not copied.
     """
     if n < 1:
         raise ValueError(f"selection size must be >= 1, got {n}")
-    pool = set(universe)
+    pool = universe if isinstance(universe, (set, frozenset)) else set(universe)
     quota = min(n, len(pool))
     picked = [t for t in scores.order if t in pool][:quota]
-    return picked + heapq.nsmallest(quota - len(picked), pool.difference(picked))
+    if len(picked) < quota:
+        picked += heapq.nsmallest(quota - len(picked), pool.difference(picked))
+    return picked
 
 
 def incremental_observe(

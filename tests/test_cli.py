@@ -100,16 +100,27 @@ class TestPrioritise:
         assert main(["synth", "--seed", "7", "--builds", "50", "--files", "2000",
                      "--tests", "1000", "--out", str(big)]) == 0
         changes.write_text("f0012\nf0077\nf0150\nf0003\nf0199\n", encoding="utf-8")
+        matrix = tmp_path / "matrix.jsonl"
+        assert main(["heatmap", "--input", str(hist), "--alpha", "0.3", "--out", str(tmp_path / "hm"),
+                     "--save-snapshot", str(matrix)]) == 0
         cases = [
             (["prioritise", "--history", str(hist), "--changes", str(changes), "-n", "25",
               "--method", "ema"], ("0", "2", "4")),
             (["replay", "--input", str(big), "--method", "all", "--runs", "5"], ("0", "3")),
             (["sweep-alpha", "--input", str(big), "--grid", "0.1:0.9:0.4"], ("0", "3")),
+            (["schedule", "office", "--state", "{state}", "--matrix", str(matrix),
+              "--history", str(hist), "--changes", str(changes), "--observe", "-k", "5"],
+             ("0", "3")),
         ]
         for args, seeds in cases:
-            cmd = [sys.executable, "-m", "flipsense.cli", *args, "--format", "machine"]
             outputs = set()
             for seed in seeds:
+                # office --observe rewrites its state, so each run starts from a fresh one
+                state = tmp_path / f"state-{seed}.json"
+                if "{state}" in args:
+                    assert main(["schedule", "init", "--history", str(hist), "--state", str(state)]) == 0
+                cmd = [sys.executable, "-m", "flipsense.cli",
+                       *(a.format(state=state) for a in args), "--format", "machine"]
                 proc = subprocess.run(cmd, capture_output=True, text=True,
                                       env={**os.environ, "PYTHONHASHSEED": seed})
                 assert proc.returncode == 0, proc.stderr
@@ -760,3 +771,22 @@ class TestPinnedOutputs:
         state = root / "state.json"
         _stdout_md5(["schedule", "init", "--history", path, "--state", str(state)])
         assert hashlib.md5(state.read_bytes()).hexdigest() == "f7ecace1a336a1418c789c1f40d454de"
+
+    @pytest.mark.parametrize("n, digest", [
+        ("25", "d41c0735b0f4325af5af8dfc587998ba"),
+        ("100", "f0d128db22cca0ffd1380de2c66b2498"),  # 45 zero-score padding rows, printed 0
+    ])
+    def test_prioritise_show_scores(self, desk_history, n, digest):
+        _, path, changes = desk_history
+        assert _stdout_md5(["prioritise", "--history", path, "--changes", changes, "-n", n,
+                            "--show-scores"]) == digest
+
+    def test_schedule_office(self, desk_history, tmp_path):
+        _, path, changes = desk_history
+        state, matrix = tmp_path / "state.json", tmp_path / "matrix.jsonl"
+        _stdout_md5(["schedule", "init", "--history", path, "--state", str(state)])
+        _stdout_md5(["heatmap", "--input", path, "--alpha", "0.3", "--out", str(tmp_path / "hm"),
+                     "--save-snapshot", str(matrix)])
+        assert _stdout_md5(["schedule", "office", "--state", str(state), "--matrix", str(matrix),
+                            "--history", path, "--changes", changes, "--observe", "-k", "5"]) \
+            == "d52f0c553ebf58d0ab70ec5338d55315"

@@ -8,7 +8,9 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
+from flipsense.baselines import hbtp_scores
 from flipsense.errors import ConfigError
+from flipsense.history import extract_flips
 from flipsense.sensitivity import (
     SCORE_MODES,
     PendingChanges,
@@ -28,6 +30,8 @@ from flipsense.sensitivity import (
     slice_scores,
     top_files_for_test,
 )
+
+from conftest import histories
 
 
 def nnz(matrix):
@@ -318,6 +322,11 @@ class TestSelectTopN:
         with pytest.raises(ValueError):
             select_top_n(make_scores({"a": 1.0}), 0, {"a"})
 
+    @pytest.mark.parametrize("bad", [-0.5, float("nan")], ids=["negative", "nan"])
+    def test_make_scores_rejects(self, bad):
+        with pytest.raises(ValueError, match="'b'"):
+            make_scores({"a": 1.0, "b": bad})
+
     @given(st.dictionaries(st.sampled_from("abcdef"), st.floats(0, 10), min_size=1),
            st.floats(min_value=0.1, max_value=100))
     @example(scores={"a": 0.0, "b": 5e-324}, factor=0.5)
@@ -380,6 +389,44 @@ class TestScoringOracle:
         ranked = [t for t in positive if t in universe]
         ranked += sorted(universe - set(ranked))
         assert select_top_n(scores, n, universe) == ranked[: min(n, len(universe))]
+
+    @given(scoring_cases())
+    @settings(max_examples=100)
+    def test_selection_does_not_depend_on_universe_type(self, case):
+        matrix, changed, universe, n, mode = case
+        scores = slice_scores(matrix, changed, mode)
+        as_dict = dict.fromkeys(universe)
+        selections = [select_top_n(scores, n, u) for u in
+                      (universe, frozenset(universe), sorted(universe), as_dict.keys())]
+        assert selections.count(selections[0]) == 4
+        assert universe == set(as_dict)  # not consumed or edited
+
+    @given(scoring_cases())
+    @settings(max_examples=50)
+    def test_scores_view_is_a_copy(self, case):
+        matrix, changed, _, _, mode = case
+        scores = slice_scores(matrix, changed, mode)
+        order, view = scores.order, scores.scores
+        for t in list(view):
+            view[t] = -1.0
+        view["zz"] = 5.0
+        assert scores.order == order
+        assert scores.scores == {t: scores.positive.get(t, 0.0) for t in matrix.tests}
+
+    @given(histories(), st.data())
+    @settings(max_examples=100)
+    def test_hbtp_view_is_the_zero_filled_scores(self, records, data):
+        at_seq = data.draw(st.integers(0, len(records)))
+        ledger = extract_flips(records)
+        expected = {t: 0.0 for t in ledger.universe}
+        for record in records[:at_seq]:
+            for t, verdict in record.verdicts.items():
+                if verdict == "fail":
+                    expected[t] = 1.0 / (1 + (at_seq - 1 - record.seq))
+        scores = hbtp_scores(records, ledger, at_seq)
+        assert scores.scores == expected
+        assert list(scores.order) == sorted(
+            (t for t, v in expected.items() if v > 0.0), key=lambda t: (-expected[t], t))
 
 
 class TestIncremental:
