@@ -55,11 +55,14 @@ def _load(path: str, load):
 def _write_atomic(path: str, save, value) -> None:
     """save(value, fp) into path + ".tmp", then rename it over path, so a
     save that fails halfway leaves the previous file as it was and no
-    temp file behind."""
+    temp file behind. The temp file is on disk before the rename, so a
+    crash cannot leave path renamed but empty."""
     tmp = path + ".tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fp:
             save(value, fp)
+            fp.flush()
+            os.fsync(fp.fileno())
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):

@@ -186,6 +186,17 @@ _TEST_FIELDS = {
 }
 
 
+def _reject_test(t: str, info: object, clock: int) -> None:
+    """Raise the ValidationError that names the first fault of a test record."""
+    where = f"schedule-state test {t!r}"
+    check_fields(info, _TEST_FIELDS, where)
+    if info["staleness"] < 0:
+        raise ValidationError(f"{where}: negative staleness {info['staleness']}")
+    if not 0 <= info["last_run"] <= clock:
+        raise ValidationError(f"{where}: last_run {info['last_run']} outside 0..{clock}")
+    raise ValidationError(f"{where}: verdict {info['last_verdict']!r}")
+
+
 def load_state(fp: IO[str]) -> ScheduleState:
     """Read a save_state document; a malformed one raises ValidationError."""
     doc = read_document(fp, "schedule-state", {"clock": int, "changed_at": dict, "tests": dict})
@@ -199,15 +210,13 @@ def load_state(fp: IO[str]) -> ScheduleState:
     stable: dict[str, bool] = {}
     last_run: dict[str, int] = {}
     last_verdict: dict[str, str] = {}
+    verdicts = (None, *VERDICTS)
     for t, info in doc["tests"].items():
-        where = f"schedule-state test {t!r}"
-        check_fields(info, _TEST_FIELDS, where)
-        if info["staleness"] < 0:
-            raise ValidationError(f"{where}: negative staleness {info['staleness']}")
-        if not 0 <= info["last_run"] <= clock:
-            raise ValidationError(f"{where}: last_run {info['last_run']} outside 0..{clock}")
-        if info["last_verdict"] not in (None, *VERDICTS):
-            raise ValidationError(f"{where}: verdict {info['last_verdict']!r}")
+        if not (type(info) is dict and type(info.get("staleness")) is int and info["staleness"] >= 0
+                and type(info.get("stable")) is bool and type(info.get("last_run")) is int
+                and 0 <= info["last_run"] <= clock and "last_verdict" in info
+                and info["last_verdict"] in verdicts):
+            _reject_test(t, info, clock)
         staleness[t] = info["staleness"]
         stable[t] = info["stable"]
         last_run[t] = info["last_run"]

@@ -442,9 +442,10 @@ def read_document(
     fp: IO[str], kind: str, fields: Mapping[str, type | tuple[type, ...]]
 ) -> dict:
     """Parse one JSON object whose "kind" is `kind` and which holds the
-    given fields; anything else raises ValidationError."""
+    given fields; anything else raises ValidationError. Each distinct
+    number text is converted to a float once."""
     try:
-        doc = json.load(fp)
+        doc = json.load(fp, parse_float=_Memo(float).__getitem__)
     except (ValueError, RecursionError) as exc:  # invalid JSON or text, or nested too deeply
         raise ValidationError(f"{kind}: not one JSON document ({exc})") from exc
     if not isinstance(doc, dict) or doc.get("kind") != kind:
@@ -485,21 +486,45 @@ _MATRIX_FIELDS = {
 }
 
 
+class _Memo(dict):
+    """fn(key), computed once per distinct key for the life of the memo."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
 def save_matrix(matrix: SensitivityMatrix, fp: IO[str]) -> None:
     """Persist as one JSON document: the settings, the known files and
-    tests, and the columns (test -> file -> true value)."""
-    doc = {
+    tests, and the columns (test -> file -> true value).
+
+    The bytes are those of ``json.dumps(doc, sort_keys=True,
+    separators=(",", ":"))``, but ``cols`` is written here, so that each
+    distinct true value is printed once with ``repr``, as ``json.dumps``
+    prints a float; stored values are floats, as every operation here
+    makes them.
+    """
+    encode, number, scale = json.encoder.encode_basestring_ascii, _Memo(repr), matrix.scale
+    cols = ",".join(
+        encode(t) + ":{" + ",".join(
+            [encode(f) + ":" + number[col[f] * scale] for f in sorted(col)]) + "}"
+        for t, col in sorted(matrix.cols.items())
+    )
+    rest = {
         "kind": "sensitivity-matrix",
         "d_mode": matrix.d_mode,
         "update_mode": matrix.update_mode,
-        "alpha": matrix.alpha,
         "last_seq": matrix.last_seq,
         "drop_threshold": matrix.drop_threshold,
         "files": sorted(matrix.files),
         "tests": sorted(matrix.tests),
-        "cols": _true_cols(matrix),
     }
-    fp.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+    # "alpha" and "cols" sort before every other key
+    fp.write('{"alpha":' + json.dumps(matrix.alpha) + ',"cols":{' + cols + "},"
+             + json.dumps(rest, sort_keys=True, separators=(",", ":"))[1:] + "\n")
 
 
 def _check_column(t: str, col: object) -> dict[str, float]:

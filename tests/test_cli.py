@@ -18,7 +18,7 @@ from flipsense import sensitivity
 from flipsense.cli import _parse_grid, _parse_size_range, main
 from flipsense.errors import ValidationError
 from flipsense.evaluate import MethodConfig, replay_sizes
-from flipsense.history import extract_flips, read_history
+from flipsense.history import extract_flips, read_history, write_history
 from flipsense.schedule import load_state
 from flipsense.sensitivity import load_matrix, save_matrix
 
@@ -487,6 +487,22 @@ class TestMalformedDocuments:
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize("table, argv, digest", [
+        (_BAD_SNAPSHOTS, ["prioritise", "--snapshot", "{doc}", "--changes", "{changes}", "-n", "1"],
+         "844590c19e9dbccdae145393ddafda19"),
+        (_BAD_STATES, ["schedule", "cost", "--state", "{doc}"], "ea6c862c7cb608f103d57d0961954d75"),
+    ], ids=["snapshot", "state"])
+    def test_error_lines_are_pinned(self, table, argv, digest, changes_file, tmp_path, capsys):
+        # every case's one error line, word for word; the readers' fast
+        # paths for valid documents must not change what a fault reports
+        path = tmp_path / "doc.json"
+        lines = []
+        for name in sorted(table):
+            _write_doc(path, table[name])
+            assert main([a.format(doc=path, changes=changes_file) for a in argv]) == 2
+            lines.append(f"{name}: {capsys.readouterr().err}")
+        assert hashlib.md5("".join(lines).encode("utf-8")).hexdigest() == digest
+
     def test_valid_documents_load(self, changes_file, tmp_path, capsys):
         # the unedited documents above are accepted, so each case tests its edit
         _write_doc(tmp_path / "matrix.json", _snapshot_doc())
@@ -663,6 +679,32 @@ class TestAtomicWrites:
         with open(matrix, encoding="utf-8") as fp:
             load_matrix(fp)
 
+    def test_temp_file_is_synced_before_the_rename(self, history_file, tmp_path, monkeypatch):
+        state, matrix = tmp_path / "state.json", tmp_path / "matrix.json"
+        main(["schedule", "init", "--history", str(history_file), "--state", str(state)])
+        main(["heatmap", "--input", str(history_file), "--out", str(tmp_path / "hm"),
+              "--save-snapshot", str(matrix)])
+        results = tmp_path / "results.json"
+        results.write_text(json.dumps({"t1": "fail", "a0": "pass"}), encoding="utf-8")
+        calls = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):  # records the size it makes durable
+            calls.append(("fsync", os.fstat(fd).st_size))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            calls.append(("replace", dst))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["schedule", "apply", "--state", str(state), "--matrix", str(matrix),
+                         "--results", str(results)]) == 0
+        assert calls == [("fsync", matrix.stat().st_size), ("replace", str(matrix)),
+                         ("fsync", state.stat().st_size), ("replace", str(state))]
+
 
 class TestSynthCommand:
     def test_writes_history_and_truth(self, tmp_path, capsys):
@@ -790,3 +832,60 @@ class TestPinnedOutputs:
         assert _stdout_md5(["schedule", "office", "--state", str(state), "--matrix", str(matrix),
                             "--history", path, "--changes", changes, "--observe", "-k", "5"]) \
             == "d52f0c553ebf58d0ab70ec5338d55315"
+
+    @pytest.mark.parametrize("method, digest", [
+        ("ema", "6dba44e661831c266303cdd0b719bafa"),  # alpha 0.3 leaves the fold's scale below 1
+        ("cumulative", "2dc78086ad676677a638a53d236e6dc5"),
+    ])
+    def test_heatmap_snapshot(self, desk_history, tmp_path, method, digest):
+        _, path, _ = desk_history
+        matrix = tmp_path / "matrix.json"
+        _stdout_md5(["heatmap", "--input", path, "--alpha", "0.3", "--method", method,
+                     "--out", str(tmp_path / "hm"), "--save-snapshot", str(matrix)])
+        assert hashlib.md5(matrix.read_bytes()).hexdigest() == digest
+
+    def test_day_loop_cycle(self, desk_history, tmp_path):
+        # ten days of the resource-managed loop on builds 40-49, after a
+        # history of builds 0-39; schedule apply rewrites the matrix and
+        # the state every day
+        _, path, _ = desk_history
+        records = read_history(path)
+        hist, changes, state, matrix, results, executed = (
+            tmp_path / name for name in
+            ("history.jsonl", "changes.txt", "state.json", "matrix.json", "results.json", "executed.txt"))
+        stdout = io.StringIO()
+
+        def run(*argv):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main([str(a) for a in argv]) == 0
+            stdout.write(out.getvalue())
+            return out.getvalue()
+
+        with open(hist, "w", encoding="utf-8") as fp:
+            write_history(records[:40], fp)
+        run("schedule", "init", "--history", hist, "--state", state)
+        with contextlib.redirect_stdout(io.StringIO()):  # it prints the temporary paths
+            assert main(["heatmap", "--input", str(hist), "--alpha", "0.3", "--out",
+                         str(tmp_path / "hm"), "--save-snapshot", str(matrix)]) == 0
+        run("schedule", "stable", "--state", state, "--budget", "7")
+        for record in records[40:50]:
+            changes.write_text("".join(f + "\n" for f in sorted(record.changed_files)), encoding="utf-8")
+            stable = json.loads(run("schedule", "stable", "--state", state, "--strategy", "round_robin",
+                                    "--window", "3", "--budget", "3", "--format", "machine"))["selected"]
+            office = json.loads(run("schedule", "office", "--state", state, "--matrix", matrix,
+                                    "--history", hist, "--changes", changes, "--observe", "-k", "5",
+                                    "--format", "machine"))["selected"]
+            ran = sorted(set(stable) | set(office))
+            results.write_text(json.dumps({t: record.verdicts[t] for t in ran}), encoding="utf-8")
+            executed.write_text("".join(t + "\n" for t in ran), encoding="utf-8")
+            run("schedule", "apply", "--state", state, "--matrix", matrix, "--results", results)
+            run("schedule", "tick", "--state", state, "--executed", executed)
+            run("prioritise", "--snapshot", matrix, "--changes", changes, "-n", "25", "--format", "machine")
+            run("schedule", "cost", "--state", state)
+            with open(hist, "a", encoding="utf-8") as fp:
+                write_history([record], fp)
+        run("schedule", "stable", "--state", state, "--budget", "9")
+        assert hashlib.md5(stdout.getvalue().encode("utf-8")).hexdigest() == "ac4150024372f078cc59a7cdc5b885a8"
+        assert hashlib.md5(matrix.read_bytes()).hexdigest() == "6e5ad153cd1a4a512523a287a2c9abc1"
+        assert hashlib.md5(state.read_bytes()).hexdigest() == "7e2c8c6b4d4c718f452b5fe93dc3fc44"

@@ -2,10 +2,7 @@
 
 import io
 import random
-import subprocess
-import sys
 from itertools import combinations
-from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
@@ -335,12 +332,3 @@ def test_pending_changes_match_a_file_set_per_test(alpha, tracked, steps):
         if reload:
             state = loaded
             model.reload(saved)
-
-
-def test_office_hours_sim_runs():
-    # drives select_stable(..., "round_robin") through the whole day loop
-    script = Path(__file__).resolve().parent.parent / "scripts" / "office_hours_sim.py"
-    proc = subprocess.run([sys.executable, str(script), "--seed", "3", "--days", "5"],
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1].startswith("final staleness cost: ")

@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 import random
 
 import hypothesis.strategies as st
@@ -9,10 +10,12 @@ import pytest
 from hypothesis import example, given, settings
 
 from flipsense.baselines import hbtp_scores
-from flipsense.errors import ConfigError
+from flipsense.errors import ConfigError, ValidationError
 from flipsense.history import extract_flips
 from flipsense.sensitivity import (
+    D_MODES,
     SCORE_MODES,
+    UPDATE_MODES,
     PendingChanges,
     SensitivityMatrix,
     advance,
@@ -566,3 +569,89 @@ class TestExports:
         loaded = load_matrix(io.StringIO(text))
         assert loaded.cols == {"t1": {"f1": 2.0, "f2": 0.5}}
         assert [type(v) for v in loaded.cols["t1"].values()] == [float, float]
+
+
+def json_dumps_snapshot(matrix):
+    """The snapshot bytes as one json.dumps of the whole document, true
+    values copied column by column: the reference for save_matrix."""
+    s = matrix.scale
+    if s == 1.0:
+        cols = {t: dict(col) for t, col in matrix.cols.items()}
+    else:
+        cols = {t: {f: v * s for f, v in col.items()} for t, col in matrix.cols.items()}
+    doc = {
+        "kind": "sensitivity-matrix",
+        "d_mode": matrix.d_mode,
+        "update_mode": matrix.update_mode,
+        "alpha": matrix.alpha,
+        "last_seq": matrix.last_seq,
+        "drop_threshold": matrix.drop_threshold,
+        "files": sorted(matrix.files),
+        "tests": sorted(matrix.tests),
+        "cols": cols,
+    }
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+# ids that json.dumps must escape: quotes, backslashes, control, non-ASCII
+# and astral characters
+_IDS = st.text(st.sampled_from('ab"\\\x00\x1f\x7f/\u00e9\u2028\ud7ff\U0001f600'), min_size=1, max_size=4)
+_VALUES = st.one_of(
+    st.sampled_from([0.5, 1.0 / 3.0, 0.1, 5e-324, 1e-300, 1.7976931348623157e308, 1e308]),
+    st.floats(min_value=5e-324, max_value=1.7976931348623157e308),
+)
+
+
+@st.composite
+def snapshot_matrices(draw):
+    cols = draw(st.dictionaries(_IDS, st.dictionaries(_IDS, _VALUES, min_size=1, max_size=5),
+                                max_size=5))
+    update_mode = draw(st.sampled_from(UPDATE_MODES))
+    alpha = draw(st.one_of(st.floats(0.0, 1.0), st.none()) if update_mode == "cumulative"
+                 else st.floats(0.0, 1.0))
+    return SensitivityMatrix(
+        cols=cols,
+        files=frozenset(f for col in cols.values() for f in col) | draw(st.frozensets(_IDS, max_size=2)),
+        tests=frozenset(cols) | draw(st.frozensets(_IDS, max_size=2)),
+        d_mode=draw(st.sampled_from(D_MODES)),
+        update_mode=update_mode,
+        alpha=alpha,
+        last_seq=draw(st.integers(0, 10**6)),
+        drop_threshold=draw(st.sampled_from([0.0, 1e-12, 0.25])),
+        scale=draw(st.sampled_from([1.0, 0.7 ** 50, 0.5, 1e-200])),
+    )
+
+
+class TestSnapshotWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(snapshot_matrices())
+    @example(empty_matrix(alpha=0.1))
+    @example(empty_matrix(update_mode="cumulative", d_mode="constant"))
+    def test_bytes_and_round_trip(self, matrix):
+        buf = io.StringIO()
+        save_matrix(matrix, buf)
+        assert buf.getvalue() == json_dumps_snapshot(matrix)
+        true_cols = {t: {f: v * matrix.scale for f, v in col.items()} for t, col in matrix.cols.items()}
+        if all(min(col.values()) > 0.0 and math.isfinite(sum(col.values())) for col in true_cols.values()):
+            loaded = load_matrix(io.StringIO(buf.getvalue()))
+            as_bits = lambda cols: {t: {f: v.hex() for f, v in col.items()} for t, col in cols.items()}
+            assert as_bits(loaded.cols) == as_bits(true_cols)
+            assert (loaded.files, loaded.tests, loaded.alpha) == (matrix.files, matrix.tests, matrix.alpha)
+        else:  # an entry underflowed to 0, or a column sums to infinity
+            with pytest.raises(ValidationError):
+                load_matrix(io.StringIO(buf.getvalue()))
+
+    def test_one_number_text_in_two_columns(self):
+        text = ('{"alpha":0.8,"cols":{"t1":{"f1":0.1,"f2":1e-1},"t2":{"f1":0.1}},"d_mode":"linear",'
+                '"drop_threshold":1e-12,"files":["f1","f2"],"kind":"sensitivity-matrix",'
+                '"last_seq":1,"tests":["t1","t2"],"update_mode":"ema"}')
+        cols = load_matrix(io.StringIO(text)).cols
+        assert cols == {"t1": {"f1": 0.1, "f2": 0.1}, "t2": {"f1": 0.1}}
+        assert [type(v) for col in cols.values() for v in col.values()] == [float] * 3
+
+    def test_overflowing_number_text_is_rejected(self):
+        text = ('{"alpha":0.8,"cols":{"t1":{"f1":1e400},"t2":{"f1":1e400}},"d_mode":"linear",'
+                '"drop_threshold":1e-12,"files":["f1"],"kind":"sensitivity-matrix",'
+                '"last_seq":1,"tests":["t1","t2"],"update_mode":"ema"}')
+        with pytest.raises(ValidationError, match="column 't1' entries must be finite"):
+            load_matrix(io.StringIO(text))
