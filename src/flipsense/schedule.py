@@ -160,22 +160,30 @@ def office_hours_tick(
 
 
 def save_state(state: ScheduleState, fp: IO[str]) -> None:
-    tests = sorted(state.staleness.keys() | state.stable.keys() | state.pending.tests())
-    doc = {
-        "kind": "schedule-state",
-        "clock": state.pending.clock,
-        "changed_at": state.pending.changed_at,
-        "tests": {
-            t: {
-                "staleness": state.staleness.get(t, 0),
-                "stable": state.stable.get(t, False),
-                "last_run": state.pending.last_run.get(t, state.pending.clock),
-                "last_verdict": state.pending.last_verdict.get(t),
-            }
-            for t in tests
-        },
-    }
-    fp.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+    """Persist as one JSON document: the clock, the change stamps and one
+    record per tracked test.
+
+    The bytes are those of ``json.dumps(doc, sort_keys=True,
+    separators=(",", ":"))``, but the ``tests`` object is written here, a
+    record at a time, without building a dict per test.
+    """
+    pending = state.pending
+    clock, staleness, stable = pending.clock, state.staleness, state.stable
+    last_run, last_verdict = pending.last_run, pending.last_verdict
+    encode = json.encoder.encode_basestring_ascii
+    records = []
+    for t in sorted(staleness.keys() | stable.keys() | pending.tests()):
+        verdict = last_verdict.get(t)
+        records.append(
+            f'{encode(t)}:{{"last_run":{last_run.get(t, clock)},'
+            f'"last_verdict":{"null" if verdict is None else encode(verdict)},'
+            f'"stable":{"true" if stable.get(t, False) else "false"},'
+            f'"staleness":{staleness.get(t, 0)}}}'
+        )
+    rest = {"kind": "schedule-state", "clock": clock, "changed_at": pending.changed_at}
+    # "tests" sorts after every other key
+    fp.write(json.dumps(rest, sort_keys=True, separators=(",", ":"))[:-1]
+             + ',"tests":{' + ",".join(records) + "}}\n")
 
 
 _TEST_FIELDS = {

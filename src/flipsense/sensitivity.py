@@ -18,13 +18,17 @@ tests that ran without flipping.
 The EMA fold is lazy: ``cols`` holds every entry divided by one running
 ``scale``, so a build decays the whole matrix with one multiply and costs
 only its own credits. ``advance`` therefore updates its matrix in place;
-every other operation returns a new object and leaves its inputs alone.
+every other operation returns a new object and leaves its inputs alone,
+except that ``slice_scores`` fills in the matrix's derived row index
+(file -> tests), the one cache an operation builds, which ``advance`` then
+keeps current.
 """
 
 from __future__ import annotations
 
 import bisect
 import csv
+import functools
 import heapq
 import json
 import math
@@ -70,6 +74,9 @@ class SensitivityMatrix:
     # min-heap of (stored, test, file) pushed by advance for EMA entries that
     # decay towards drop_threshold; None until advance next needs it
     _heap: list | None = field(default=None, init=False, repr=False, compare=False)
+    # file -> the tests whose column holds it: the transposition of cols,
+    # built by slice_scores, kept current by advance and never saved
+    _rows: dict[str, list[str]] | None = field(default=None, init=False, repr=False, compare=False)
 
     def entry(self, file_id: str, test_id: str) -> float:
         return self.cols.get(test_id, {}).get(file_id, 0.0) * self.scale
@@ -214,12 +221,12 @@ def advance(matrix: SensitivityMatrix, delta: SensitivityMatrix) -> SensitivityM
     cols, threshold = matrix.cols, matrix.drop_threshold
     if keep == 0.0:
         cols.clear()
-        matrix.scale, matrix._heap = 1.0, None
+        matrix.scale, matrix._heap, matrix._rows = 1.0, None, None
     elif keep < 1.0:
         matrix.scale *= keep
         if matrix.scale < _SCALE_FLOOR:
             _renormalise(matrix)
-    scale = matrix.scale
+    scale, rows = matrix.scale, matrix._rows
     heap = None
     if threshold > 0.0 and keep < 1.0:  # entries decay onto the threshold
         if matrix._heap is None:
@@ -232,14 +239,19 @@ def advance(matrix: SensitivityMatrix, delta: SensitivityMatrix) -> SensitivityM
         push = heapq.heappush
         for t, dcol in delta.cols.items():
             col = cols.setdefault(t, {})
+            if rows is not None:  # index the entries this build creates
+                new = dcol.keys() - col.keys()
             for f, v in dcol.items():
                 stored = col.get(f, 0.0) + w * v
                 if stored and stored * scale >= threshold:
                     col[f] = stored
                     if heap is not None:
                         push(heap, (stored, t, f))
-                else:
-                    col.pop(f, None)
+                elif col.pop(f, None) is not None and rows is not None:
+                    _unindex(rows, f, t)
+            if rows is not None:
+                for f in new & col.keys():
+                    rows.setdefault(f, []).append(t)
             if not col:
                 del cols[t]
     while heap and heap[0][0] * scale < threshold:
@@ -249,6 +261,8 @@ def advance(matrix: SensitivityMatrix, delta: SensitivityMatrix) -> SensitivityM
             del col[f]
             if not col:
                 del cols[t]
+            if rows is not None:
+                _unindex(rows, f, t)
 
     if not delta.files <= matrix.files:
         matrix.files = matrix.files | delta.files
@@ -258,17 +272,25 @@ def advance(matrix: SensitivityMatrix, delta: SensitivityMatrix) -> SensitivityM
     return matrix
 
 
+def _unindex(rows: dict[str, list[str]], f: str, t: str) -> None:
+    """Remove test t from file f's row, and the row once it is empty."""
+    row = rows[f]
+    row.remove(t)
+    if not row:
+        del rows[f]
+
+
 def _renormalise(matrix: SensitivityMatrix) -> None:
     """Multiply the stored values by the scale and reset it to 1; values
-    that underflow to 0 are dropped, and the heap is rebuilt when next
-    needed."""
+    that underflow to 0 are dropped, and the heap and the row index are
+    rebuilt when next needed."""
     for t, col in _true_cols(matrix).items():
         col = {f: v for f, v in col.items() if v}
         if col:
             matrix.cols[t] = col
         else:
             del matrix.cols[t]
-    matrix.scale, matrix._heap = 1.0, None
+    matrix.scale, matrix._heap, matrix._rows = 1.0, None, None
 
 
 def make_scores(scores: Mapping[str, float]) -> ScoreVector:
@@ -292,22 +314,39 @@ def slice_scores(
     order; max mode takes the largest, and either is scaled to a true value
     with one multiply. Files the matrix has never seen contribute nothing,
     and tests with no contribution score 0 (they stay rankable via
-    tie-break) without being stored. A column that holds none of the
-    changed files costs one disjointness test.
+    tie-break) without being stored.
+
+    A query reads only the rows of the changed files: the first one
+    transposes ``cols`` into the matrix's row index (file -> tests), which
+    later queries reuse and ``advance`` keeps current.
     """
     if score_mode not in SCORE_MODES:
         raise ConfigError(f"unknown score_mode {score_mode!r}")
     reduce = sum if score_mode == "sum" else max
-    changed_set = set(changed_files)
-    changed = sorted(changed_set)
+    cols, rows = matrix.cols, matrix._rows
+    if rows is None:
+        rows = matrix._rows = {}
+        for t, col in cols.items():
+            for f in col:
+                rows.setdefault(f, []).append(t)
+    hits: dict[str, list[float]] = {}
+    for f in sorted({f for f in changed_files if f in rows}):
+        for t in rows[f]:
+            hits.setdefault(t, []).append(cols[t][f])
     scale = matrix.scale
     positive = {}
-    for t, col in matrix.cols.items():
-        if not changed_set.isdisjoint(col):
-            score = scale * reduce([col[f] for f in changed if f in col])
-            if score > 0.0:  # else the product underflowed
-                positive[t] = score
+    for t, values in hits.items():
+        score = scale * reduce(values)
+        if score > 0.0:  # else the product underflowed
+            positive[t] = score
     return ScoreVector(positive, matrix.tests)
+
+
+@functools.lru_cache(maxsize=8)
+def _id_order(ids: frozenset[str]) -> tuple[str, ...]:
+    """The ids sorted, once per distinct frozenset (matrices keep theirs
+    until a new test appears)."""
+    return tuple(sorted(ids))
 
 
 def select_top_n(scores: ScoreVector, n: int, universe: Iterable[str]) -> list[str]:
@@ -316,15 +355,28 @@ def select_top_n(scores: ScoreVector, n: int, universe: Iterable[str]) -> list[s
 
     Padding keeps the selection size fixed even when the matrix knows
     nothing about the change set. A set or frozenset universe is used as
-    given, not copied.
+    given, not copied. Padding walks a frozenset universe, or else the
+    known tests, in id order, sorted once per distinct set, and stops at
+    its quota; universe members outside the known tests are merged in.
     """
     if n < 1:
         raise ValueError(f"selection size must be >= 1, got {n}")
     pool = universe if isinstance(universe, (set, frozenset)) else set(universe)
     quota = min(n, len(pool))
     picked = [t for t in scores.order if t in pool][:quota]
-    if len(picked) < quota:
-        picked += heapq.nsmallest(quota - len(picked), pool.difference(picked))
+    need = quota - len(picked)
+    if need:
+        walk = pool if isinstance(pool, frozenset) else frozenset(scores.known)
+        taken = set(picked)
+        padding = []
+        for t in _id_order(walk):
+            if t in pool and t not in taken:
+                padding.append(t)
+                if len(padding) == need:
+                    break
+        if walk is not pool:
+            padding += heapq.nsmallest(need, pool.difference(walk, taken))
+        picked += sorted(padding)[:need]
     return picked
 
 

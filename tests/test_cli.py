@@ -108,6 +108,8 @@ class TestPrioritise:
               "--method", "ema"], ("0", "2", "4")),
             (["replay", "--input", str(big), "--method", "all", "--runs", "5"], ("0", "3")),
             (["sweep-alpha", "--input", str(big), "--grid", "0.1:0.9:0.4"], ("0", "3")),
+            (["prioritise", "--snapshot", str(_unpruned_snapshot(hist, tmp_path)), "--changes",
+              str(changes), "-n", "25", "--show-scores"], ("0", "3")),
             (["schedule", "office", "--state", "{state}", "--matrix", str(matrix),
               "--history", str(hist), "--changes", str(changes), "--observe", "-k", "5"],
              ("0", "3")),
@@ -774,6 +776,30 @@ def _stdout_md5(argv) -> str:
     return hashlib.md5(out.getvalue().encode("utf-8")).hexdigest()
 
 
+def _unpruned_snapshot(path, root):
+    """A `heatmap --alpha 0.3 --save-snapshot` of the history with its
+    "drop_threshold" edited to 0. On the 50-build desk history no alpha 0.3
+    entry decays below the default threshold, so the snapshot holds every
+    entry of the exact EMA and its columns are long (up to 126 of 200
+    files): checked here against a fold that never prunes."""
+    snapshot = root / "unpruned.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["heatmap", "--input", str(path), "--alpha", "0.3", "--out", str(root / "hm"),
+                     "--save-snapshot", str(snapshot)]) == 0
+    doc = json.loads(snapshot.read_text(encoding="utf-8"))
+    doc["drop_threshold"] = 0
+    snapshot.write_text(json.dumps(doc), encoding="utf-8")
+    records = read_history(path)
+    ledger = extract_flips(records)
+    exact = sensitivity.empty_matrix(alpha=0.3, drop_threshold=0.0)
+    for record in records[1:]:
+        sensitivity.advance(exact, sensitivity.build_delta(record.changed_files, ledger.flipped(record.seq)))
+    buf = io.StringIO()
+    save_matrix(exact, buf)
+    assert json.loads(buf.getvalue())["cols"] == doc["cols"]
+    return snapshot
+
+
 class TestPinnedOutputs:
     """Output bytes of `synth --seed 7`, pinned so that a refactor which
     changes any of them fails here; whatever the hash seed is."""
@@ -822,6 +848,13 @@ class TestPinnedOutputs:
         _, path, changes = desk_history
         assert _stdout_md5(["prioritise", "--history", path, "--changes", changes, "-n", n,
                             "--show-scores"]) == digest
+
+    def test_prioritise_long_columns(self, desk_history, tmp_path):
+        _, path, changes = desk_history
+        snapshot = _unpruned_snapshot(path, tmp_path)
+        assert _stdout_md5(["prioritise", "--snapshot", str(snapshot), "--changes", changes,
+                            "-n", "25", "--format", "machine", "--show-scores"]) \
+            == "2070401be6417e3407ec734628e164f9"
 
     def test_schedule_office(self, desk_history, tmp_path):
         _, path, changes = desk_history

@@ -1,15 +1,16 @@
 """Staleness cost, stable-test strategies, day ticks, and the office blend."""
 
 import io
+import json
 import random
 from itertools import combinations
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from flipsense.baselines import dissimilarity_order
-from flipsense.history import extract_flips
+from flipsense.history import VERDICTS, extract_flips
 from flipsense.schedule import (
     ScheduleState,
     cost,
@@ -22,6 +23,7 @@ from flipsense.schedule import (
     state_from_history,
 )
 from flipsense.sensitivity import (
+    PendingChanges,
     SensitivityMatrix,
     empty_matrix,
     incremental_apply,
@@ -332,3 +334,61 @@ def test_pending_changes_match_a_file_set_per_test(alpha, tracked, steps):
         if reload:
             state = loaded
             model.reload(saved)
+
+
+def json_dumps_state(state):
+    """The state bytes as one json.dumps of the whole document, a dict per
+    test: the reference for save_state."""
+    pending = state.pending
+    tests = sorted(state.staleness.keys() | state.stable.keys() | pending.tests())
+    doc = {
+        "kind": "schedule-state",
+        "clock": pending.clock,
+        "changed_at": pending.changed_at,
+        "tests": {
+            t: {
+                "staleness": state.staleness.get(t, 0),
+                "stable": state.stable.get(t, False),
+                "last_run": pending.last_run.get(t, pending.clock),
+                "last_verdict": pending.last_verdict.get(t),
+            }
+            for t in tests
+        },
+    }
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+# ids that json.dumps must escape: quotes, backslashes, control, non-ASCII
+# and astral characters
+_STATE_IDS = st.text(st.sampled_from('ab"\\\x00\x1f\x7f/é \U0001f600'), min_size=1, max_size=4)
+
+
+@st.composite
+def schedule_states(draw):
+    """States whose tests may be known to any subset of the four maps."""
+    clock = draw(st.integers(0, 10**6))
+    stamps = st.integers(1, clock) if clock else st.nothing()
+    changed_at = draw(st.dictionaries(_STATE_IDS, stamps, max_size=5)) if clock else {}
+    return ScheduleState(
+        staleness=draw(st.dictionaries(_STATE_IDS, st.integers(0, 10**9), max_size=5)),
+        stable=draw(st.dictionaries(_STATE_IDS, st.booleans(), max_size=5)),
+        pending=PendingChanges(
+            clock, changed_at,
+            draw(st.dictionaries(_STATE_IDS, st.integers(0, clock), max_size=5)),
+            draw(st.dictionaries(_STATE_IDS, st.sampled_from(VERDICTS), max_size=5)),
+        ),
+    )
+
+
+class TestStateWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(schedule_states())
+    @example(ScheduleState())
+    def test_bytes_and_load(self, state):
+        buf = io.StringIO()
+        save_state(state, buf)
+        assert buf.getvalue() == json_dumps_state(state)
+        loaded = load_state(io.StringIO(buf.getvalue()))
+        tests = state.staleness.keys() | state.stable.keys() | state.pending.tests()
+        assert loaded.staleness == {t: state.staleness.get(t, 0) for t in tests}
+        assert loaded.pending.last_verdict == state.pending.last_verdict

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import random
+from dataclasses import replace
 
 import hypothesis.strategies as st
 import pytest
@@ -17,6 +18,7 @@ from flipsense.sensitivity import (
     SCORE_MODES,
     UPDATE_MODES,
     PendingChanges,
+    ScoreVector,
     SensitivityMatrix,
     advance,
     build_delta,
@@ -274,6 +276,79 @@ class TestLazyEngine:
         assert set(m.cols["t1"]) == {"f2"} and m.entry("f2", "t1") == 0.125
 
 
+def transposed(matrix):
+    """file -> the sorted tests whose column holds it."""
+    rows = {}
+    for t in sorted(matrix.cols):
+        for f in matrix.cols[t]:
+            rows.setdefault(f, []).append(t)
+    return rows
+
+
+def assert_index_current(matrix, queries):
+    """The row index, when built, is the transposition of cols, and every
+    query scores as on a copy whose index is built afresh, bit for bit."""
+    if matrix._rows is not None:
+        assert {f: sorted(row) for f, row in matrix._rows.items()} == transposed(matrix)
+    for changed in queries:
+        for mode in SCORE_MODES:
+            live = slice_scores(matrix, changed, mode)
+            fresh = slice_scores(replace(matrix), changed, mode)
+            assert {t: v.hex() for t, v in live.positive.items()} == \
+                {t: v.hex() for t, v in fresh.positive.items()}
+            assert live.order == fresh.order
+    assert {f: sorted(row) for f, row in matrix._rows.items()} == transposed(matrix)
+
+
+class TestRowIndex:
+    """The file -> tests index that slice_scores reads, against cols."""
+
+    @given(_builds, _update_settings, st.sampled_from([0.0, 1e-12, 0.3]),
+           st.lists(st.frozensets(st.sampled_from(_FILE_POOL + ["g"]), max_size=4),
+                    min_size=1, max_size=3))
+    @settings(max_examples=200, deadline=None)
+    # the second build lowers (f0, t0) from 0.33 to 0.2508, under the
+    # threshold: an update, not the heap, deletes it
+    @example(deltas=[(frozenset({"f0", "f1", "f2"}), frozenset({"t0"})),
+                     (frozenset({"f0", "f1", "f2", "f3"}), frozenset({"t0"}))],
+             update=("ema", 0.99), threshold=0.3, queries=[frozenset({"f0"})])
+    def test_index_follows_advance(self, deltas, update, threshold, queries):
+        update_mode, alpha = update
+        m = empty_matrix(alpha=alpha, update_mode=update_mode, drop_threshold=threshold)
+        assert_index_current(m, queries)
+        for changed, flipped in deltas:
+            advance(m, build_delta(changed, flipped, "linear"))
+            assert_index_current(m, queries)
+
+    @pytest.mark.parametrize("threshold", [0.0, 1e-12, 0.3])
+    def test_index_across_the_renormalisation_floor(self, threshold):
+        # at alpha 0.9 the scale crosses 1e-200 about every 200 builds; the
+        # entry (f0, t0), credited once, underflows to 0 by the second
+        # renormalisation when nothing prunes it first
+        m = empty_matrix(alpha=0.9, drop_threshold=threshold)
+        deltas = [({"f0", "f1"}, {"t0"})] + [({"f1", "f2"}, {"t1"})] * 450
+        queries = [{"f0"}, {"f0", "f1", "f2"}]
+        scales = []
+        for changed, flipped in deltas:
+            advance(m, build_delta(changed, flipped, "linear"))
+            scales.append(m.scale)
+            assert_index_current(m, queries)
+        assert sum(b > a for a, b in zip(scales, scales[1:])) >= 2  # renormalised twice
+        assert "t0" not in m.cols
+
+    def test_index_is_not_copied_or_compared(self):
+        m = empty_matrix(alpha=0.5)
+        advance(m, build_delta({"f1"}, {"t1"}))
+        slice_scores(m, {"f1"})
+        assert m._rows == {"f1": ["t1"]}
+        assert replace(m)._rows is None and replace(m) == m
+        buf = io.StringIO()
+        save_matrix(m, buf)
+        assert load_matrix(io.StringIO(buf.getvalue()))._rows is None
+        applied, _ = incremental_apply(m, new_pending(), [], {})
+        assert applied._rows is None
+
+
 class TestSliceScores:
     def matrix(self):
         return SensitivityMatrix(
@@ -392,6 +467,35 @@ class TestScoringOracle:
         ranked = [t for t in positive if t in universe]
         ranked += sorted(universe - set(ranked))
         assert select_top_n(scores, n, universe) == ranked[: min(n, len(universe))]
+
+    @given(scoring_cases(), st.data())
+    @settings(max_examples=200)
+    def test_padding_matches_oracle(self, case, data):
+        # known as a frozenset, a set or dict keys; set and frozenset
+        # universes (padding walks a frozen universe, else the known
+        # tests) with ids outside known or smaller than n; one known with
+        # two universes; a set universe edited between two calls
+        matrix, changed, universe, n, mode = case
+        positive = slice_scores(matrix, changed, mode).positive
+        ids = st.sets(st.sampled_from(sorted(matrix.tests | universe | {"a", "t", "zz"})))
+
+        def oracle(scores, universe):
+            ranked = [t for t in scores.order if t in universe]
+            ranked += sorted(set(universe) - set(ranked))
+            return ranked[: min(n, len(universe))]
+
+        for known in (frozenset(matrix.tests), set(matrix.tests), dict.fromkeys(matrix.tests).keys()):
+            scores = ScoreVector(positive, known)
+            other = data.draw(ids)
+            for u in (universe, frozenset(universe), other, frozenset(other)):
+                if u:
+                    assert select_top_n(scores, n, u) == oracle(scores, u)
+            edited = set(universe)
+            select_top_n(scores, n, edited)
+            edited -= data.draw(ids)
+            edited |= data.draw(ids)
+            if edited:
+                assert select_top_n(scores, n, edited) == oracle(scores, edited)
 
     @given(scoring_cases())
     @settings(max_examples=100)
