@@ -21,7 +21,7 @@ from .errors import FlipsenseError, ValidationError
 
 DEFAULT_ALPHA = 0.8
 
-# the most entries a --select range or an alpha --grid may ask for
+# the most entries a --select range, an alpha --grid or replay --runs may ask for
 MAX_ENTRIES = 10_000
 
 
@@ -195,6 +195,8 @@ def cmd_replay(args) -> int:
     ledger = history.extract_flips(records)
     sizes = _parse_size_range(args.select)
     methods = _method_list(args.method)
+    if "random" in methods and args.runs > MAX_ENTRIES:  # a permutation per run, built up front
+        raise ValueError(f"random selection takes at most {MAX_ENTRIES} runs, got {args.runs}")
 
     reports = {
         m: evaluate.replay_sizes(records, ledger, _method_config(m, args, args.score_mode), sizes)

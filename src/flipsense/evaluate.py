@@ -17,8 +17,9 @@ minimising it over the whole history.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, fields
-from itertools import accumulate, repeat
+from itertools import repeat
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .baselines import RandomPolicy, shuffled_universe
@@ -180,20 +181,22 @@ def fold(
         yield advance(matrix, delta)
 
 
-def _size_rows(seq: int, rankings: list[Sequence[str]], predictable: frozenset[str],
+def _size_rows(seq: int, hits: list[list[int]], runs: int, m: int, length: int,
                sizes: Sequence[int]) -> list[BuildMetrics]:
-    """One evaluated build at every size, from one pass per ranking (all of one
-    length); each field is the mean over the rankings in their order."""
-    m, length = len(predictable), len(rankings[0])
-    # hits[k]: every ranking's count of predictable tests in its first k entries
-    hits = list(zip(*(accumulate(map(predictable.__contains__, r), initial=0) for r in rankings)))
+    """One evaluated build at every size. ``hits`` lists, in run order, the
+    sorted positions of the predictable tests in a run's ranking (each
+    ``length`` entries long), and a size-n selection's intersection is the
+    count of positions under n. Each field is the mean over all ``runs`` in
+    run order. A run that holds none may be left out of ``hits``: it adds 0
+    to every sum, so summing the other runs' terms gives the same bits."""
     rows = []
     for n in sizes:
         k = min(n, length)
-        inter = hits[k]
-        metrics = {i: (i / k, i / m, f_measure(i / k, i / m), 0.0 if i else 1.0) for i in set(inter)}
-        p, r, f, zero = zip(*map(metrics.__getitem__, inter))
-        rows.append(BuildMetrics(seq, k, m, _mean(inter), _mean(p), _mean(r), _mean(f), _mean(zero)))
+        inter = [i for i in map(bisect_left, hits, repeat(k)) if i]
+        metrics = {i: (i / k, i / m, f_measure(i / k, i / m)) for i in set(inter)}
+        p, r, f = zip(*map(metrics.__getitem__, inter)) if inter else ((), (), ())
+        rows.append(BuildMetrics(seq, k, m, sum(inter) / runs, sum(p) / runs, sum(r) / runs,
+                                 sum(f) / runs, (runs - len(inter)) / runs))
     return rows
 
 
@@ -207,6 +210,10 @@ def replay_sizes(
     evaluated build ranks its largest size once (the random method's fixed
     permutations, one per run, or a matrix method's single ranking), and a
     size-n selection is each ranking's first n entries.
+
+    The random method indexes, once per call, where each test stands in
+    every permutation's first ``max(sizes)`` entries, so a build reads only
+    the runs that hold one of its predictable tests.
     """
     if not sizes or any(n < 1 for n in sizes):
         raise ValueError(f"selection sizes must be >= 1, got {list(sizes)}")
@@ -214,13 +221,20 @@ def replay_sizes(
         raise ValueError(f"selection sizes must be distinct, got {repeated} more than once")
     universe = frozenset(ledger.universe)
     largest = max(sizes)
+    length = min(largest, len(universe))
     rows: dict[int, list[BuildMetrics]] = {n: [] for n in sizes}
     if config.method == "random":
-        policy = config.policy
-        permutations = [shuffled_universe(universe, policy, run)[:largest] for run in range(policy.runs)]
+        # sorted once: shuffled_universe sorts a sorted list in linear time
+        policy, pool = config.policy, sorted(universe)
+        runs = policy.runs
+        # test -> (run, position) of every place it holds in a ranking
+        places: dict[str, list[tuple[int, int]]] = {}
+        for run in range(runs):
+            for pos, t in enumerate(shuffled_universe(pool, policy, run)[:largest]):
+                places.setdefault(t, []).append((run, pos))
         matrices = repeat(None)
     else:
-        matrices = fold(records, ledger, config)
+        runs, matrices = 1, fold(records, ledger, config)
 
     # zip pairs build k with the state after build k-1, so selection
     # strictly precedes the update with build k's delta.
@@ -229,11 +243,16 @@ def replay_sizes(
         if not predictable:
             continue
         if matrix is None:
-            rankings = permutations
+            found: dict[int, list[int]] = {}
+            for t in predictable:
+                for run, pos in places.get(t, ()):
+                    found.setdefault(run, []).append(pos)
+            hits = [sorted(found[run]) for run in sorted(found)]
         else:
             scores = slice_scores(matrix, record.changed_files, config.score_mode)
-            rankings = [select_top_n(scores, largest, universe)]
-        for n, row in zip(sizes, _size_rows(record.seq, rankings, predictable, sizes)):
+            ranking = select_top_n(scores, largest, universe)
+            hits = [[pos for pos, t in enumerate(ranking) if t in predictable]]
+        for n, row in zip(sizes, _size_rows(record.seq, hits, runs, len(predictable), length, sizes)):
             rows[n].append(row)
 
     return {n: _finish_report(config, n, rows[n]) for n in sizes}

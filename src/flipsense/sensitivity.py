@@ -17,9 +17,10 @@ tests that ran without flipping.
 
 The EMA fold is lazy: ``cols`` holds every entry divided by one running
 ``scale``, so a build decays the whole matrix with one multiply and costs
-only its own credits. ``advance`` therefore updates its matrix in place;
-every other operation returns a new object and leaves its inputs alone,
-except that ``slice_scores`` fills in the matrix's derived row index
+only its own credits, and pruning keeps one heap record per column a build
+extends, not one per entry. ``advance`` therefore updates its matrix in
+place; every other operation returns a new object and leaves its inputs
+alone, except that ``slice_scores`` fills in the matrix's derived row index
 (file -> tests), the one cache an operation builds, which ``advance`` then
 keeps current.
 """
@@ -71,8 +72,9 @@ class SensitivityMatrix:
     last_seq: int = 0
     drop_threshold: float = DEFAULT_DROP_THRESHOLD
     scale: float = 1.0
-    # min-heap of (stored, test, file) pushed by advance for EMA entries that
-    # decay towards drop_threshold; None until advance next needs it
+    # min-heap of (lowest stored, test, files) records, one per group of EMA
+    # entries that decay towards drop_threshold; None until advance next
+    # needs it
     _heap: list | None = field(default=None, init=False, repr=False, compare=False)
     # file -> the tests whose column holds it: the transposition of cols,
     # built by slice_scores, kept current by advance and never saved
@@ -205,10 +207,19 @@ def advance(matrix: SensitivityMatrix, delta: SensitivityMatrix) -> SensitivityM
     is a plain sum.
 
     Decay multiplies ``scale`` by keep, and each delta entry adds
-    weight * v / scale to its stored value, so a build costs O(|delta|).
+    weight * v / scale to its stored value, so a build costs O(|delta|):
+    the entries a column lacks arrive in one ``dict.update`` of their
+    weight * v / scale, and only the entries it holds take an add and a
+    threshold test each.
+
     Afterwards no entry whose true value is below ``drop_threshold`` (or 0)
-    remains: an EMA entry is pushed on a min-heap when it is updated and
-    deleted when it is popped below the threshold still holding that value.
+    remains. The EMA entries a column gains in a build wait on a min-heap
+    as one group, keyed by their lowest stored value; a matrix that
+    ``advance`` did not fold gets one group per column. Between
+    renormalisations an EMA entry's stored value only rises, so no member
+    of a group is ever below its key. A group popped below the threshold
+    deletes its members now below it and is pushed again, keyed by its
+    survivors' lowest value.
     """
     if matrix.d_mode != delta.d_mode:
         raise ConfigError(
@@ -229,40 +240,60 @@ def advance(matrix: SensitivityMatrix, delta: SensitivityMatrix) -> SensitivityM
     scale, rows = matrix.scale, matrix._rows
     heap = None
     if threshold > 0.0 and keep < 1.0:  # entries decay onto the threshold
-        if matrix._heap is None:
-            matrix._heap = [(v, t, f) for t, col in cols.items() for f, v in col.items()]
+        if matrix._heap is None:  # one group per column
+            matrix._heap = [(min(col.values()), t, tuple(col)) for t, col in cols.items() if col]
             heapq.heapify(matrix._heap)
         heap = matrix._heap
 
     if weight:
         w = weight / scale
-        push = heapq.heappush
         for t, dcol in delta.cols.items():
             col = cols.setdefault(t, {})
-            if rows is not None:  # index the entries this build creates
-                new = dcol.keys() - col.keys()
-            for f, v in dcol.items():
-                stored = col.get(f, 0.0) + w * v
+            if col.keys().isdisjoint(dcol):
+                held, new = (), {f: w * v for f, v in dcol.items()}
+            else:
+                held = [f for f in dcol if f in col]
+                new = {f: w * v for f, v in dcol.items() if f not in col}
+            for f in held:
+                stored = col[f] + w * dcol[f]
                 if stored and stored * scale >= threshold:
                     col[f] = stored
-                    if heap is not None:
-                        push(heap, (stored, t, f))
-                elif col.pop(f, None) is not None and rows is not None:
-                    _unindex(rows, f, t)
-            if rows is not None:
-                for f in new & col.keys():
-                    rows.setdefault(f, []).append(t)
+                else:
+                    del col[f]
+                    if rows is not None:
+                        _unindex(rows, f, t)
+            if new:
+                low = min(new.values())
+                if heap is not None:
+                    heapq.heappush(heap, (low, t, tuple(new)))
+                elif not (low and low * scale >= threshold):  # nothing prunes them later
+                    new = {f: s for f, s in new.items() if s and s * scale >= threshold}
+                col.update(new)
+                if rows is not None:  # index the entries this build creates
+                    for f in new:
+                        rows.setdefault(f, []).append(t)
             if not col:
                 del cols[t]
     while heap and heap[0][0] * scale < threshold:
-        stored, t, f = heapq.heappop(heap)
+        _, t, group = heapq.heappop(heap)
         col = cols.get(t)
-        if col is not None and col.get(f) == stored:  # else raised since the push
-            del col[f]
-            if not col:
-                del cols[t]
-            if rows is not None:
-                _unindex(rows, f, t)
+        if col is None:
+            continue
+        survivors = []
+        for f in group:
+            stored = col.get(f)
+            if stored is None:  # pruned, or deleted by an update
+                continue
+            if stored * scale < threshold:
+                del col[f]
+                if rows is not None:
+                    _unindex(rows, f, t)
+            else:
+                survivors.append(f)
+        if survivors:
+            heapq.heappush(heap, (min(map(col.__getitem__, survivors)), t, tuple(survivors)))
+        elif not col:
+            del cols[t]
 
     if not delta.files <= matrix.files:
         matrix.files = matrix.files | delta.files

@@ -14,7 +14,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from flipsense import sensitivity
+from flipsense import evaluate, sensitivity
 from flipsense.cli import _parse_grid, _parse_size_range, main
 from flipsense.errors import ValidationError
 from flipsense.evaluate import MethodConfig, replay_sizes
@@ -206,6 +206,16 @@ class TestReplay:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
+
+    def test_too_many_random_runs_is_a_usage_error(self, history_file, capsys, monkeypatch):
+        def no_permutations(*args):
+            raise AssertionError("a permutation was built")
+
+        monkeypatch.setattr(evaluate, "shuffled_universe", no_permutations)
+        assert main(["replay", "--input", str(history_file), "--method", "ema,random",
+                     "--runs", "10001"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: random selection takes at most 10000 runs, got 10001\n"
 
     def test_unknown_method(self, history_file, capsys):
         assert main(["replay", "--input", str(history_file), "--method", "bogus"]) == 2
@@ -827,9 +837,12 @@ class TestPinnedOutputs:
           "--method", "ema", "--format", "machine"], "eed498681b5875c91eb4179f72c9071d"),
         (["replay", "--input", "{history}", "--method", "cumulative", "--score-mode", "max",
           "--format", "machine"], "be48c83f38739d3441837dca5a271f6c"),
+        (["replay", "--input", "{history}", "--method", "random", "--format", "machine"],
+         "2fd03d1904bd34e7782892109b10cac9"),
         (["ingest", "{history}"], "65e68cc8b36a6cc1b065449b07c9a809"),
         (["ingest", "{history}", "--format", "machine"], "4c2139febaf3b741c8c5e0eb139f0305"),
-    ], ids=["sweep-alpha", "prioritise", "replay-cumulative-max", "ingest", "ingest-machine"])
+    ], ids=["sweep-alpha", "prioritise", "replay-cumulative-max", "replay-random", "ingest",
+            "ingest-machine"])
     def test_command(self, desk_history, argv, digest):
         _, path, changes = desk_history
         assert _stdout_md5([a.format(history=path, changes=changes) for a in argv]) == digest

@@ -53,7 +53,8 @@ COMMANDS = {
         "--method": _choice("ema", "cumulative", "random", "all", "ema,random", "bogus", ","),
         "--alpha": FLOATS, "--d-mode": _choice("linear", "constant"),
         "--score-mode": _choice("sum", "max"), "--select": SIZES, "--seed": INTS,
-        "--runs": _choice("-1", "0", "1", "3"), "--baseline": _choice("ema", "random", "cumulative"),
+        "--runs": _choice("-1", "0", "1", "3", "10001"),
+        "--baseline": _choice("ema", "random", "cumulative"),
         "--out": "outdir", "--format": _choice("human", "machine"),
     }),
     "sweep-alpha": ([("--input", "history")], {

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from flipsense.baselines import RandomPolicy
+from flipsense.baselines import RandomPolicy, shuffled_universe
 from flipsense.errors import ConfigError, UndefinedMetricError, ValidationError
 from flipsense.evaluate import (
     FIGURE_METRICS,
@@ -236,7 +236,9 @@ class TestSizeRowsOracle:
     @given(ranked_builds(), st.integers(min_value=1, max_value=99))
     def test_every_field_equals_set_intersection(self, build, seq):
         rankings, predictable, sizes = build
-        rows = _size_rows(seq, rankings, predictable, sizes)
+        positions = [[i for i, t in enumerate(r) if t in predictable] for r in rankings]
+        rows = _size_rows(seq, [p for p in positions if p], len(rankings), len(predictable),
+                          len(rankings[0]), sizes)
         assert len(rows) == len(sizes)
         for n, row in zip(sizes, rows):
             assert row == _oracle_row(seq, [r[:n] for r in rankings], predictable), n
@@ -429,6 +431,33 @@ class TestFold:
         records, ledger = desk_history
         with pytest.raises(ConfigError):
             next(fold(records, ledger, DESK_CONFIGS[2]))
+
+
+class TestRandomReplayOracle:
+    """The random method against intersecting every run's prefix as a set."""
+
+    @pytest.mark.parametrize("synth, sizes, short", [
+        (SynthConfig(seed=7), range(5, 26), False),
+        (SynthConfig(seed=3, n_files=30, n_tests=12), range(1, 21), True),
+    ], ids=["desk", "short-universe"])
+    def test_equals_dense_oracle_bit_for_bit(self, synth, sizes, short):
+        records, _ = generate(synth)
+        ledger = extract_flips(records)
+        assert (len(ledger.universe) < max(sizes)) == short
+        policy = RandomPolicy(seed=5, runs=100)
+        permutations = [shuffled_universe(ledger.universe, policy, run) for run in range(100)]
+        reports = replay_sizes(records, ledger, MethodConfig(method="random", policy=policy), sizes)
+        predictable = [(r.seq, ledger.predictable(r.seq)) for r in records[1:]]
+        predictable = [(seq, pred) for seq, pred in predictable if pred]
+        assert predictable
+        for n in sizes:
+            expected = [_oracle_row(seq, [p[:n] for p in permutations], pred)
+                        for seq, pred in predictable]
+            assert [_hex_row(row) for row in reports[n].per_build] == list(map(_hex_row, expected))
+
+
+def _hex_row(row):
+    return tuple(v.hex() if isinstance(v, float) else v for v in vars(row).values())
 
 
 class TestSizesAgree:

@@ -183,18 +183,24 @@ class TestAdvance:
                     assert 0.0 < m.entry(f, t) <= 1.0
 
 
-def reference_fold(deltas, update_mode, alpha, d_mode, threshold):
+def reference_fold(deltas, update_mode, alpha, d_mode, threshold, start=()):
     """The copy-per-build recursion: each build decays every entry by keep,
-    adds its credits and drops entries below the threshold or at 0. Yields
+    adds its credits and drops entries below the threshold or at 0. A build
+    is a (changed, flipped) pair or a delta matrix of any values; ``start``
+    holds the first state's {(test, file): value}. Yields
     {(test, file): value} after each build."""
     weight, keep = (alpha, 1.0 - alpha) if update_mode == "ema" else (1.0, 1.0)
-    values = {}
-    for changed, flipped in deltas:
+    values = dict(start)
+    for delta in deltas:
+        if isinstance(delta, SensitivityMatrix):
+            credits = {(t, f): v for t, col in delta.cols.items() for f, v in col.items()}
+        else:
+            changed, flipped = delta
+            d = len(changed) if d_mode == "linear" else 1
+            credits = {(t, f): 1.0 / d for t in flipped for f in changed}
         values = {key: keep * v for key, v in values.items()}
-        for t in flipped:
-            for f in changed:
-                credit = 1.0 / (len(changed) if d_mode == "linear" else 1)
-                values[t, f] = weight * credit + values.get((t, f), 0.0)
+        for key, credit in credits.items():
+            values[key] = weight * credit + values.get(key, 0.0)
         values = {key: v for key, v in values.items() if v != 0.0 and v >= threshold}
         yield values
 
@@ -274,6 +280,88 @@ class TestLazyEngine:
         assert m.entry("f1", "t1") == 1e-3  # at the threshold: kept
         advance(m, build_delta(set(), set(), "linear"))
         assert set(m.cols["t1"]) == {"f2"} and m.entry("f2", "t1") == 0.125
+
+
+def hand_delta(cols):
+    """A delta matrix holding the given values, which need not be equal."""
+    return SensitivityMatrix(cols={t: dict(col) for t, col in cols.items()},
+                             files=frozenset().union(*cols.values()), tests=frozenset(cols),
+                             d_mode="linear")
+
+
+def true_entries(matrix):
+    return {(t, f): matrix.entry(f, t).hex() for t, col in matrix.cols.items() for f in col}
+
+
+_values = st.sampled_from([0.1, 0.25, 1 / 3, 0.5, 0.6, 1.0, 2.0])
+_hand_cols = st.dictionaries(st.sampled_from(_TEST_POOL),
+                             st.dictionaries(st.sampled_from(_FILE_POOL), _values, min_size=1),
+                             max_size=3)
+# keep = 1 - alpha is 0, 1 or a power of two, so the lazy scale and the
+# recursion's per-build decay round alike and true values agree bit for bit
+_exact_settings = st.one_of(
+    st.tuples(st.just("ema"), st.sampled_from([0.0, 0.5, 0.75, 0.875, 1.0])),
+    st.tuples(st.just("cumulative"), st.none()),
+)
+
+
+class TestHandBuiltAdvance:
+    """advance on deltas of unequal values and on matrices it did not fold,
+    against the recursion bit for bit, with the row index kept current."""
+
+    @given(st.lists(_hand_cols, max_size=30), _exact_settings,
+           st.sampled_from([0.0, 1e-3, 0.1, 0.3]),
+           # start values are at least every threshold, as after an advance
+           st.dictionaries(st.sampled_from(_TEST_POOL),
+                           st.dictionaries(st.sampled_from(_FILE_POOL),
+                                           st.sampled_from([0.3, 0.5, 0.6, 1.0, 2.0]), min_size=1),
+                           max_size=4),
+           st.booleans())
+    @settings(max_examples=300, deadline=None)
+    # (f0, t0) falls under 0.1 in build 2 and its group's pop finds (f1, t0)
+    # re-credited since the push, which survives until build 4
+    @example(builds=[{"t0": {"f0": 0.25, "f1": 1.0}}, {"t0": {"f1": 0.25}}, {}, {}],
+             update=("ema", 0.5), threshold=0.1, start={}, via_snapshot=False)
+    # a loaded matrix: (f0, t0) is pruned from a column whose other entry
+    # stays, t1's column empties, and t2's only credit starts under 0.3
+    @example(builds=[{}, {"t2": {"f0": 0.1}}, {}], update=("ema", 0.5), threshold=0.3,
+             start={"t0": {"f0": 0.5, "f1": 2.0}, "t1": {"f2": 0.6}}, via_snapshot=True)
+    def test_matches_recursion_bit_for_bit(self, builds, update, threshold, start, via_snapshot):
+        update_mode, alpha = update
+        m = replace(empty_matrix(alpha=alpha, update_mode=update_mode, drop_threshold=threshold),
+                    cols={t: dict(col) for t, col in start.items()},
+                    files=frozenset().union(*start.values()), tests=frozenset(start))
+        if via_snapshot:
+            buf = io.StringIO()
+            save_matrix(m, buf)
+            m = load_matrix(io.StringIO(buf.getvalue()))
+        queries = [{"f0", "f2", "f5"}, {"f1", "g"}]
+        assert_index_current(m, queries)
+        deltas = [hand_delta(cols) for cols in builds]
+        begin = {(t, f): v for t, col in start.items() for f, v in col.items()}
+        expected_states = reference_fold(deltas, update_mode, alpha, "linear", threshold, begin)
+        for k, (delta, expected) in enumerate(zip(deltas, expected_states), 1):
+            assert advance(m, delta) is m
+            assert true_entries(m) == {key: v.hex() for key, v in expected.items()}
+            assert all(m.cols.values()), "empty column"
+            assert m.last_seq == k
+            assert m.files == frozenset().union(*start.values(), *(d.files for d in deltas[:k]))
+            assert m.tests == frozenset(start).union(*(d.tests for d in deltas[:k]))
+            assert_index_current(m, queries)
+
+    def test_a_matrix_it_did_not_fold_gets_one_heap_record_per_column(self):
+        m = SensitivityMatrix(
+            cols={"t0": {"f0": 0.5, "f1": 2.0}, "t1": {"f2": 0.6, "f3": 0.3}, "t2": {"f1": 1.0}},
+            files=frozenset({"f0", "f1", "f2", "f3"}), tests=frozenset({"t0", "t1", "t2"}),
+            d_mode="linear", update_mode="ema", alpha=0.5, drop_threshold=0.2,
+        )
+        advance(m, hand_delta({}))  # t1's record pops: f3 goes, f2 is pushed again alone
+        assert sorted((t, sorted(group)) for _, t, group in m._heap) == \
+            [("t0", ["f0", "f1"]), ("t1", ["f2"]), ("t2", ["f1"])]
+        advance(m, hand_delta({}))  # f0 goes from t0's record, and t1's column empties
+        assert true_entries(m) == {("t0", "f1"): (0.5).hex(), ("t2", "f1"): (0.25).hex()}
+        assert sorted((t, sorted(group)) for _, t, group in m._heap) == \
+            [("t0", ["f1"]), ("t2", ["f1"])]
 
 
 def transposed(matrix):
