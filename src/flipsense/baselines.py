@@ -9,6 +9,7 @@ dissimilar tests.
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 import re
@@ -30,19 +31,37 @@ class RandomPolicy:
     runs: int = 100
 
     def __post_init__(self):
+        # random.Random seeds from |seed|, so -s would draw what s draws
+        if self.seed < 0:
+            raise ConfigError(f"random selection needs seed >= 0, got {self.seed}")
         if self.runs < 1:
             raise ConfigError(f"random selection needs runs >= 1, got {self.runs}")
 
 
-def shuffled_universe(universe: Iterable[str], policy: RandomPolicy, run_index: int) -> list[str]:
-    """One deterministic permutation of the universe per (seed, run_index);
-    its first n tests are a uniform random selection of n, so the
-    selections of one run are nested prefixes."""
+def shuffled_universe(
+    universe: Iterable[str], policy: RandomPolicy, run_index: int, length: int | None = None
+) -> list[str]:
+    """The first ``length`` tests (all of them if None) of one deterministic
+    permutation of the universe per (seed, run_index): a uniform random
+    ordered selection of min(length, |universe|) tests.
+
+    A forward partial Fisher-Yates shuffle (Knuth, Algorithm P) of the
+    sorted universe draws one position per test returned, and position i
+    depends only on draws 0..i, so a shorter length gives a prefix of a
+    longer one and the selections of one run are nested prefixes.
+    """
     if not 0 <= run_index < policy.runs:
         raise ValueError(f"run_index {run_index} outside 0..{policy.runs - 1}")
+    if length is not None and length < 0:
+        raise ValueError(f"length must be >= 0, got {length}")
     pool = sorted(universe)
+    n = len(pool)
+    length = n if length is None else min(length, n)
     rng = random.Random(policy.seed * (1 << 20) + run_index)
-    rng.shuffle(pool)
+    for i in range(length):
+        j = rng.randrange(i, n)
+        pool[i], pool[j] = pool[j], pool[i]
+    del pool[length:]
     return pool
 
 
@@ -88,20 +107,25 @@ def dissimilarity_order(
     first `limit` picks, when a limit is given, are a prefix of the whole
     order.
     """
-    remaining = sorted(set(candidates))
-    tokens = {t: identifier_tokens(t) for t in remaining}
+    tokens = {t: identifier_tokens(t) for t in set(candidates)}
     chosen = [identifier_tokens(t) for t in already_chosen]
-    nearest = {
-        t: min((_jaccard_distance(tokens[t], c) for c in chosen), default=math.inf)
-        for t in remaining
-    }
+    # (-nearest, id, picks seen): nearest is the minimum distance to
+    # already_chosen and to the first `seen` picks. Nearest only falls as
+    # picks are added, so a stale key never ranks a candidate below where
+    # its current key would; a popped candidate that has seen every pick
+    # is the farthest, ties to the smallest id.
+    heap = [
+        (-min((_jaccard_distance(tok, c) for c in chosen), default=math.inf), t, 0)
+        for t, tok in tokens.items()
+    ]
+    heapq.heapify(heap)
     ordered: list[str] = []
-    while remaining and len(ordered) != limit:
-        # max() keeps the first of equal keys; remaining is id-ascending,
-        # so distance ties resolve to the smallest id.
-        best = max(remaining, key=nearest.__getitem__)
-        ordered.append(best)
-        remaining.remove(best)
-        for t in remaining:
-            nearest[t] = min(nearest[t], _jaccard_distance(tokens[t], tokens[best]))
+    while heap and len(ordered) != limit:
+        key, t, seen = heap[0]
+        if seen == len(ordered):
+            heapq.heappop(heap)
+            ordered.append(t)
+            continue
+        nearest = min(-key, *(_jaccard_distance(tokens[t], tokens[p]) for p in ordered[seen:]))
+        heapq.heapreplace(heap, (-nearest, t, len(ordered)))
     return ordered

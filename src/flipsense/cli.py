@@ -25,8 +25,16 @@ DEFAULT_ALPHA = 0.8
 MAX_ENTRIES = 10_000
 
 
-def _env_seed() -> int:
-    return int(os.environ.get("FLIPSENSE_SEED", "0"))
+def _seed(args) -> int:
+    """--seed, else FLIPSENSE_SEED, else 0; read only by a command that
+    draws, so a bad FLIPSENSE_SEED fails only where it would be used."""
+    if args.seed is not None:
+        return args.seed
+    text = os.environ.get("FLIPSENSE_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"FLIPSENSE_SEED must be an integer, got {text!r}") from None
 
 
 def _env_out() -> str:
@@ -124,7 +132,7 @@ def _method_config(method: str, args, score_mode: str = "sum") -> evaluate.Metho
         alpha=args.alpha if method == "ema" else None,
         d_mode=None if method == "random" else args.d_mode,
         score_mode=score_mode,
-        policy=baselines.RandomPolicy(seed=args.seed, runs=args.runs) if method == "random" else None,
+        policy=baselines.RandomPolicy(seed=_seed(args), runs=args.runs) if method == "random" else None,
     )
 
 
@@ -195,7 +203,7 @@ def cmd_replay(args) -> int:
     ledger = history.extract_flips(records)
     sizes = _parse_size_range(args.select)
     methods = _method_list(args.method)
-    if "random" in methods and args.runs > MAX_ENTRIES:  # a permutation per run, built up front
+    if "random" in methods and args.runs > MAX_ENTRIES:  # a drawn prefix per run, held up front
         raise ValueError(f"random selection takes at most {MAX_ENTRIES} runs, got {args.runs}")
 
     reports = {
@@ -297,7 +305,7 @@ def cmd_heatmap(args) -> int:
 
 def cmd_synth(args) -> int:
     config = synth.SynthConfig(
-        seed=args.seed,
+        seed=_seed(args),
         n_builds=args.builds,
         n_files=args.files,
         n_tests=args.tests,
@@ -442,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="history file, or - for stdin")
     p.add_argument("--method", default="ema", help="ema, cumulative, random, a comma list, or all")
     p.add_argument("--select", default="5..25", help="selection size n or range lo..hi")
-    p.add_argument("--seed", type=int, default=_env_seed())
+    p.add_argument("--seed", type=int, default=None, help="default: FLIPSENSE_SEED, else 0")
     p.add_argument("--runs", type=int, default=100, help="random-method averaging runs")
     p.add_argument("--baseline", default=None, help="baseline method for improvement summary")
     p.add_argument("--out", default=None, help="directory for figure tables and reports")
@@ -506,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_schedule_apply)
 
     p = sub.add_parser("synth", help="generate a deterministic synthetic history")
-    p.add_argument("--seed", type=int, default=_env_seed())
+    p.add_argument("--seed", type=int, default=None, help="default: FLIPSENSE_SEED, else 0")
     p.add_argument("--builds", type=int, default=50)
     p.add_argument("--files", type=int, default=200)
     p.add_argument("--tests", type=int, default=100)

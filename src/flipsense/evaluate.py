@@ -188,15 +188,25 @@ def _size_rows(seq: int, hits: list[list[int]], runs: int, m: int, length: int,
     ``length`` entries long), and a size-n selection's intersection is the
     count of positions under n. Each field is the mean over all ``runs`` in
     run order. A run that holds none may be left out of ``hits``: it adds 0
-    to every sum, so summing the other runs' terms gives the same bits."""
+    to every sum, so summing the other runs' terms gives the same bits.
+
+    A size where at most one run hits, as in a matrix method's single
+    ranking, takes that run's terms as its sums: a sum of one term is the
+    term, and of none is 0."""
     rows = []
     for n in sizes:
         k = min(n, length)
         inter = [i for i in map(bisect_left, hits, repeat(k)) if i]
-        metrics = {i: (i / k, i / m, f_measure(i / k, i / m)) for i in set(inter)}
-        p, r, f = zip(*map(metrics.__getitem__, inter)) if inter else ((), (), ())
-        rows.append(BuildMetrics(seq, k, m, sum(inter) / runs, sum(p) / runs, sum(r) / runs,
-                                 sum(f) / runs, (runs - len(inter)) / runs))
+        if len(inter) > 1:
+            metrics = {i: (i / k, i / m, f_measure(i / k, i / m)) for i in set(inter)}
+            p, r, f = map(sum, zip(*map(metrics.__getitem__, inter)))
+            i = sum(inter)
+        else:
+            i = inter[0] if inter else 0
+            p, r = i / k, i / m
+            f = f_measure(p, r)
+        rows.append(BuildMetrics(seq, k, m, i / runs, p / runs, r / runs, f / runs,
+                                 (runs - len(inter)) / runs))
     return rows
 
 
@@ -208,12 +218,13 @@ def replay_sizes(
 ) -> dict[int, EvalReport]:
     """Replay once, reporting every selection size from the same pass: each
     evaluated build ranks its largest size once (the random method's fixed
-    permutations, one per run, or a matrix method's single ranking), and a
-    size-n selection is each ranking's first n entries.
+    draws, one per run, or a matrix method's single ranking), and a size-n
+    selection is each ranking's first n entries.
 
-    The random method indexes, once per call, where each test stands in
-    every permutation's first ``max(sizes)`` entries, so a build reads only
-    the runs that hold one of its predictable tests.
+    The random method draws only the first ``max(sizes)`` entries of each
+    run's permutation, and indexes once per call where each test stands in
+    them, so a build reads only the runs that hold one of its predictable
+    tests.
     """
     if not sizes or any(n < 1 for n in sizes):
         raise ValueError(f"selection sizes must be >= 1, got {list(sizes)}")
@@ -230,7 +241,7 @@ def replay_sizes(
         # test -> (run, position) of every place it holds in a ranking
         places: dict[str, list[tuple[int, int]]] = {}
         for run in range(runs):
-            for pos, t in enumerate(shuffled_universe(pool, policy, run)[:largest]):
+            for pos, t in enumerate(shuffled_universe(pool, policy, run, largest)):
                 places.setdefault(t, []).append((run, pos))
         matrices = repeat(None)
     else:

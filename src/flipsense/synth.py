@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from typing import IO
 
-from .errors import ValidationError
+from .errors import ConfigError, ValidationError
 from .history import BuildRecord
 
 
@@ -32,6 +32,11 @@ class SynthConfig:
     flip_probability_hit: float = 0.7
     flip_probability_noise: float = 0.01
     initial_fail_fraction: float = 0.1
+
+    def __post_init__(self):
+        # random.Random seeds from |seed|, so -s would generate what s does
+        if self.seed < 0:
+            raise ConfigError(f"synth needs seed >= 0, got {self.seed}")
 
 
 def validate_config(config: SynthConfig) -> None:

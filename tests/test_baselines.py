@@ -2,11 +2,14 @@
 scores, and dissimilarity ordering."""
 
 import math
+import random
+import types
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from flipsense import baselines
 from flipsense.baselines import (
     RandomPolicy,
     dissimilarity_order,
@@ -14,6 +17,7 @@ from flipsense.baselines import (
     identifier_tokens,
     shuffled_universe,
 )
+from flipsense.errors import ConfigError
 from flipsense.history import extract_flips
 
 from conftest import rec
@@ -40,6 +44,53 @@ class TestRandomSelect:
         small = shuffled_universe(universe, policy, 0)[:3]
         large = shuffled_universe(universe, policy, 0)[:7]
         assert large[:3] == small
+
+    @given(
+        st.sets(st.text(alphabet="abc", max_size=4), max_size=12),
+        st.integers(min_value=0, max_value=50),
+        st.integers(min_value=1, max_value=8).flatmap(
+            lambda runs: st.tuples(st.just(runs), st.integers(min_value=0, max_value=runs - 1))),
+        st.integers(min_value=0, max_value=15),
+        st.integers(min_value=0, max_value=15),
+    )
+    @settings(max_examples=150)
+    def test_shorter_length_is_a_prefix(self, universe, seed, runs_and_run, a, b):
+        runs, run = runs_and_run
+        policy = RandomPolicy(seed=seed, runs=runs)
+        short, long = sorted((a, b))
+        whole = shuffled_universe(universe, policy, run)
+        assert sorted(whole) == sorted(universe)
+        prefix = shuffled_universe(universe, policy, run, short)
+        assert len(prefix) == min(short, len(universe))
+        assert shuffled_universe(universe, policy, run, long)[:len(prefix)] == prefix
+        assert whole[:len(prefix)] == prefix
+
+    def test_a_prefix_draws_only_its_positions(self, monkeypatch):
+        calls = {"randrange": 0, "_randbelow": 0}
+
+        class CountingRandom(random.Random):
+            def randrange(self, *args):
+                calls["randrange"] += 1
+                return super().randrange(*args)
+
+            def _randbelow(self, n):
+                calls["_randbelow"] += 1
+                return super()._randbelow(n)
+
+        monkeypatch.setattr(baselines, "random", types.SimpleNamespace(Random=CountingRandom))
+        universe = [f"t{i:04d}" for i in range(1000)]
+        picked = shuffled_universe(universe, RandomPolicy(seed=3, runs=1), 0, 25)
+        assert len(set(picked)) == 25
+        assert calls == {"randrange": 25, "_randbelow": 25}
+
+    def test_negative_length(self):
+        with pytest.raises(ValueError, match="length must be >= 0"):
+            shuffled_universe({"a"}, RandomPolicy(seed=1, runs=1), 0, -1)
+
+    def test_negative_seed(self):
+        # random.Random(-1) draws what random.Random(1) draws
+        with pytest.raises(ConfigError, match="seed >= 0, got -1"):
+            RandomPolicy(seed=-1)
 
     def test_two_element_frequency(self):
         # binomial bound: 10000 draws of n=1 from {a,b}, freq(a) in 0.5 +- 0.02
@@ -103,6 +154,26 @@ class TestHbtpScores:
             hbtp_scores(records, ledger, 9)
         with pytest.raises(ValueError):
             hbtp_scores(records, ledger, -1)
+
+
+def quadratic_dissimilarity_order(candidates, already_chosen=(), limit=None):
+    """The plain greedy: after every pick, lower each remaining
+    candidate's nearest distance and take the largest, ties by id."""
+    remaining = sorted(set(candidates))
+    tokens = {t: identifier_tokens(t) for t in remaining}
+    chosen = [identifier_tokens(t) for t in already_chosen]
+    nearest = {
+        t: min((baselines._jaccard_distance(tokens[t], c) for c in chosen), default=math.inf)
+        for t in remaining
+    }
+    ordered = []
+    while remaining and len(ordered) != limit:
+        best = max(remaining, key=nearest.__getitem__)
+        ordered.append(best)
+        remaining.remove(best)
+        for t in remaining:
+            nearest[t] = min(nearest[t], baselines._jaccard_distance(tokens[t], tokens[best]))
+    return ordered
 
 
 class TestDissimilarityOrder:
@@ -183,3 +254,13 @@ class TestDissimilarityOrder:
     def test_limited_order_is_a_prefix(self, candidates, already_chosen, limit):
         full = dissimilarity_order(candidates, already_chosen)
         assert dissimilarity_order(candidates, already_chosen, limit=limit) == full[:limit]
+
+    @given(
+        st.sets(st.text(alphabet="abc_/", min_size=1, max_size=8), min_size=1, max_size=25),
+        st.lists(st.text(alphabet="abc_/", max_size=8), max_size=4),
+        st.one_of(st.none(), st.integers(min_value=0, max_value=30)),
+    )
+    @settings(max_examples=200)
+    def test_lazy_greedy_matches_the_quadratic_one(self, candidates, already_chosen, limit):
+        assert dissimilarity_order(candidates, already_chosen, limit) == \
+            quadratic_dissimilarity_order(candidates, already_chosen, limit)

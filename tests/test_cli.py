@@ -819,15 +819,15 @@ class TestPinnedOutputs:
         out = root / "figs"
         assert _stdout_md5(["replay", "--input", path, "--method", "all", "--alpha", "0.3",
                             "--runs", "20", "--format", "machine", "--out", str(out)]) \
-            == "e24c84f517de7c53a89487471deb50ca"
+            == "7b20fbcf551646c8437d952b0c1c9b67"
         files = {p.name: hashlib.md5(p.read_bytes()).hexdigest() for p in out.iterdir()}
         assert files == {
-            "f_measure.csv": "a6d49ae4e9be4ff1db94162f19fef46a",
-            "improvement.json": "3edf56b27fe6e06df9a8b0ab0b36f4ba",
-            "precision.csv": "e61b9da32a2df0f4dc9dd57835c485de",
-            "recall.csv": "5686d9067aac23ce2e0f7b16512bbc21",
-            "reports.json": "9a89ab4fb2b659482022778ca74b1822",
-            "zero_pct.csv": "46378769017a6b84553f6c3278a7d1a3",
+            "f_measure.csv": "c142cb6cd47753a11aeba369d20fa61a",
+            "improvement.json": "8a7161caa7a726acce541845edf37c92",
+            "precision.csv": "554c51f5f5cef39fc4dd21c155cf0bf5",
+            "recall.csv": "e515e08c681c4d768c5df21a1760612e",
+            "reports.json": "865e92229103a2e570d694389054ecf7",
+            "zero_pct.csv": "6350ba852247e8b0260ad875152f233a",
         }
 
     @pytest.mark.parametrize("argv, digest", [
@@ -838,7 +838,7 @@ class TestPinnedOutputs:
         (["replay", "--input", "{history}", "--method", "cumulative", "--score-mode", "max",
           "--format", "machine"], "be48c83f38739d3441837dca5a271f6c"),
         (["replay", "--input", "{history}", "--method", "random", "--format", "machine"],
-         "2fd03d1904bd34e7782892109b10cac9"),
+         "9449dd20bc7a332746fa6490b8c8b1db"),
         (["ingest", "{history}"], "65e68cc8b36a6cc1b065449b07c9a809"),
         (["ingest", "{history}", "--format", "machine"], "4c2139febaf3b741c8c5e0eb139f0305"),
     ], ids=["sweep-alpha", "prioritise", "replay-cumulative-max", "replay-random", "ingest",

@@ -168,6 +168,7 @@ def invocations(draw, command: str):
 @given(data=st.data())
 def test_fuzz_every_subcommand(command, data):
     argv, texts, stdin = data.draw(invocations(command))
+    env_seed = data.draw(_mostly(["0", "5"], ["-3", "x", "1.5", ""]))
     with tempfile.TemporaryDirectory() as tmp:
         paths = {"missing": os.path.join(tmp, "missing", "file"), "dir": tmp,
                  "outdir": os.path.join(tmp, "out"), "outfile": os.path.join(tmp, "out.txt")}
@@ -178,7 +179,8 @@ def test_fuzz_every_subcommand(command, data):
         filled = [a.format(**paths) for a in argv]
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
-                mock.patch("sys.stdin", io.StringIO(stdin)):
+                mock.patch("sys.stdin", io.StringIO(stdin)), \
+                mock.patch.dict(os.environ, {"FLIPSENSE_SEED": env_seed}):
             try:
                 code = main(filled)
             except SystemExit as exc:  # argparse rejects a flag value
@@ -187,3 +189,25 @@ def test_fuzz_every_subcommand(command, data):
         assert "Traceback" not in err.getvalue()
         if code:
             assert err.getvalue().count("error:") == 1, (filled, err.getvalue())
+
+
+@pytest.mark.parametrize("env_seed, argv, code, err", [
+    ("abc", ["synth", "--seed", "3", "--builds", "2"], 0, ""),
+    ("abc", ["replay", "--method", "ema"], 0, ""),
+    ("abc", ["synth", "--builds", "2"], 2, "error: FLIPSENSE_SEED must be an integer, got 'abc'\n"),
+    ("abc", ["replay", "--method", "random"], 2,
+     "error: FLIPSENSE_SEED must be an integer, got 'abc'\n"),
+    ("-3", ["synth", "--builds", "2"], 2, "error: synth needs seed >= 0, got -3\n"),
+    ("3", ["synth", "--seed", "-3", "--builds", "2"], 2, "error: synth needs seed >= 0, got -3\n"),
+    ("3", ["replay", "--method", "random", "--seed", "-1"], 2,
+     "error: random selection needs seed >= 0, got -1\n"),
+    ("-1", ["replay", "--method", "random"], 2, "error: random selection needs seed >= 0, got -1\n"),
+])
+def test_seed_from_flag_or_environment(tmp_path, monkeypatch, capsys, env_seed, argv, code, err):
+    # the environment is read only when no --seed is given and a seed is drawn
+    path = tmp_path / "history.jsonl"
+    assert main(["synth", "--seed", "1", "--builds", "4", "--out", str(path)]) == 0
+    monkeypatch.setenv("FLIPSENSE_SEED", env_seed)
+    tail = ["--out", str(tmp_path / "out.jsonl")] if argv[0] == "synth" else ["--input", str(path)]
+    assert main(argv + tail) == code
+    assert capsys.readouterr().err == err

@@ -4,7 +4,7 @@ import io
 
 import pytest
 
-from flipsense.errors import ValidationError
+from flipsense.errors import ConfigError, ValidationError
 from flipsense.history import extract_flips, ingest_history, summarise, write_history
 from flipsense.synth import SynthConfig, generate, validate_config
 
@@ -32,6 +32,11 @@ class TestConfigValidation:
     def test_zero_counts(self):
         with pytest.raises(ValidationError):
             validate_config(small(n_tests=0))
+
+    def test_negative_seed(self):
+        # random.Random(-3) draws what random.Random(3) draws
+        with pytest.raises(ConfigError, match="seed >= 0, got -3"):
+            small(seed=-3)
 
 
 class TestDynamics:
