@@ -54,15 +54,25 @@ def shuffled_universe(
         raise ValueError(f"run_index {run_index} outside 0..{policy.runs - 1}")
     if length is not None and length < 0:
         raise ValueError(f"length must be >= 0, got {length}")
-    pool = sorted(universe)
+    return _draw(sorted(universe), policy, run_index, length)
+
+
+def _draw(
+    pool: Sequence[str], policy: RandomPolicy, run_index: int, length: int | None
+) -> list[str]:
+    """``shuffled_universe`` of an already sorted pool, which is only read:
+    the shuffle's swaps live in a map of the positions they moved, so a run
+    costs its length, not a copy of the pool."""
     n = len(pool)
     length = n if length is None else min(length, n)
     rng = random.Random(policy.seed * (1 << 20) + run_index)
+    moved: dict[int, int] = {}  # position -> the pool index now there, if swapped
+    drawn = []
     for i in range(length):
         j = rng.randrange(i, n)
-        pool[i], pool[j] = pool[j], pool[i]
-    del pool[length:]
-    return pool
+        drawn.append(pool[moved.get(j, j)])
+        moved[j] = moved.get(i, i)
+    return drawn
 
 
 def hbtp_scores(

@@ -22,7 +22,8 @@ from dataclasses import dataclass, fields
 from itertools import repeat
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .baselines import RandomPolicy, shuffled_universe
+# shuffled_universe stays importable here for code that wraps it by this name
+from .baselines import RandomPolicy, _draw, shuffled_universe  # noqa: F401
 from .errors import ConfigError, UndefinedMetricError, ValidationError
 from .history import BuildRecord, FlipLedger
 from .sensitivity import SensitivityMatrix, advance, build_delta, empty_matrix, select_top_n, slice_scores
@@ -221,8 +222,8 @@ def replay_sizes(
     draws, one per run, or a matrix method's single ranking), and a size-n
     selection is each ranking's first n entries.
 
-    The random method draws only the first ``max(sizes)`` entries of each
-    run's permutation, and indexes once per call where each test stands in
+    The random method sorts the universe once and draws only the first
+    ``max(sizes)`` entries of each run's permutation of it, and indexes once per call where each test stands in
     them, so a build reads only the runs that hold one of its predictable
     tests.
     """
@@ -235,13 +236,12 @@ def replay_sizes(
     length = min(largest, len(universe))
     rows: dict[int, list[BuildMetrics]] = {n: [] for n in sizes}
     if config.method == "random":
-        # sorted once: shuffled_universe sorts a sorted list in linear time
         policy, pool = config.policy, sorted(universe)
         runs = policy.runs
         # test -> (run, position) of every place it holds in a ranking
         places: dict[str, list[tuple[int, int]]] = {}
         for run in range(runs):
-            for pos, t in enumerate(shuffled_universe(pool, policy, run, largest)):
+            for pos, t in enumerate(_draw(pool, policy, run, largest)):
                 places.setdefault(t, []).append((run, pos))
         matrices = repeat(None)
     else:

@@ -18,11 +18,14 @@ tests that ran without flipping.
 The EMA fold is lazy: ``cols`` holds every entry divided by one running
 ``scale``, so a build decays the whole matrix with one multiply and costs
 only its own credits, and pruning keeps one heap record per column a build
-extends, not one per entry. ``advance`` therefore updates its matrix in
-place; every other operation returns a new object and leaves its inputs
-alone, except that ``slice_scores`` fills in the matrix's derived row index
-(file -> tests), the one cache an operation builds, which ``advance`` then
-keeps current.
+extends, not one per entry. A build's credits are one block, and its
+delta gives every flipped test that block as one shared, read-only column,
+so a build costs one scaled copy of the block plus a C-level update of
+each column it reaches.
+``advance`` therefore updates its matrix in place; every other operation
+returns a new object and leaves its inputs alone, except that
+``slice_scores`` fills in the matrix's derived row index (file -> tests),
+the one cache an operation builds, which ``advance`` then keeps current.
 """
 
 from __future__ import annotations
@@ -178,16 +181,17 @@ def build_delta(
     changed_files: Iterable[str], flipped: Iterable[str], d_mode: str = "linear"
 ) -> SensitivityMatrix:
     """Per-build credit matrix: (f, t) = 1/d(|changed|) for every changed file
-    f and flipped test t; empty when either set is empty."""
+    f and flipped test t; empty when either set is empty.
+
+    The credits are one block, so every flipped test's column is the same
+    dict: a delta is read-only, and ``advance`` folds the block once."""
     if d_mode not in D_MODES:
         raise ConfigError(f"unknown d_mode {d_mode!r}")
     changed = frozenset(changed_files)
     flipped_set = frozenset(flipped)
     cols: dict[str, dict[str, float]] = {}
     if changed and flipped_set:
-        value = 1.0 / _d(d_mode, len(changed))
-        for t in flipped_set:
-            cols[t] = dict.fromkeys(changed, value)
+        cols = dict.fromkeys(flipped_set, dict.fromkeys(changed, 1.0 / _d(d_mode, len(changed))))
     return SensitivityMatrix(
         cols=cols, files=changed, tests=flipped_set, d_mode=d_mode
     )
@@ -204,13 +208,16 @@ def _true_cols(matrix: SensitivityMatrix) -> dict[str, dict[str, float]]:
 def advance(matrix: SensitivityMatrix, delta: SensitivityMatrix) -> SensitivityMatrix:
     """Fold one build's delta into the matrix in place and return it,
     M = weight * delta + keep * M: (alpha, 1 - alpha) blends an EMA, (1, 1)
-    is a plain sum.
+    is a plain sum. The delta is only read; a bare delta (update_mode None)
+    is no base for a fold and raises ConfigError.
 
     Decay multiplies ``scale`` by keep, and each delta entry adds
-    weight * v / scale to its stored value, so a build costs O(|delta|):
-    the entries a column lacks arrive in one ``dict.update`` of their
-    weight * v / scale, and only the entries it holds take an add and a
-    threshold test each.
+    weight * v / scale to its stored value, so a build costs O(|delta|).
+    Each distinct delta column (``build_delta`` shares one among all its
+    tests) is scaled once, to weight * v / scale; a column holding none of
+    its files takes that copy in one ``dict.update``, and each file's row
+    index is extended once by every such test. Only the entries a column
+    already holds take an add and a threshold test each.
 
     Afterwards no entry whose true value is below ``drop_threshold`` (or 0)
     remains. The EMA entries a column gains in a build wait on a min-heap
@@ -221,6 +228,8 @@ def advance(matrix: SensitivityMatrix, delta: SensitivityMatrix) -> SensitivityM
     deletes its members now below it and is pushed again, keyed by its
     survivors' lowest value.
     """
+    if matrix.update_mode is None:
+        raise ConfigError("cannot fold into a bare per-build delta; start from empty_matrix")
     if matrix.d_mode != delta.d_mode:
         raise ConfigError(
             f"d_mode mismatch: matrix is {matrix.d_mode!r}, delta is {delta.d_mode!r}"
@@ -247,33 +256,43 @@ def advance(matrix: SensitivityMatrix, delta: SensitivityMatrix) -> SensitivityM
 
     if weight:
         w = weight / scale
+        last, group, taken = None, (), []  # taken: the tests that took all of group
         for t, dcol in delta.cols.items():
+            if dcol is not last:
+                _extend_rows(rows, group, taken)
+                last, taken = dcol, []
+                fresh = {f: w * v for f, v in dcol.items()}
+                low = min(fresh.values(), default=0.0)
+                if heap is None and not (low and low * scale >= threshold):  # nothing prunes them later
+                    fresh = {f: s for f, s in fresh.items() if s and s * scale >= threshold}
+                group = tuple(fresh)
             col = cols.setdefault(t, {})
-            if col.keys().isdisjoint(dcol):
-                held, new = (), {f: w * v for f, v in dcol.items()}
+            if col.keys().isdisjoint(dcol):  # the column takes the whole block
+                if group:
+                    col.update(fresh)
+                    if heap is not None:
+                        heapq.heappush(heap, (low, t, group))
+                    taken.append(t)
             else:
-                held = [f for f in dcol if f in col]
-                new = {f: w * v for f, v in dcol.items() if f not in col}
-            for f in held:
-                stored = col[f] + w * dcol[f]
-                if stored and stored * scale >= threshold:
-                    col[f] = stored
-                else:
-                    del col[f]
-                    if rows is not None:
-                        _unindex(rows, f, t)
-            if new:
-                low = min(new.values())
-                if heap is not None:
-                    heapq.heappush(heap, (low, t, tuple(new)))
-                elif not (low and low * scale >= threshold):  # nothing prunes them later
-                    new = {f: s for f, s in new.items() if s and s * scale >= threshold}
-                col.update(new)
-                if rows is not None:  # index the entries this build creates
-                    for f in new:
-                        rows.setdefault(f, []).append(t)
+                new = {f: s for f, s in fresh.items() if f not in col}
+                for f in [f for f in dcol if f in col]:
+                    stored = col[f] + w * dcol[f]
+                    if stored and stored * scale >= threshold:
+                        col[f] = stored
+                    else:
+                        del col[f]
+                        if rows is not None:
+                            _unindex(rows, f, t)
+                if new:
+                    if heap is not None:
+                        heapq.heappush(heap, (min(new.values()), t, tuple(new)))
+                    col.update(new)
+                    if rows is not None:  # index the entries this build creates
+                        for f in new:
+                            rows.setdefault(f, []).append(t)
             if not col:
                 del cols[t]
+        _extend_rows(rows, group, taken)
     while heap and heap[0][0] * scale < threshold:
         _, t, group = heapq.heappop(heap)
         col = cols.get(t)
@@ -301,6 +320,13 @@ def advance(matrix: SensitivityMatrix, delta: SensitivityMatrix) -> SensitivityM
         matrix.tests = matrix.tests | delta.tests
     matrix.last_seq += 1
     return matrix
+
+
+def _extend_rows(rows: dict[str, list[str]] | None, files: tuple[str, ...], tests: list[str]) -> None:
+    """Add the tests to each file's row, when the index is built."""
+    if rows is not None and tests:
+        for f in files:
+            rows.setdefault(f, []).extend(tests)
 
 
 def _unindex(rows: dict[str, list[str]], f: str, t: str) -> None:

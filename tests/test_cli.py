@@ -211,7 +211,7 @@ class TestReplay:
         def no_permutations(*args):
             raise AssertionError("a permutation was built")
 
-        monkeypatch.setattr(evaluate, "shuffled_universe", no_permutations)
+        monkeypatch.setattr(evaluate, "_draw", no_permutations)
         assert main(["replay", "--input", str(history_file), "--method", "ema,random",
                      "--runs", "10001"]) == 2
         err = capsys.readouterr().err

@@ -92,6 +92,19 @@ class TestBuildDelta:
         delta = build_delta({"f1"}, set(), "linear")
         assert delta.files == {"f1"} and delta.tests == frozenset()
 
+    @pytest.mark.parametrize("update_mode, alpha", [("ema", 0.5), ("cumulative", None)])
+    def test_advance_leaves_the_shared_column_alone(self, update_mode, alpha):
+        delta = build_delta({"f1", "f2"}, {"t1", "t2", "t3"}, "linear")
+        shared = delta.cols["t1"]
+        assert all(col is shared for col in delta.cols.values())
+        m = empty_matrix(alpha=alpha, update_mode=update_mode)
+        advance(m, build_delta({"f1"}, {"t1"}, "linear"))  # t1 then holds part of the block
+        slice_scores(m, {"f1"})  # build the row index, which advance extends
+        advance(m, delta)
+        advance(m, delta)
+        assert shared == {"f1": 0.5, "f2": 0.5}
+        assert all(col is not shared for col in m.cols.values())
+
 
 class TestAdvance:
     def test_alpha_one_equals_delta(self):
@@ -118,6 +131,13 @@ class TestAdvance:
         out = advance(m, delta)
         assert out.entry("f1", "t1") == pytest.approx(0.3, abs=1e-15)
         assert out.last_seq == 4
+
+    def test_a_bare_delta_is_no_base(self):
+        base = build_delta({"f1"}, {"t1", "t2"}, "linear")
+        with pytest.raises(ConfigError, match="bare per-build delta") as info:
+            advance(base, build_delta({"f2"}, {"t1"}, "linear"))
+        assert "\n" not in str(info.value)
+        assert base.cols == {"t1": {"f1": 1.0}, "t2": {"f1": 1.0}}
 
     def test_d_mode_mismatch(self):
         m = empty_matrix(alpha=0.5, d_mode="linear")
@@ -362,6 +382,36 @@ class TestHandBuiltAdvance:
         assert true_entries(m) == {("t0", "f1"): (0.5).hex(), ("t2", "f1"): (0.25).hex()}
         assert sorted((t, sorted(group)) for _, t, group in m._heap) == \
             [("t0", ["f1"]), ("t2", ["f1"])]
+
+
+class TestSharedBlock:
+    """A build_delta's columns are one shared dict, folded once per build;
+    folding the same credits with a dict per column, as a hand-built delta
+    has, gives the same matrix bit for bit."""
+
+    @given(_builds, _update_settings, st.sampled_from([0.0, 1e-12, 0.3]))
+    @settings(max_examples=200, deadline=None)
+    # build 2 credits t0, which holds f0 from build 1, and t1, which holds none
+    @example(deltas=[(frozenset({"f0"}), frozenset({"t0"})),
+                     (frozenset({"f0", "f1"}), frozenset({"t0", "t1"})),
+                     (frozenset({"f1", "f2", "f3"}), frozenset({"t0", "t1", "t2"}))],
+             update=("ema", 0.5), threshold=0.3)
+    def test_shared_block_folds_as_copies(self, deltas, update, threshold):
+        update_mode, alpha = update
+        shared, copied = (empty_matrix(alpha=alpha, update_mode=update_mode,
+                                       drop_threshold=threshold) for _ in range(2))
+        queries = [{"f0", "f2", "f5"}, {"f1", "g"}]
+        assert_index_current(shared, queries)
+        assert_index_current(copied, queries)
+        for changed, flipped in deltas:
+            block = build_delta(changed, flipped, "linear")
+            advance(shared, block)
+            advance(copied, replace(block, cols={t: dict(col) for t, col in block.cols.items()}))
+            assert true_entries(shared) == true_entries(copied)
+            assert (shared.files, shared.tests, shared.last_seq) == \
+                (copied.files, copied.tests, copied.last_seq)
+            assert_index_current(shared, queries)
+            assert_index_current(copied, queries)
 
 
 def transposed(matrix):
