@@ -55,7 +55,6 @@ from .sensitivity import (
     incremental_observe,
     select_top_n,
     slice_scores,
-    top_files_for_test,
 )
 from .synth import SynthConfig, generate
 

@@ -19,7 +19,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, fields
+from functools import reduce
 from itertools import repeat
+from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence
 
 # shuffled_universe stays importable here for code that wraps it by this name
@@ -142,7 +144,8 @@ class EvalReport:
 
 
 def _mean(values: Sequence[float]) -> float:
-    return sum(values) / len(values)
+    """The mean, added left to right."""
+    return reduce(add, values, 0) / len(values)
 
 
 def _finish_report(config: MethodConfig, n: int, rows: list[BuildMetrics]) -> EvalReport:
@@ -187,27 +190,23 @@ def _size_rows(seq: int, hits: list[list[int]], runs: int, m: int, length: int,
     """One evaluated build at every size. ``hits`` lists, in run order, the
     sorted positions of the predictable tests in a run's ranking (each
     ``length`` entries long), and a size-n selection's intersection is the
-    count of positions under n. Each field is the mean over all ``runs`` in
-    run order. A run that holds none may be left out of ``hits``: it adds 0
-    to every sum, so summing the other runs' terms gives the same bits.
-
-    A size where at most one run hits, as in a matrix method's single
-    ranking, takes that run's terms as its sums: a sum of one term is the
-    term, and of none is 0."""
+    count of positions under n. Each field is the mean over all ``runs``,
+    added left to right in run order. A run that holds none may be left out
+    of ``hits``: it adds 0 to every total, so the other runs' terms give
+    the same bits."""
     rows = []
     for n in sizes:
         k = min(n, length)
-        inter = [i for i in map(bisect_left, hits, repeat(k)) if i]
-        if len(inter) > 1:
-            metrics = {i: (i / k, i / m, f_measure(i / k, i / m)) for i in set(inter)}
-            p, r, f = map(sum, zip(*map(metrics.__getitem__, inter)))
-            i = sum(inter)
-        else:
-            i = inter[0] if inter else 0
-            p, r = i / k, i / m
-            f = f_measure(p, r)
+        i = p = r = f = hitting = 0
+        for hit in map(bisect_left, hits, repeat(k)):
+            if hit:
+                i += hit
+                p += hit / k
+                r += hit / m
+                f += f_measure(hit / k, hit / m)
+                hitting += 1
         rows.append(BuildMetrics(seq, k, m, i / runs, p / runs, r / runs, f / runs,
-                                 (runs - len(inter)) / runs))
+                                 (runs - hitting) / runs))
     return rows
 
 
@@ -223,9 +222,9 @@ def replay_sizes(
     selection is each ranking's first n entries.
 
     The random method sorts the universe once and draws only the first
-    ``max(sizes)`` entries of each run's permutation of it, and indexes once per call where each test stands in
-    them, so a build reads only the runs that hold one of its predictable
-    tests.
+    ``max(sizes)`` entries of each run's permutation of it, and indexes
+    once per call where each test stands in them, so a build reads only
+    the runs that hold one of its predictable tests.
     """
     if not sizes or any(n < 1 for n in sizes):
         raise ValueError(f"selection sizes must be >= 1, got {list(sizes)}")

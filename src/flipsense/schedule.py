@@ -108,6 +108,8 @@ def select_stable(
         raise ValueError(f"budget must be >= 1, got {budget}")
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
+    if window_days < 1:
+        raise ValueError(f"window must be >= 1 day, got {window_days}")
     candidates = state.stable_tests()
     overdue = window_days if strategy == "round_robin" and budget < len(candidates) else 0
     tiers: dict[int, list[str]] = {}

@@ -18,10 +18,11 @@ tests that ran without flipping.
 The EMA fold is lazy: ``cols`` holds every entry divided by one running
 ``scale``, so a build decays the whole matrix with one multiply and costs
 only its own credits, and pruning keeps one heap record per column a build
-extends, not one per entry. A build's credits are one block, and its
-delta gives every flipped test that block as one shared, read-only column,
-so a build costs one scaled copy of the block plus a C-level update of
-each column it reaches.
+extends, not one per entry. A build's credits are one block, a frozen
+``Delta`` of its changed files, its flipped tests and the one value
+1/d(|changed|), so a build costs one scaled value and a C-level update of
+each column it reaches. Every score and mean is added left to right, so
+output bytes do not depend on the Python version's ``sum``.
 ``advance`` therefore updates its matrix in place; every other operation
 returns a new object and leaves its inputs alone, except that
 ``slice_scores`` fills in the matrix's derived row index (file -> tests),
@@ -36,6 +37,7 @@ import functools
 import heapq
 import json
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from typing import IO, AbstractSet, Iterable, Mapping
 
@@ -70,7 +72,7 @@ class SensitivityMatrix:
     files: frozenset[str]
     tests: frozenset[str]
     d_mode: str
-    update_mode: str | None = None  # None for bare per-build deltas
+    update_mode: str
     alpha: float | None = None      # ema mode only
     last_seq: int = 0
     drop_threshold: float = DEFAULT_DROP_THRESHOLD
@@ -85,6 +87,18 @@ class SensitivityMatrix:
 
     def entry(self, file_id: str, test_id: str) -> float:
         return self.cols.get(test_id, {}).get(file_id, 0.0) * self.scale
+
+
+@dataclass(frozen=True)
+class Delta:
+    """A build's credits as one block: ``value`` at every pair of a file in
+    ``files`` and a test in ``tests``. Both sets join a matrix's registry
+    when the block is folded, even if the other is empty."""
+
+    files: frozenset[str]
+    tests: frozenset[str]
+    value: float
+    d_mode: str
 
 
 @dataclass(frozen=True)
@@ -179,22 +193,13 @@ def _d(d_mode: str, n_changed: int) -> float:
 
 def build_delta(
     changed_files: Iterable[str], flipped: Iterable[str], d_mode: str = "linear"
-) -> SensitivityMatrix:
-    """Per-build credit matrix: (f, t) = 1/d(|changed|) for every changed file
-    f and flipped test t; empty when either set is empty.
-
-    The credits are one block, so every flipped test's column is the same
-    dict: a delta is read-only, and ``advance`` folds the block once."""
+) -> Delta:
+    """One build's credits: (f, t) = 1/d(|changed|) for every changed file f
+    and flipped test t, none when either set is empty."""
     if d_mode not in D_MODES:
         raise ConfigError(f"unknown d_mode {d_mode!r}")
     changed = frozenset(changed_files)
-    flipped_set = frozenset(flipped)
-    cols: dict[str, dict[str, float]] = {}
-    if changed and flipped_set:
-        cols = dict.fromkeys(flipped_set, dict.fromkeys(changed, 1.0 / _d(d_mode, len(changed))))
-    return SensitivityMatrix(
-        cols=cols, files=changed, tests=flipped_set, d_mode=d_mode
-    )
+    return Delta(changed, frozenset(flipped), 1.0 / _d(d_mode, len(changed) or 1), d_mode)
 
 
 def _true_cols(matrix: SensitivityMatrix) -> dict[str, dict[str, float]]:
@@ -205,19 +210,17 @@ def _true_cols(matrix: SensitivityMatrix) -> dict[str, dict[str, float]]:
     return {t: {f: v * s for f, v in col.items()} for t, col in matrix.cols.items()}
 
 
-def advance(matrix: SensitivityMatrix, delta: SensitivityMatrix) -> SensitivityMatrix:
-    """Fold one build's delta into the matrix in place and return it,
+def advance(matrix: SensitivityMatrix, delta: Delta) -> SensitivityMatrix:
+    """Fold one build's block into the matrix in place and return it,
     M = weight * delta + keep * M: (alpha, 1 - alpha) blends an EMA, (1, 1)
-    is a plain sum. The delta is only read; a bare delta (update_mode None)
-    is no base for a fold and raises ConfigError.
+    is a plain sum.
 
-    Decay multiplies ``scale`` by keep, and each delta entry adds
-    weight * v / scale to its stored value, so a build costs O(|delta|).
-    Each distinct delta column (``build_delta`` shares one among all its
-    tests) is scaled once, to weight * v / scale; a column holding none of
-    its files takes that copy in one ``dict.update``, and each file's row
-    index is extended once by every such test. Only the entries a column
-    already holds take an add and a threshold test each.
+    Decay multiplies ``scale`` by keep, and the block adds one stored value,
+    s = weight / scale * value, to each of its entries, so a build costs
+    O(|delta|). A column holding none of the block's files takes them all
+    in one ``dict.update``; only the entries a column already holds take an
+    add and a threshold test each. An entry the block creates under
+    ``drop_threshold`` is never stored.
 
     Afterwards no entry whose true value is below ``drop_threshold`` (or 0)
     remains. The EMA entries a column gains in a build wait on a min-heap
@@ -228,8 +231,6 @@ def advance(matrix: SensitivityMatrix, delta: SensitivityMatrix) -> SensitivityM
     deletes its members now below it and is pushed again, keyed by its
     survivors' lowest value.
     """
-    if matrix.update_mode is None:
-        raise ConfigError("cannot fold into a bare per-build delta; start from empty_matrix")
     if matrix.d_mode != delta.d_mode:
         raise ConfigError(
             f"d_mode mismatch: matrix is {matrix.d_mode!r}, delta is {delta.d_mode!r}"
@@ -254,45 +255,44 @@ def advance(matrix: SensitivityMatrix, delta: SensitivityMatrix) -> SensitivityM
             heapq.heapify(matrix._heap)
         heap = matrix._heap
 
-    if weight:
-        w = weight / scale
-        last, group, taken = None, (), []  # taken: the tests that took all of group
-        for t, dcol in delta.cols.items():
-            if dcol is not last:
-                _extend_rows(rows, group, taken)
-                last, taken = dcol, []
-                fresh = {f: w * v for f, v in dcol.items()}
-                low = min(fresh.values(), default=0.0)
-                if heap is None and not (low and low * scale >= threshold):  # nothing prunes them later
-                    fresh = {f: s for f, s in fresh.items() if s and s * scale >= threshold}
-                group = tuple(fresh)
+    s = weight / scale * delta.value
+    if s and delta.files:
+        fresh = s * scale >= threshold  # whether the block may create entries
+        files = tuple(delta.files)
+        block, taken = dict.fromkeys(files, s), []  # taken: the tests that took all of it
+        for t in delta.tests:
             col = cols.setdefault(t, {})
-            if col.keys().isdisjoint(dcol):  # the column takes the whole block
-                if group:
-                    col.update(fresh)
-                    if heap is not None:
-                        heapq.heappush(heap, (low, t, group))
+            if col.keys().isdisjoint(files):
+                if fresh:
+                    col.update(block)
                     taken.append(t)
+                    if heap is not None:
+                        heapq.heappush(heap, (s, t, files))
             else:
-                new = {f: s for f, s in fresh.items() if f not in col}
-                for f in [f for f in dcol if f in col]:
-                    stored = col[f] + w * dcol[f]
-                    if stored and stored * scale >= threshold:
+                created = []
+                for f in files:
+                    stored = col.get(f)
+                    if stored is None:
+                        if fresh:
+                            col[f] = s
+                            created.append(f)
+                    elif (stored := stored + s) * scale >= threshold:
                         col[f] = stored
                     else:
                         del col[f]
                         if rows is not None:
                             _unindex(rows, f, t)
-                if new:
+                if created:
                     if heap is not None:
-                        heapq.heappush(heap, (min(new.values()), t, tuple(new)))
-                    col.update(new)
-                    if rows is not None:  # index the entries this build creates
-                        for f in new:
+                        heapq.heappush(heap, (s, t, tuple(created)))
+                    if rows is not None:
+                        for f in created:
                             rows.setdefault(f, []).append(t)
             if not col:
                 del cols[t]
-        _extend_rows(rows, group, taken)
+        if rows is not None and taken:
+            for f in files:
+                rows.setdefault(f, []).extend(taken)
     while heap and heap[0][0] * scale < threshold:
         _, t, group = heapq.heappop(heap)
         col = cols.get(t)
@@ -320,13 +320,6 @@ def advance(matrix: SensitivityMatrix, delta: SensitivityMatrix) -> SensitivityM
         matrix.tests = matrix.tests | delta.tests
     matrix.last_seq += 1
     return matrix
-
-
-def _extend_rows(rows: dict[str, list[str]] | None, files: tuple[str, ...], tests: list[str]) -> None:
-    """Add the tests to each file's row, when the index is built."""
-    if rows is not None and tests:
-        for f in files:
-            rows.setdefault(f, []).extend(tests)
 
 
 def _unindex(rows: dict[str, list[str]], f: str, t: str) -> None:
@@ -367,11 +360,12 @@ def slice_scores(
 ) -> ScoreVector:
     """Score every known test against a change set.
 
-    Sum mode adds the changed files' entries per test column, in file id
-    order; max mode takes the largest, and either is scaled to a true value
-    with one multiply. Files the matrix has never seen contribute nothing,
-    and tests with no contribution score 0 (they stay rankable via
-    tie-break) without being stored.
+    Sum mode adds the changed files' entries per test column left to
+    right, in file id order, to one running total a test; max mode keeps
+    the largest, and either is scaled to a true value with one multiply.
+    Files the matrix has never seen contribute nothing, and tests with no
+    contribution score 0 (they stay rankable via tie-break) without being
+    stored.
 
     A query reads only the rows of the changed files: the first one
     transposes ``cols`` into the matrix's row index (file -> tests), which
@@ -379,21 +373,22 @@ def slice_scores(
     """
     if score_mode not in SCORE_MODES:
         raise ConfigError(f"unknown score_mode {score_mode!r}")
-    reduce = sum if score_mode == "sum" else max
+    add = operator.add if score_mode == "sum" else max
     cols, rows = matrix.cols, matrix._rows
     if rows is None:
         rows = matrix._rows = {}
         for t, col in cols.items():
             for f in col:
                 rows.setdefault(f, []).append(t)
-    hits: dict[str, list[float]] = {}
+    totals: dict[str, float] = {}
+    total = totals.get
     for f in sorted({f for f in changed_files if f in rows}):
         for t in rows[f]:
-            hits.setdefault(t, []).append(cols[t][f])
+            totals[t] = add(total(t, 0.0), cols[t][f])  # 0.0 + v and max(0.0, v) are v
     scale = matrix.scale
     positive = {}
-    for t, values in hits.items():
-        score = scale * reduce(values)
+    for t, value in totals.items():
+        score = scale * value
         if score > 0.0:  # else the product underflowed
             positive[t] = score
     return ScoreVector(positive, matrix.tests)
@@ -501,29 +496,19 @@ def incremental_apply(
     return new_matrix, PendingChanges(pending.clock, dict(pending.changed_at), last_run, last_verdict)
 
 
-def top_files_for_test(
-    matrix: SensitivityMatrix, test_id: str, k: int
-) -> list[tuple[str, float]]:
-    """The k largest entries in a test's column (entry desc, file id asc)."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    s = matrix.scale
-    col = matrix.cols.get(test_id, {})
-    ranked = sorted(((f, v * s) for f, v in col.items()), key=lambda item: (-item[1], item[0]))
-    return ranked[:k]
-
-
 def flakiness_index(matrix: SensitivityMatrix) -> list[tuple[str, float, float]]:
     """Per-test (coverage fraction, mean nonzero magnitude), widest first.
 
     A test touching most of the files with small values is sensitive to
     nearly any modification -- the classic smell of a flaky or bad test.
+    The mean adds a column's entries left to right, in file id order.
     """
     n_files = len(matrix.files)
     rows = []
     for t, col in matrix.cols.items():
         fraction = len(col) / n_files if n_files else 0.0
-        mean = sum(col.values()) * matrix.scale / len(col)
+        total = functools.reduce(operator.add, map(col.__getitem__, sorted(col)), 0.0)
+        mean = total * matrix.scale / len(col)
         rows.append((t, fraction, mean))
     rows.sort(key=lambda r: (-r[1], r[0]))
     return rows

@@ -26,6 +26,15 @@ def rec(seq: int, changes=(), results=None, build_id=None) -> BuildRecord:
     )
 
 
+def sum_left_to_right(values) -> float:
+    """A plain running sum from 0, the order the program adds its floats
+    in on every Python version (sum() is compensated from 3.12)."""
+    total = 0
+    for v in values:
+        total += v
+    return total
+
+
 def history_lines(builds) -> list[str]:
     """builds: list of (build_id, changes, results) triples."""
     return [

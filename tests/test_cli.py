@@ -309,6 +309,17 @@ class TestSchedule:
         assert main(["schedule", "cost", "--state", str(state), "--format", "machine"]) == 0
         assert json.loads(capsys.readouterr().out)["cost"] == 3  # three tests aged by one
 
+    def test_stable_rejects_a_window_under_one_day(self, history_file, tmp_path, capsys):
+        state = tmp_path / "state.json"
+        assert main(["schedule", "init", "--history", str(history_file), "--state", str(state)]) == 0
+        capsys.readouterr()
+        assert main(["schedule", "stable", "--state", str(state), "--budget", "3",
+                     "--window", "-5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "window" in captured.err
+
     def test_office_and_apply(self, history_file, changes_file, tmp_path, capsys):
         state = tmp_path / "state.json"
         matrix = tmp_path / "matrix.jsonl"

@@ -23,12 +23,13 @@ from flipsense.evaluate import (
     replay,
     replay_sizes,
     sweep_alpha,
+    _mean,
     _size_rows,
 )
 from flipsense.history import extract_flips
 from flipsense.synth import SynthConfig, generate
 
-from conftest import rec
+from conftest import rec, sum_left_to_right
 
 
 class TestMetrics:
@@ -49,6 +50,12 @@ class TestMetrics:
             precision(set(), {"a"})
         with pytest.raises(UndefinedMetricError):
             recall({"a"}, set())
+
+    def test_mean_adds_left_to_right(self):
+        # a compensated sum (math.fsum, or sum() from Python 3.12) gives
+        # 1.0000000000000002 and a mean of 0.3333333333333334
+        assert _mean([1.0, 1e-16, 1e-16]) == 1.0 / 3
+        assert _mean([1e-16, 1e-16, 1.0]) == 1.0000000000000002 / 3
 
     def test_f_measure_examples(self):
         assert f_measure(0.3, 0.3) == pytest.approx(0.3)
@@ -197,7 +204,7 @@ def _oracle_row(seq, selections, predictable):
     """One evaluated build by the set-intersection definition: every metric
     is the mean over the selections, in their order."""
     def mean(values):
-        return sum(values) / len(values)
+        return sum_left_to_right(values) / len(values)
 
     inter = [len(set(selected) & predictable) for selected in selections]
     p = [i / len(selected) for i, selected in zip(inter, selections)]

@@ -102,6 +102,11 @@ class TestSelectStable:
         with pytest.raises(ValueError):
             select_stable(state_of({"a": 1}), 0)
 
+    @pytest.mark.parametrize("window", [0, -5])
+    def test_invalid_window(self, window):
+        with pytest.raises(ValueError, match="window"):
+            select_stable(state_of({"a": 1, "b": 2}), 1, "round_robin", window_days=window)
+
     def test_greedy_matches_brute_force(self):
         rng = random.Random(13)
         for _ in range(80):

@@ -4,7 +4,7 @@ import io
 import json
 import math
 import random
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import hypothesis.strategies as st
 import pytest
@@ -17,6 +17,7 @@ from flipsense.sensitivity import (
     D_MODES,
     SCORE_MODES,
     UPDATE_MODES,
+    Delta,
     PendingChanges,
     ScoreVector,
     SensitivityMatrix,
@@ -33,10 +34,9 @@ from flipsense.sensitivity import (
     save_matrix,
     select_top_n,
     slice_scores,
-    top_files_for_test,
 )
 
-from conftest import histories
+from conftest import histories, sum_left_to_right
 
 
 def nnz(matrix):
@@ -74,19 +74,21 @@ class TestEmptyMatrix:
 
 class TestBuildDelta:
     def test_linear_split(self):
-        delta = build_delta({"f1", "f2"}, {"t3"}, "linear")
-        assert delta.entry("f1", "t3") == 0.5
-        assert delta.entry("f2", "t3") == 0.5
-        assert nnz(delta) == 2
+        assert build_delta({"f1", "f2"}, {"t3"}, "linear") == \
+            Delta(frozenset({"f1", "f2"}), frozenset({"t3"}), 0.5, "linear")
 
     def test_empty_sets_give_empty_delta(self):
-        assert nnz(build_delta(set(), {"t1"}, "linear")) == 0
-        assert nnz(build_delta({"f1"}, set(), "linear")) == 0
+        for changed, flipped in [(set(), {"t1"}), ({"f1"}, set())]:
+            m = advance(empty_matrix(alpha=0.5), build_delta(changed, flipped, "linear"))
+            assert nnz(m) == 0
+            assert (m.files, m.tests) == (frozenset(changed), frozenset(flipped))
 
     def test_constant_mode_all_ones(self):
         delta = build_delta({"f1", "f2", "f3"}, {"t1", "t2"}, "constant")
-        assert nnz(delta) == 6
-        assert all(v == 1.0 for col in delta.cols.values() for v in col.values())
+        assert delta.value == 1.0
+        m = advance(empty_matrix(update_mode="cumulative", d_mode="constant"), delta)
+        assert nnz(m) == 6
+        assert all(m.entry(f, t) == 1.0 for f in delta.files for t in delta.tests)
 
     def test_registers_files_and_tests(self):
         delta = build_delta({"f1"}, set(), "linear")
@@ -94,16 +96,31 @@ class TestBuildDelta:
 
     @pytest.mark.parametrize("update_mode, alpha", [("ema", 0.5), ("cumulative", None)])
     def test_advance_leaves_the_shared_column_alone(self, update_mode, alpha):
+        # one block lands in three columns, one of which already holds part of it
         delta = build_delta({"f1", "f2"}, {"t1", "t2", "t3"}, "linear")
-        shared = delta.cols["t1"]
-        assert all(col is shared for col in delta.cols.values())
         m = empty_matrix(alpha=alpha, update_mode=update_mode)
-        advance(m, build_delta({"f1"}, {"t1"}, "linear"))  # t1 then holds part of the block
+        advance(m, build_delta({"f1"}, {"t1"}, "linear"))
         slice_scores(m, {"f1"})  # build the row index, which advance extends
         advance(m, delta)
         advance(m, delta)
-        assert shared == {"f1": 0.5, "f2": 0.5}
-        assert all(col is not shared for col in m.cols.values())
+        assert delta == Delta(frozenset({"f1", "f2"}), frozenset({"t1", "t2", "t3"}), 0.5, "linear")
+        assert len({id(col) for col in m.cols.values()}) == 3
+        expected = {"ema": {("f1", "t1"): 0.5, ("f2", "t1"): 0.375},
+                    "cumulative": {("f1", "t1"): 2.0, ("f2", "t1"): 1.0}}[update_mode]
+        for t in ("t2", "t3"):
+            for f in ("f1", "f2"):
+                expected[(f, t)] = 0.375 if update_mode == "ema" else 1.0
+        assert {(f, t): m.entry(f, t) for f in ("f1", "f2") for t in ("t1", "t2", "t3")} == \
+            pytest.approx(expected, abs=1e-15)
+        assert sorted(slice_scores(m, {"f2"}).positive) == ["t1", "t2", "t3"]
+
+    def test_a_delta_refuses_assignment(self):
+        delta = build_delta({"f1", "f2"}, {"t1", "t2", "t3"}, "linear")
+        for name, value in [("value", 2.0), ("files", frozenset()), ("tests", frozenset()),
+                            ("d_mode", "constant")]:
+            with pytest.raises(FrozenInstanceError):
+                setattr(delta, name, value)
+        assert delta == Delta(frozenset({"f1", "f2"}), frozenset({"t1", "t2", "t3"}), 0.5, "linear")
 
 
 class TestAdvance:
@@ -131,13 +148,6 @@ class TestAdvance:
         out = advance(m, delta)
         assert out.entry("f1", "t1") == pytest.approx(0.3, abs=1e-15)
         assert out.last_seq == 4
-
-    def test_a_bare_delta_is_no_base(self):
-        base = build_delta({"f1"}, {"t1", "t2"}, "linear")
-        with pytest.raises(ConfigError, match="bare per-build delta") as info:
-            advance(base, build_delta({"f2"}, {"t1"}, "linear"))
-        assert "\n" not in str(info.value)
-        assert base.cols == {"t1": {"f1": 1.0}, "t2": {"f1": 1.0}}
 
     def test_d_mode_mismatch(self):
         m = empty_matrix(alpha=0.5, d_mode="linear")
@@ -206,14 +216,14 @@ class TestAdvance:
 def reference_fold(deltas, update_mode, alpha, d_mode, threshold, start=()):
     """The copy-per-build recursion: each build decays every entry by keep,
     adds its credits and drops entries below the threshold or at 0. A build
-    is a (changed, flipped) pair or a delta matrix of any values; ``start``
-    holds the first state's {(test, file): value}. Yields
-    {(test, file): value} after each build."""
+    is a (changed, flipped) pair or a Delta of any value; ``start`` holds
+    the first state's {(test, file): value}. Yields {(test, file): value}
+    after each build."""
     weight, keep = (alpha, 1.0 - alpha) if update_mode == "ema" else (1.0, 1.0)
     values = dict(start)
     for delta in deltas:
-        if isinstance(delta, SensitivityMatrix):
-            credits = {(t, f): v for t, col in delta.cols.items() for f, v in col.items()}
+        if isinstance(delta, Delta):
+            credits = {(t, f): delta.value for t in delta.tests for f in delta.files}
         else:
             changed, flipped = delta
             d = len(changed) if d_mode == "linear" else 1
@@ -302,21 +312,14 @@ class TestLazyEngine:
         assert set(m.cols["t1"]) == {"f2"} and m.entry("f2", "t1") == 0.125
 
 
-def hand_delta(cols):
-    """A delta matrix holding the given values, which need not be equal."""
-    return SensitivityMatrix(cols={t: dict(col) for t, col in cols.items()},
-                             files=frozenset().union(*cols.values()), tests=frozenset(cols),
-                             d_mode="linear")
-
-
 def true_entries(matrix):
     return {(t, f): matrix.entry(f, t).hex() for t, col in matrix.cols.items() for f in col}
 
 
 _values = st.sampled_from([0.1, 0.25, 1 / 3, 0.5, 0.6, 1.0, 2.0])
-_hand_cols = st.dictionaries(st.sampled_from(_TEST_POOL),
-                             st.dictionaries(st.sampled_from(_FILE_POOL), _values, min_size=1),
-                             max_size=3)
+# (files, tests, value) of a block built by hand, at any value
+_hand_blocks = st.tuples(st.frozensets(st.sampled_from(_FILE_POOL), max_size=4),
+                         st.frozensets(st.sampled_from(_TEST_POOL), max_size=3), _values)
 # keep = 1 - alpha is 0, 1 or a power of two, so the lazy scale and the
 # recursion's per-build decay round alike and true values agree bit for bit
 _exact_settings = st.one_of(
@@ -326,10 +329,10 @@ _exact_settings = st.one_of(
 
 
 class TestHandBuiltAdvance:
-    """advance on deltas of unequal values and on matrices it did not fold,
+    """advance on blocks of any value and on matrices it did not fold,
     against the recursion bit for bit, with the row index kept current."""
 
-    @given(st.lists(_hand_cols, max_size=30), _exact_settings,
+    @given(st.lists(_hand_blocks, max_size=30), _exact_settings,
            st.sampled_from([0.0, 1e-3, 0.1, 0.3]),
            # start values are at least every threshold, as after an advance
            st.dictionaries(st.sampled_from(_TEST_POOL),
@@ -340,11 +343,13 @@ class TestHandBuiltAdvance:
     @settings(max_examples=300, deadline=None)
     # (f0, t0) falls under 0.1 in build 2 and its group's pop finds (f1, t0)
     # re-credited since the push, which survives until build 4
-    @example(builds=[{"t0": {"f0": 0.25, "f1": 1.0}}, {"t0": {"f1": 0.25}}, {}, {}],
+    @example(builds=[({"f0", "f1"}, {"t0"}, 0.25), ({"f1"}, {"t0"}, 0.5), ((), (), 1.0),
+                     ((), (), 1.0)],
              update=("ema", 0.5), threshold=0.1, start={}, via_snapshot=False)
     # a loaded matrix: (f0, t0) is pruned from a column whose other entry
     # stays, t1's column empties, and t2's only credit starts under 0.3
-    @example(builds=[{}, {"t2": {"f0": 0.1}}, {}], update=("ema", 0.5), threshold=0.3,
+    @example(builds=[((), (), 1.0), ({"f0"}, {"t2"}, 0.1), ((), (), 1.0)],
+             update=("ema", 0.5), threshold=0.3,
              start={"t0": {"f0": 0.5, "f1": 2.0}, "t1": {"f2": 0.6}}, via_snapshot=True)
     def test_matches_recursion_bit_for_bit(self, builds, update, threshold, start, via_snapshot):
         update_mode, alpha = update
@@ -357,7 +362,8 @@ class TestHandBuiltAdvance:
             m = load_matrix(io.StringIO(buf.getvalue()))
         queries = [{"f0", "f2", "f5"}, {"f1", "g"}]
         assert_index_current(m, queries)
-        deltas = [hand_delta(cols) for cols in builds]
+        deltas = [Delta(frozenset(files), frozenset(tests), value, "linear")
+                  for files, tests, value in builds]
         begin = {(t, f): v for t, col in start.items() for f, v in col.items()}
         expected_states = reference_fold(deltas, update_mode, alpha, "linear", threshold, begin)
         for k, (delta, expected) in enumerate(zip(deltas, expected_states), 1):
@@ -375,43 +381,13 @@ class TestHandBuiltAdvance:
             files=frozenset({"f0", "f1", "f2", "f3"}), tests=frozenset({"t0", "t1", "t2"}),
             d_mode="linear", update_mode="ema", alpha=0.5, drop_threshold=0.2,
         )
-        advance(m, hand_delta({}))  # t1's record pops: f3 goes, f2 is pushed again alone
+        advance(m, build_delta(set(), set()))  # t1's record pops: f3 goes, f2 is pushed again alone
         assert sorted((t, sorted(group)) for _, t, group in m._heap) == \
             [("t0", ["f0", "f1"]), ("t1", ["f2"]), ("t2", ["f1"])]
-        advance(m, hand_delta({}))  # f0 goes from t0's record, and t1's column empties
+        advance(m, build_delta(set(), set()))  # f0 goes from t0's record, and t1's column empties
         assert true_entries(m) == {("t0", "f1"): (0.5).hex(), ("t2", "f1"): (0.25).hex()}
         assert sorted((t, sorted(group)) for _, t, group in m._heap) == \
             [("t0", ["f1"]), ("t2", ["f1"])]
-
-
-class TestSharedBlock:
-    """A build_delta's columns are one shared dict, folded once per build;
-    folding the same credits with a dict per column, as a hand-built delta
-    has, gives the same matrix bit for bit."""
-
-    @given(_builds, _update_settings, st.sampled_from([0.0, 1e-12, 0.3]))
-    @settings(max_examples=200, deadline=None)
-    # build 2 credits t0, which holds f0 from build 1, and t1, which holds none
-    @example(deltas=[(frozenset({"f0"}), frozenset({"t0"})),
-                     (frozenset({"f0", "f1"}), frozenset({"t0", "t1"})),
-                     (frozenset({"f1", "f2", "f3"}), frozenset({"t0", "t1", "t2"}))],
-             update=("ema", 0.5), threshold=0.3)
-    def test_shared_block_folds_as_copies(self, deltas, update, threshold):
-        update_mode, alpha = update
-        shared, copied = (empty_matrix(alpha=alpha, update_mode=update_mode,
-                                       drop_threshold=threshold) for _ in range(2))
-        queries = [{"f0", "f2", "f5"}, {"f1", "g"}]
-        assert_index_current(shared, queries)
-        assert_index_current(copied, queries)
-        for changed, flipped in deltas:
-            block = build_delta(changed, flipped, "linear")
-            advance(shared, block)
-            advance(copied, replace(block, cols={t: dict(col) for t, col in block.cols.items()}))
-            assert true_entries(shared) == true_entries(copied)
-            assert (shared.files, shared.tests, shared.last_seq) == \
-                (copied.files, copied.tests, copied.last_seq)
-            assert_index_current(shared, queries)
-            assert_index_current(copied, queries)
 
 
 def transposed(matrix):
@@ -511,6 +487,16 @@ class TestSliceScores:
         scores = slice_scores(self.matrix(), {"nope"}, "sum")
         assert scores.scores == {"t1": 0.0, "t2": 0.0}
 
+    def test_sum_adds_left_to_right_in_file_id_order(self):
+        # a compensated sum (math.fsum, or sum() from Python 3.12) gives
+        # 1.0000000000000002
+        col = {"f2": 1e-16, "f0": 1.0, "f1": 1e-16}
+        assert math.fsum(col.values()) == 1.0000000000000002
+        m = SensitivityMatrix(cols={"t1": col}, files=frozenset(col), tests=frozenset({"t1"}),
+                              d_mode="linear", update_mode="ema", alpha=0.8)
+        assert slice_scores(m, {"f2", "f1", "f0"}, "sum").positive == {"t1": 1.0}
+        assert flakiness_index(m) == [("t1", 1.0, 1.0 / 3)]
+
     def test_sum_is_additive_over_disjoint_change_sets(self):
         m = self.matrix()
         both = slice_scores(m, {"f1", "f2"}, "sum").scores
@@ -597,7 +583,7 @@ class TestScoringOracle:
         expected = {}
         for t in matrix.tests:
             hits = [matrix.entry(f, t) for f in sorted(changed)]
-            expected[t] = sum(hits) if mode == "sum" else max(hits, default=0.0)
+            expected[t] = sum_left_to_right(hits) if mode == "sum" else max(hits, default=0.0)
         scores = slice_scores(matrix, changed, mode)
         assert scores.scores == expected
         positive = sorted((t for t, v in expected.items() if v > 0.0), key=lambda t: (-expected[t], t))
@@ -769,21 +755,6 @@ class TestExports:
         export_heatmap(empty_matrix(alpha=0.5), hm, fl)
         assert hm.getvalue() == "file\n"
         assert fl.getvalue() == "test_id,fraction,mean_magnitude\n"
-
-    def test_top_files(self):
-        m = SensitivityMatrix(
-            cols={"t1": {"f1": 0.4, "f2": 0.1}}, files=frozenset({"f1", "f2"}),
-            tests=frozenset({"t1"}), d_mode="linear", update_mode="ema", alpha=0.8,
-        )
-        assert top_files_for_test(m, "t1", 1) == [("f1", 0.4)]
-        assert top_files_for_test(m, "zz", 3) == []
-
-    def test_top_files_tie_is_lexicographic(self):
-        m = SensitivityMatrix(
-            cols={"t1": {"fb": 0.2, "fa": 0.2}}, files=frozenset({"fa", "fb"}),
-            tests=frozenset({"t1"}), d_mode="linear", update_mode="ema", alpha=0.8,
-        )
-        assert top_files_for_test(m, "t1", 2) == [("fa", 0.2), ("fb", 0.2)]
 
     def test_snapshot_round_trip(self):
         ema = SensitivityMatrix(
