@@ -39,40 +39,35 @@ class RandomPolicy:
 
 
 def shuffled_universe(
-    universe: Iterable[str], policy: RandomPolicy, run_index: int, length: int | None = None
-) -> list[str]:
-    """The first ``length`` tests (all of them if None) of one deterministic
-    permutation of the universe per (seed, run_index): a uniform random
-    ordered selection of min(length, |universe|) tests.
+    universe: Iterable[str], policy: RandomPolicy, length: int | None = None
+) -> list[list[str]]:
+    """One list per run of the policy, in run order: the first ``length``
+    tests (all of them if None) of one deterministic permutation of the
+    universe per (seed, run), a uniform random ordered selection of
+    min(length, |universe|) tests.
 
     A forward partial Fisher-Yates shuffle (Knuth, Algorithm P) of the
-    sorted universe draws one position per test returned, and position i
-    depends only on draws 0..i, so a shorter length gives a prefix of a
-    longer one and the selections of one run are nested prefixes.
+    universe, sorted once and only read, draws one position per test
+    returned, and position i depends only on draws 0..i, so the selections
+    of one run are nested prefixes. A run's swaps live in a map of the
+    positions they moved, so a run costs its length.
     """
-    if not 0 <= run_index < policy.runs:
-        raise ValueError(f"run_index {run_index} outside 0..{policy.runs - 1}")
     if length is not None and length < 0:
         raise ValueError(f"length must be >= 0, got {length}")
-    return _draw(sorted(universe), policy, run_index, length)
-
-
-def _draw(
-    pool: Sequence[str], policy: RandomPolicy, run_index: int, length: int | None
-) -> list[str]:
-    """``shuffled_universe`` of an already sorted pool, which is only read:
-    the shuffle's swaps live in a map of the positions they moved, so a run
-    costs its length, not a copy of the pool."""
+    pool = sorted(universe)
     n = len(pool)
     length = n if length is None else min(length, n)
-    rng = random.Random(policy.seed * (1 << 20) + run_index)
-    moved: dict[int, int] = {}  # position -> the pool index now there, if swapped
-    drawn = []
-    for i in range(length):
-        j = rng.randrange(i, n)
-        drawn.append(pool[moved.get(j, j)])
-        moved[j] = moved.get(i, i)
-    return drawn
+    runs = []
+    for run in range(policy.runs):
+        rng = random.Random(policy.seed * (1 << 20) + run)
+        moved: dict[int, int] = {}  # position -> the pool index now there, if swapped
+        drawn = []
+        for i in range(length):
+            j = rng.randrange(i, n)
+            drawn.append(pool[moved.get(j, j)])
+            moved[j] = moved.get(i, i)
+        runs.append(drawn)
+    return runs
 
 
 def hbtp_scores(

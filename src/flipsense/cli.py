@@ -363,12 +363,13 @@ def cmd_schedule_office(args) -> int:
     records = _read_history(args.history)
     ledger = history.extract_flips(records)
     recency = baselines.hbtp_scores(records, ledger, len(records))
-    if args.observe:
-        state.pending = sensitivity.incremental_observe(state.pending, changed)
-        _write_atomic(args.state, schedule.save_state, state)
+    # select first, so that a rejected -k or -w records no change set
     selected = schedule.office_hours_tick(
         matrix, state.pending, changed, recency, args.k, w=args.weight, score_mode=args.score_mode
     )
+    if args.observe:
+        state.pending = sensitivity.incremental_observe(state.pending, changed)
+        _write_atomic(args.state, schedule.save_state, state)
     _emit(args, {"selected": selected}, selected)
     return 0
 

@@ -24,8 +24,7 @@ from itertools import repeat
 from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence
 
-# shuffled_universe stays importable here for code that wraps it by this name
-from .baselines import RandomPolicy, _draw, shuffled_universe  # noqa: F401
+from .baselines import RandomPolicy, shuffled_universe
 from .errors import ConfigError, UndefinedMetricError, ValidationError
 from .history import BuildRecord, FlipLedger
 from .sensitivity import SensitivityMatrix, advance, build_delta, empty_matrix, select_top_n, slice_scores
@@ -221,8 +220,8 @@ def replay_sizes(
     draws, one per run, or a matrix method's single ranking), and a size-n
     selection is each ranking's first n entries.
 
-    The random method sorts the universe once and draws only the first
-    ``max(sizes)`` entries of each run's permutation of it, and indexes
+    The random method draws only the first ``max(sizes)`` entries of each
+    run's permutation, in one ``shuffled_universe`` call, and indexes
     once per call where each test stands in them, so a build reads only
     the runs that hold one of its predictable tests.
     """
@@ -235,12 +234,11 @@ def replay_sizes(
     length = min(largest, len(universe))
     rows: dict[int, list[BuildMetrics]] = {n: [] for n in sizes}
     if config.method == "random":
-        policy, pool = config.policy, sorted(universe)
-        runs = policy.runs
+        runs = config.policy.runs
         # test -> (run, position) of every place it holds in a ranking
         places: dict[str, list[tuple[int, int]]] = {}
-        for run in range(runs):
-            for pos, t in enumerate(_draw(pool, policy, run, largest)):
+        for run, ranking in enumerate(shuffled_universe(universe, config.policy, largest)):
+            for pos, t in enumerate(ranking):
                 places.setdefault(t, []).append((run, pos))
         matrices = repeat(None)
     else:

@@ -18,7 +18,8 @@ tests that ran without flipping.
 The EMA fold is lazy: ``cols`` holds every entry divided by one running
 ``scale``, so a build decays the whole matrix with one multiply and costs
 only its own credits, and pruning keeps one heap record per column a build
-extends, not one per entry. A build's credits are one block, a frozen
+extends, not one per entry; that heap is the one place an entry whose true
+value is above 0 is deleted. A build's credits are one block, a frozen
 ``Delta`` of its changed files, its flipped tests and the one value
 1/d(|changed|), so a build costs one scaled value and a C-level update of
 each column it reaches. Every score and mean is added left to right, so
@@ -78,8 +79,8 @@ class SensitivityMatrix:
     drop_threshold: float = DEFAULT_DROP_THRESHOLD
     scale: float = 1.0
     # min-heap of (lowest stored, test, files) records, one per group of EMA
-    # entries that decay towards drop_threshold; None until advance next
-    # needs it
+    # entries that decay towards drop_threshold, each entry in one; None
+    # until advance next needs it
     _heap: list | None = field(default=None, init=False, repr=False, compare=False)
     # file -> the tests whose column holds it: the transposition of cols,
     # built by slice_scores, kept current by advance and never saved
@@ -215,19 +216,20 @@ def advance(matrix: SensitivityMatrix, delta: Delta) -> SensitivityMatrix:
     M = weight * delta + keep * M: (alpha, 1 - alpha) blends an EMA, (1, 1)
     is a plain sum.
 
-    Decay multiplies ``scale`` by keep, and the block adds one stored value,
-    s = weight / scale * value, to each of its entries, so a build costs
-    O(|delta|). A column holding none of the block's files takes them all
-    in one ``dict.update``; only the entries a column already holds take an
-    add and a threshold test each. An entry the block creates under
-    ``drop_threshold`` is never stored.
+    Decay multiplies ``scale`` by keep (at keep 0 that is 0, and the
+    renormalisation empties the matrix), and the block adds one stored
+    value, s = weight / scale * value, to each of its entries, so a build
+    costs O(|delta|). A column holding none of the block's files takes them
+    all in one ``dict.update``. An entry the block creates under
+    ``drop_threshold`` is never stored, and a credit only adds.
 
-    Afterwards no entry whose true value is below ``drop_threshold`` (or 0)
-    remains. The EMA entries a column gains in a build wait on a min-heap
-    as one group, keyed by their lowest stored value; a matrix that
-    ``advance`` did not fold gets one group per column. Between
-    renormalisations an EMA entry's stored value only rises, so no member
-    of a group is ever below its key. A group popped below the threshold
+    So an entry falls below the threshold only by decay, and a min-heap is
+    the one place one above 0 is deleted: afterwards none remains if none
+    did before, as ``load_matrix`` checks of a snapshot. Each EMA entry is
+    in one group on the heap, keyed by its lowest stored value: the entries
+    a column gains in a build, or a whole column of a matrix ``advance``
+    did not fold. Between renormalisations a stored value only rises, so no
+    member is ever below its key. A group popped below the threshold
     deletes its members now below it and is pushed again, keyed by its
     survivors' lowest value.
     """
@@ -240,20 +242,15 @@ def advance(matrix: SensitivityMatrix, delta: Delta) -> SensitivityMatrix:
     else:  # cumulative
         weight, keep = 1.0, 1.0
     cols, threshold = matrix.cols, matrix.drop_threshold
-    if keep == 0.0:
-        cols.clear()
-        matrix.scale, matrix._heap, matrix._rows = 1.0, None, None
-    elif keep < 1.0:
+    if keep < 1.0:
         matrix.scale *= keep
         if matrix.scale < _SCALE_FLOOR:
             _renormalise(matrix)
-    scale, rows = matrix.scale, matrix._rows
-    heap = None
-    if threshold > 0.0 and keep < 1.0:  # entries decay onto the threshold
-        if matrix._heap is None:  # one group per column
-            matrix._heap = [(min(col.values()), t, tuple(col)) for t, col in cols.items() if col]
-            heapq.heapify(matrix._heap)
-        heap = matrix._heap
+    # entries decay onto the threshold: one group per column to begin with
+    if threshold > 0.0 and keep < 1.0 and matrix._heap is None:
+        matrix._heap = [(min(col.values()), t, tuple(col)) for t, col in cols.items() if col]
+        heapq.heapify(matrix._heap)
+    scale, rows, heap = matrix.scale, matrix._rows, matrix._heap
 
     s = weight / scale * delta.value
     if s and delta.files:
@@ -268,45 +265,37 @@ def advance(matrix: SensitivityMatrix, delta: Delta) -> SensitivityMatrix:
                     taken.append(t)
                     if heap is not None:
                         heapq.heappush(heap, (s, t, files))
-            else:
-                created = []
-                for f in files:
-                    stored = col.get(f)
-                    if stored is None:
-                        if fresh:
-                            col[f] = s
-                            created.append(f)
-                    elif (stored := stored + s) * scale >= threshold:
-                        col[f] = stored
-                    else:
-                        del col[f]
-                        if rows is not None:
-                            _unindex(rows, f, t)
-                if created:
-                    if heap is not None:
-                        heapq.heappush(heap, (s, t, tuple(created)))
-                    if rows is not None:
-                        for f in created:
-                            rows.setdefault(f, []).append(t)
-            if not col:
-                del cols[t]
+                elif not col:
+                    del cols[t]
+                continue
+            created = []
+            for f in files:
+                stored = col.get(f)
+                if stored is not None:
+                    col[f] = stored + s
+                elif fresh:
+                    col[f] = s
+                    created.append(f)
+            if created:
+                if heap is not None:
+                    heapq.heappush(heap, (s, t, tuple(created)))
+                if rows is not None:
+                    for f in created:
+                        rows.setdefault(f, []).append(t)
         if rows is not None and taken:
             for f in files:
                 rows.setdefault(f, []).extend(taken)
     while heap and heap[0][0] * scale < threshold:
         _, t, group = heapq.heappop(heap)
-        col = cols.get(t)
-        if col is None:
-            continue
-        survivors = []
+        col, survivors = cols[t], []
         for f in group:
-            stored = col.get(f)
-            if stored is None:  # pruned, or deleted by an update
-                continue
-            if stored * scale < threshold:
+            if col[f] * scale < threshold:
                 del col[f]
                 if rows is not None:
-                    _unindex(rows, f, t)
+                    row = rows[f]
+                    row.remove(t)
+                    if not row:
+                        del rows[f]
             else:
                 survivors.append(f)
         if survivors:
@@ -320,14 +309,6 @@ def advance(matrix: SensitivityMatrix, delta: Delta) -> SensitivityMatrix:
         matrix.tests = matrix.tests | delta.tests
     matrix.last_seq += 1
     return matrix
-
-
-def _unindex(rows: dict[str, list[str]], f: str, t: str) -> None:
-    """Remove test t from file f's row, and the row once it is empty."""
-    row = rows[f]
-    row.remove(t)
-    if not row:
-        del rows[f]
 
 
 def _renormalise(matrix: SensitivityMatrix) -> None:
@@ -621,11 +602,11 @@ def save_matrix(matrix: SensitivityMatrix, fp: IO[str]) -> None:
              + json.dumps(rest, sort_keys=True, separators=(",", ":"))[1:] + "\n")
 
 
-def _check_column(t: str, col: object) -> dict[str, float]:
+def _check_column(t: str, col: object, threshold: float) -> dict[str, float]:
     """The column as floats, or ValidationError unless it is a non-empty
-    object of finite numbers > 0 with a finite sum. Every check is one
-    C-level pass over the entries: their types, their sum (NaN and
-    infinities stay NaN or infinite) and their minimum."""
+    object of finite numbers > 0 and >= threshold with a finite sum. Every
+    check is one C-level pass over the entries: their types, their sum (NaN
+    and infinities stay NaN or infinite) and their minimum."""
     if not isinstance(col, dict) or not col:
         raise ValidationError(f"sensitivity-matrix: column {t!r} is not a non-empty object")
     types = set(map(type, col.values()))
@@ -634,20 +615,25 @@ def _check_column(t: str, col: object) -> dict[str, float]:
     try:
         if int in types:
             col = dict(zip(col, map(float, col.values())))
-        ok = math.isfinite(sum(col.values())) and min(col.values()) > 0.0
+        low = min(col.values())
+        ok = math.isfinite(sum(col.values())) and low > 0.0
     except OverflowError:  # an integer beyond the float range
         ok = False
     if not ok:
         raise ValidationError(
             f"sensitivity-matrix: column {t!r} entries must be finite numbers > 0 with a finite sum"
         )
+    if low < threshold:
+        f = min(sorted(col), key=col.__getitem__)
+        raise ValidationError(f"sensitivity-matrix: column {t!r} holds {low!r} for {f!r}, "
+                              f"below drop_threshold {threshold!r}")
     return col
 
 
 def load_matrix(fp: IO[str]) -> SensitivityMatrix:
     """Read a save_matrix snapshot; a malformed one, one with a column for
-    an unlisted test or an entry for an unlisted file, or one whose entries
-    are not finite and > 0 raises ValidationError."""
+    an unlisted test or an entry for an unlisted file, or one with an entry
+    not finite, > 0 and >= its drop_threshold raises ValidationError."""
     doc = read_document(fp, "sensitivity-matrix", _MATRIX_FIELDS)
     check_ids(doc["files"] + doc["tests"], "sensitivity-matrix")
     if doc["last_seq"] < 0:
@@ -661,7 +647,7 @@ def load_matrix(fp: IO[str]) -> SensitivityMatrix:
     for t, col in cols.items():
         if t not in tests:
             raise ValidationError(f"sensitivity-matrix: column {t!r} is not a listed test")
-        col = cols[t] = _check_column(t, col)
+        col = cols[t] = _check_column(t, col, settings.drop_threshold)
         if not files.issuperset(col):
             unlisted = min(set(col) - files)
             raise ValidationError(

@@ -25,24 +25,26 @@ from conftest import rec
 
 class TestRandomSelect:
     def test_forced_single(self):
-        assert shuffled_universe({"a"}, RandomPolicy(seed=1, runs=1), 0)[:1] == ["a"]
+        assert shuffled_universe({"a"}, RandomPolicy(seed=1, runs=1))[0][:1] == ["a"]
 
     def test_deterministic_per_seed_and_run(self):
         policy = RandomPolicy(seed=99, runs=10)
         universe = {f"t{i}" for i in range(20)}
-        first = shuffled_universe(universe, policy, 3)[:5]
-        assert shuffled_universe(universe, policy, 3)[:5] == first
-        assert shuffled_universe(universe, policy, 4)[:5] != first
+        first = shuffled_universe(universe, policy)[3][:5]
+        assert shuffled_universe(universe, policy)[3][:5] == first
+        assert shuffled_universe(universe, policy)[4][:5] != first
 
     def test_run_index_out_of_range(self):
-        with pytest.raises(ValueError):
-            shuffled_universe({"a"}, RandomPolicy(seed=1, runs=2), 2)
+        runs = shuffled_universe({"a"}, RandomPolicy(seed=1, runs=2))
+        assert len(runs) == 2
+        with pytest.raises(IndexError):
+            runs[2]
 
     def test_nested_prefixes_across_sizes(self):
         policy = RandomPolicy(seed=4, runs=1)
         universe = {f"t{i}" for i in range(10)}
-        small = shuffled_universe(universe, policy, 0)[:3]
-        large = shuffled_universe(universe, policy, 0)[:7]
+        small = shuffled_universe(universe, policy)[0][:3]
+        large = shuffled_universe(universe, policy)[0][:7]
         assert large[:3] == small
 
     @given(
@@ -58,11 +60,11 @@ class TestRandomSelect:
         runs, run = runs_and_run
         policy = RandomPolicy(seed=seed, runs=runs)
         short, long = sorted((a, b))
-        whole = shuffled_universe(universe, policy, run)
+        whole = shuffled_universe(universe, policy)[run]
         assert sorted(whole) == sorted(universe)
-        prefix = shuffled_universe(universe, policy, run, short)
+        prefix = shuffled_universe(universe, policy, short)[run]
         assert len(prefix) == min(short, len(universe))
-        assert shuffled_universe(universe, policy, run, long)[:len(prefix)] == prefix
+        assert shuffled_universe(universe, policy, long)[run][:len(prefix)] == prefix
         assert whole[:len(prefix)] == prefix
 
     def test_a_prefix_draws_only_its_positions(self, monkeypatch):
@@ -79,13 +81,13 @@ class TestRandomSelect:
 
         monkeypatch.setattr(baselines, "random", types.SimpleNamespace(Random=CountingRandom))
         universe = [f"t{i:04d}" for i in range(1000)]
-        picked = shuffled_universe(universe, RandomPolicy(seed=3, runs=1), 0, 25)
+        [picked] = shuffled_universe(universe, RandomPolicy(seed=3, runs=1), 25)
         assert len(set(picked)) == 25
         assert calls == {"randrange": 25, "_randbelow": 25}
 
     def test_negative_length(self):
         with pytest.raises(ValueError, match="length must be >= 0"):
-            shuffled_universe({"a"}, RandomPolicy(seed=1, runs=1), 0, -1)
+            shuffled_universe({"a"}, RandomPolicy(seed=1, runs=1), -1)
 
     def test_negative_seed(self):
         # random.Random(-1) draws what random.Random(1) draws
@@ -95,7 +97,7 @@ class TestRandomSelect:
     def test_two_element_frequency(self):
         # binomial bound: 10000 draws of n=1 from {a,b}, freq(a) in 0.5 +- 0.02
         policy = RandomPolicy(seed=2024, runs=10_000)
-        hits = sum(shuffled_universe({"a", "b"}, policy, r)[:1] == ["a"] for r in range(10_000))
+        hits = sum(run[:1] == ["a"] for run in shuffled_universe({"a", "b"}, policy))
         assert abs(hits / 10_000 - 0.5) < 0.02
 
     def test_uniform_coverage_within_3_sigma(self):
@@ -103,8 +105,8 @@ class TestRandomSelect:
         universe = [f"t{i}" for i in range(5)]
         policy = RandomPolicy(seed=7, runs=runs)
         counts = {t: 0 for t in universe}
-        for r in range(runs):
-            counts[shuffled_universe(universe, policy, r)[0]] += 1
+        for run in shuffled_universe(universe, policy):
+            counts[run[0]] += 1
         expected = runs / len(universe)
         sigma = math.sqrt(runs * 0.2 * 0.8)
         for t, c in counts.items():

@@ -211,7 +211,7 @@ class TestReplay:
         def no_permutations(*args):
             raise AssertionError("a permutation was built")
 
-        monkeypatch.setattr(evaluate, "_draw", no_permutations)
+        monkeypatch.setattr(evaluate, "shuffled_universe", no_permutations)
         assert main(["replay", "--input", str(history_file), "--method", "ema,random",
                      "--runs", "10001"]) == 2
         err = capsys.readouterr().err
@@ -341,7 +341,24 @@ class TestSchedule:
             "--results", str(results),
         ]) == 0
 
-    @pytest.mark.parametrize("results", ['"x"', "[1, 2]", '{"t1": 3}', '{"": "pass"}'])
+    @pytest.mark.parametrize("flag", [["-k", "0"], ["-k", "5", "-w", "7"]], ids=["k", "w"])
+    def test_rejected_office_observes_nothing(self, flag, history_file, changes_file,
+                                              tmp_path, capsys):
+        state, matrix = tmp_path / "state.json", tmp_path / "matrix.json"
+        main(["schedule", "init", "--history", str(history_file), "--state", str(state)])
+        main(["heatmap", "--input", str(history_file), "--out", str(tmp_path / "hm"),
+              "--save-snapshot", str(matrix)])
+        before = state.read_bytes()
+        capsys.readouterr()
+        assert main(["schedule", "office", "--state", str(state), "--matrix", str(matrix),
+                     "--history", str(history_file), "--changes", str(changes_file),
+                     "--observe", *flag]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert state.read_bytes() == before
+
+    @pytest.mark.parametrize("results",['"x"', "[1, 2]", '{"t1": 3}', '{"": "pass"}'])
     def test_apply_rejects_malformed_results(self, history_file, tmp_path, capsys, results):
         state, matrix = tmp_path / "state.json", tmp_path / "matrix.json"
         main(["schedule", "init", "--history", str(history_file), "--state", str(state)])
@@ -431,6 +448,8 @@ _BAD_SNAPSHOTS = {
     "entry negative": _edit(_snapshot_doc(), ("cols", "t1", "f1"), -0.5),
     "entry a numeric string": _edit(_snapshot_doc(), ("cols", "t1", "f1"), "0.5"),
     "entry a bool": _edit(_snapshot_doc(), ("cols", "t1", "f1"), True),
+    "entry below drop_threshold": _edit(
+        _edit(_snapshot_doc(), ("update_mode",), "cumulative"), ("drop_threshold",), 0.75),
     "entry an integer beyond floats": _edit(_snapshot_doc(), ("cols", "t1", "f1"), 10**400),
     "entries summing to Infinity": _edit(
         _edit(_snapshot_doc(), ("files",), ["f1", "f2"]), ("cols", "t1"), {"f1": 1e308, "f2": 1e308}
@@ -512,7 +531,7 @@ class TestMalformedDocuments:
 
     @pytest.mark.parametrize("table, argv, digest", [
         (_BAD_SNAPSHOTS, ["prioritise", "--snapshot", "{doc}", "--changes", "{changes}", "-n", "1"],
-         "844590c19e9dbccdae145393ddafda19"),
+         "5516b4814d2f1ac572a183a7fe0b12ef"),
         (_BAD_STATES, ["schedule", "cost", "--state", "{doc}"], "ea6c862c7cb608f103d57d0961954d75"),
     ], ids=["snapshot", "state"])
     def test_error_lines_are_pinned(self, table, argv, digest, changes_file, tmp_path, capsys):

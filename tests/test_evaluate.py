@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from flipsense import evaluate
 from flipsense.baselines import RandomPolicy, shuffled_universe
 from flipsense.errors import ConfigError, UndefinedMetricError, ValidationError
 from flipsense.evaluate import (
@@ -452,7 +453,7 @@ class TestRandomReplayOracle:
         ledger = extract_flips(records)
         assert (len(ledger.universe) < max(sizes)) == short
         policy = RandomPolicy(seed=5, runs=100)
-        permutations = [shuffled_universe(ledger.universe, policy, run) for run in range(100)]
+        permutations = shuffled_universe(ledger.universe, policy)
         reports = replay_sizes(records, ledger, MethodConfig(method="random", policy=policy), sizes)
         predictable = [(r.seq, ledger.predictable(r.seq)) for r in records[1:]]
         predictable = [(seq, pred) for seq, pred in predictable if pred]
@@ -461,6 +462,22 @@ class TestRandomReplayOracle:
             expected = [_oracle_row(seq, [p[:n] for p in permutations], pred)
                         for seq, pred in predictable]
             assert [_hex_row(row) for row in reports[n].per_build] == list(map(_hex_row, expected))
+
+
+    def test_draws_through_one_shuffled_universe_call(self, desk_history, monkeypatch):
+        # a tracer times the random draws by wrapping evaluate.shuffled_universe
+        records, ledger = desk_history
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return shuffled_universe(*args, **kwargs)
+
+        monkeypatch.setattr(evaluate, "shuffled_universe", counting)
+        config = MethodConfig(method="random", policy=RandomPolicy(seed=5, runs=10))
+        reports = replay_sizes(records, ledger, config, [1, 5, 25])
+        assert len(calls) == 1
+        assert reports[25].evaluated_builds > 0
 
 
 def _hex_row(row):

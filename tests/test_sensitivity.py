@@ -421,11 +421,17 @@ class TestRowIndex:
            st.lists(st.frozensets(st.sampled_from(_FILE_POOL + ["g"]), max_size=4),
                     min_size=1, max_size=3))
     @settings(max_examples=200, deadline=None)
-    # the second build lowers (f0, t0) from 0.33 to 0.2508, under the
-    # threshold: an update, not the heap, deletes it
+    # the second build credits (f0, t0), yet decay leaves it at 0.2508,
+    # under the threshold: the heap, not the credit, deletes it
     @example(deltas=[(frozenset({"f0", "f1", "f2"}), frozenset({"t0"})),
                      (frozenset({"f0", "f1", "f2", "f3"}), frozenset({"t0"}))],
              update=("ema", 0.99), threshold=0.3, queries=[frozenset({"f0"})])
+    # at alpha 1 each build empties the matrix, row index and all, through
+    # the renormalisation before it adds its block
+    @example(deltas=[(frozenset({"f0", "f1"}), frozenset({"t0"})),
+                     (frozenset({"f1", "f2"}), frozenset({"t0", "t1"})), (frozenset(), frozenset()),
+                     (frozenset({"f0"}), frozenset({"t2"}))],
+             update=("ema", 1.0), threshold=0.3, queries=[frozenset({"f0"}), frozenset({"f1", "f2"})])
     def test_index_follows_advance(self, deltas, update, threshold, queries):
         update_mode, alpha = update
         m = empty_matrix(alpha=alpha, update_mode=update_mode, drop_threshold=threshold)
@@ -783,6 +789,18 @@ class TestExports:
         assert loaded.cols == {"t1": {"f1": 2.0, "f2": 0.5}}
         assert [type(v) for v in loaded.cols["t1"].values()] == [float, float]
 
+    def test_an_entry_below_the_threshold_is_rejected(self):
+        # a cumulative matrix never decays, so no build would ever prune (f0, t0)
+        text = json.dumps({
+            "kind": "sensitivity-matrix", "d_mode": "constant", "update_mode": "cumulative",
+            "alpha": None, "last_seq": 2, "drop_threshold": 0.3, "files": ["f0", "f1"],
+            "tests": ["t0"], "cols": {"t0": {"f1": 0.2, "f0": 0.1}},
+        })
+        with pytest.raises(ValidationError) as info:
+            load_matrix(io.StringIO(text))
+        assert str(info.value) == \
+            "sensitivity-matrix: column 't0' holds 0.1 for 'f0', below drop_threshold 0.3"
+
 
 def json_dumps_snapshot(matrix):
     """The snapshot bytes as one json.dumps of the whole document, true
@@ -845,12 +863,13 @@ class TestSnapshotWriter:
         save_matrix(matrix, buf)
         assert buf.getvalue() == json_dumps_snapshot(matrix)
         true_cols = {t: {f: v * matrix.scale for f, v in col.items()} for t, col in matrix.cols.items()}
-        if all(min(col.values()) > 0.0 and math.isfinite(sum(col.values())) for col in true_cols.values()):
+        if all(min(col.values()) > 0.0 and min(col.values()) >= matrix.drop_threshold
+               and math.isfinite(sum(col.values())) for col in true_cols.values()):
             loaded = load_matrix(io.StringIO(buf.getvalue()))
             as_bits = lambda cols: {t: {f: v.hex() for f, v in col.items()} for t, col in cols.items()}
             assert as_bits(loaded.cols) == as_bits(true_cols)
             assert (loaded.files, loaded.tests, loaded.alpha) == (matrix.files, matrix.tests, matrix.alpha)
-        else:  # an entry underflowed to 0, or a column sums to infinity
+        else:  # an entry underflowed to 0 or is below drop_threshold, or a column sums to infinity
             with pytest.raises(ValidationError):
                 load_matrix(io.StringIO(buf.getvalue()))
 
