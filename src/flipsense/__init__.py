@@ -18,6 +18,7 @@ from .evaluate import (
     EvalReport,
     MethodConfig,
     f_measure,
+    figure_csv,
     figure_data,
     improvement_summary,
     precision,

@@ -217,19 +217,19 @@ def cmd_replay(args) -> int:
         if baseline not in methods:
             raise ValidationError(f"baseline {baseline!r} is not among the replayed methods")
         improvement = {
-            m: evaluate.improvement_summary(figures, baseline, m) for m in methods if m != baseline
+            m: evaluate.improvement_summary(reports, baseline, m) for m in methods if m != baseline
         }
     doc = {
-        "figures": figures.to_dict(),
+        "figures": figures,
         "reports": {m: {str(n): r.to_dict() for n, r in reports[m].items()} for m in methods},
-        "improvement": {m: s.to_dict() for m, s in improvement.items()} or None,
+        "improvement": improvement or None,
     }
 
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         for metric in evaluate.FIGURE_METRICS:
-            (out / f"{metric}.csv").write_text(figures.to_csv(metric), encoding="utf-8")
+            (out / f"{metric}.csv").write_text(evaluate.figure_csv(figures, metric), encoding="utf-8")
         for name in ("reports", "improvement"):
             if doc[name]:
                 (out / f"{name}.json").write_text(_dumps(doc[name]) + "\n", encoding="utf-8")
@@ -244,8 +244,8 @@ def cmd_replay(args) -> int:
                 f"recall={r.mean_recall:.3f} f={r.mean_f_measure:.3f}"
             )
     for m, s in improvement.items():
-        lines.append(f"{m} vs {s.baseline}: recall {_pct(s.relative['recall']['avg'])}, zero results "
-                     f"{_pct(s.relative['zero_pct']['avg'])} (avg over sizes)")
+        lines.append(f"{m} vs {s['baseline']}: recall {_pct(s['relative']['recall']['avg'])}, "
+                     f"zero results {_pct(s['relative']['zero_pct']['avg'])} (avg over sizes)")
     if args.out:
         lines.append(f"tables written to {args.out}")
     _emit(args, doc, lines)

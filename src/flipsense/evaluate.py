@@ -18,7 +18,8 @@ minimising it over the whole history.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, fields
+from collections import Counter
+from dataclasses import dataclass
 from functools import reduce
 from itertools import repeat
 from operator import add
@@ -105,9 +106,6 @@ class BuildMetrics:
     zero_fraction: float
 
 
-_ROW_FIELDS = tuple(f.name for f in fields(BuildMetrics))
-
-
 @dataclass(frozen=True)
 class EvalReport:
     method: str
@@ -128,18 +126,10 @@ class EvalReport:
         return sum(1 for row in self.per_build if row.zero_fraction == 1.0)
 
     def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "score_mode": self.score_mode,
-            "n": self.n,
-            "alpha": self.alpha,
-            "d_mode": self.d_mode,
-            "seed": self.seed,
-            "runs": self.runs,
-            "evaluated_builds": self.evaluated_builds,
-            "aggregates": {field: getattr(self, field) for field in FIGURE_FIELDS.values()},
-            "per_build": [{name: getattr(row, name) for name in _ROW_FIELDS} for row in self.per_build],
-        }
+        # vars, not dataclasses.asdict: before Python 3.12 that deep-copies every float
+        doc = dict(vars(self), per_build=[dict(vars(row)) for row in self.per_build])
+        doc["aggregates"] = {field: doc.pop(field) for field in FIGURE_FIELDS.values()}
+        return doc
 
 
 def _mean(values: Sequence[float]) -> float:
@@ -227,7 +217,8 @@ def replay_sizes(
     """
     if not sizes or any(n < 1 for n in sizes):
         raise ValueError(f"selection sizes must be >= 1, got {list(sizes)}")
-    if repeated := sorted({n for n in sizes if sizes.count(n) > 1}):
+    if len(set(sizes)) != len(sizes):
+        repeated = sorted(n for n, count in Counter(sizes).items() if count > 1)
         raise ValueError(f"selection sizes must be distinct, got {repeated} more than once")
     universe = frozenset(ledger.universe)
     largest = max(sizes)
@@ -309,78 +300,47 @@ def sweep_alpha(
     return best.alpha, table
 
 
-@dataclass(frozen=True)
-class FigureData:
-    """Per-size aggregate tables, one column per method, for the four
-    replay metrics (zero_pct, precision, recall, f_measure)."""
-
-    methods: tuple[str, ...]
-    sizes: tuple[int, ...]
-    values: dict[str, dict[int, dict[str, float | None]]]  # metric -> n -> method -> value
-
-    def to_csv(self, metric: str) -> str:
-        if metric not in FIGURE_METRICS:
-            raise ValueError(f"unknown metric {metric!r}")
-        lines = ["n," + ",".join(self.methods)]
-        for n in self.sizes:
-            cells = []
-            for m in self.methods:
-                v = self.values[metric][n][m]
-                cells.append("" if v is None else repr(v))
-            lines.append(f"{n}," + ",".join(cells))
-        return "\n".join(lines) + "\n"
-
-    def to_dict(self) -> dict:
-        return {
-            "methods": list(self.methods),
-            "sizes": list(self.sizes),
-            "values": {
-                metric: {str(n): self.values[metric][n] for n in self.sizes}
-                for metric in FIGURE_METRICS
-            },
-        }
+def _common_sizes(reports: Mapping[str, Mapping[int, EvalReport]]) -> list[int]:
+    """The selection sizes, ascending, that every method's reports cover."""
+    if not reports:
+        raise ValidationError("no reports given")
+    first = next(iter(reports))
+    sizes = sorted(reports[first])
+    for m, by_size in reports.items():
+        if sorted(by_size) != sizes:
+            raise ValidationError(f"inconsistent selection sizes: {first} covers {tuple(sizes)}, "
+                                  f"{m} covers {tuple(sorted(by_size))}")
+    return sizes
 
 
-def figure_data(reports_by_method: Mapping[str, Mapping[int, EvalReport]]) -> FigureData:
-    """Reshape per-method reports into per-metric tables over the sizes.
+def figure_data(reports: Mapping[str, Mapping[int, EvalReport]]) -> dict:
+    """The figure document: per metric, a table over the sizes with one
+    column per method, ``values[metric][str(n)][method]``.
 
     Every method must cover the same selection sizes.
     """
-    if not reports_by_method:
-        raise ValidationError("no reports given")
-    methods = tuple(reports_by_method)
-    sizes_per_method = {m: tuple(sorted(reports_by_method[m])) for m in methods}
-    sizes = sizes_per_method[methods[0]]
-    for m, s in sizes_per_method.items():
-        if s != sizes:
-            raise ValidationError(
-                f"inconsistent selection sizes: {methods[0]} covers {sizes}, {m} covers {s}"
-            )
-    values = {
-        metric: {n: {m: getattr(reports_by_method[m][n], field) for m in methods} for n in sizes}
-        for metric, field in FIGURE_FIELDS.items()
+    sizes = _common_sizes(reports)
+    return {
+        "methods": list(reports),
+        "sizes": sizes,
+        "values": {
+            metric: {str(n): {m: getattr(reports[m][n], field) for m in reports} for n in sizes}
+            for metric, field in FIGURE_FIELDS.items()
+        },
     }
-    return FigureData(methods=methods, sizes=sizes, values=values)
 
 
-@dataclass(frozen=True)
-class ImprovementSummary:
-    """Relative and absolute deltas of one method over a baseline, per
-    metric: per-size extremes plus the average across sizes, and the
-    coarser ratio of the averaged aggregates."""
-
-    baseline: str
-    target: str
-    relative: dict[str, dict[str, float | None]]  # metric -> {min, max, avg, avg_of_averages}
-    absolute: dict[str, dict[str, float | None]]
-
-    def to_dict(self) -> dict:
-        return {
-            "baseline": self.baseline,
-            "target": self.target,
-            "relative": self.relative,
-            "absolute": self.absolute,
-        }
+def figure_csv(figures: dict, metric: str) -> str:
+    """One metric's table of a figure document: a row per size, a column
+    per method, and an empty cell where a method has no value."""
+    if metric not in FIGURE_METRICS:
+        raise ValueError(f"unknown metric {metric!r}")
+    methods = figures["methods"]
+    lines = ["n," + ",".join(methods)]
+    for n in figures["sizes"]:
+        row = figures["values"][metric][str(n)]
+        lines.append(f"{n}," + ",".join("" if row[m] is None else repr(row[m]) for m in methods))
+    return "\n".join(lines) + "\n"
 
 
 def _spread(deltas: list[float], avg_of_averages: float | None) -> dict[str, float | None]:
@@ -392,15 +352,21 @@ def _spread(deltas: list[float], avg_of_averages: float | None) -> dict[str, flo
     }
 
 
-def improvement_summary(data: FigureData, baseline: str, target: str) -> ImprovementSummary:
-    if baseline not in data.methods or target not in data.methods:
-        raise ValidationError(f"methods {baseline!r}/{target!r} not present in the tables")
+def improvement_summary(reports: Mapping[str, Mapping[int, EvalReport]], baseline: str,
+                        target: str) -> dict:
+    """Relative and absolute deltas of ``target`` over ``baseline`` per
+    figure metric: the per-size extremes and average, and the coarser
+    delta of the aggregates averaged over the sizes. A size where either
+    method has no value is left out."""
+    sizes = _common_sizes(reports)
+    if baseline not in reports or target not in reports:
+        raise ValidationError(f"methods {baseline!r}/{target!r} not among the reports")
     relative: dict[str, dict[str, float | None]] = {}
     absolute: dict[str, dict[str, float | None]] = {}
-    for metric in FIGURE_METRICS:
-        table = data.values[metric]
-        pairs = [(table[n][baseline], table[n][target]) for n in data.sizes
-                 if table[n][baseline] is not None and table[n][target] is not None]
+    for metric, field in FIGURE_FIELDS.items():
+        pairs = [(getattr(reports[baseline][n], field), getattr(reports[target][n], field))
+                 for n in sizes]
+        pairs = [(b, t) for b, t in pairs if b is not None and t is not None]
         rel_of_means = abs_of_means = None
         if pairs:
             base_mean, target_mean = (_mean(v) for v in zip(*pairs))
@@ -408,4 +374,4 @@ def improvement_summary(data: FigureData, baseline: str, target: str) -> Improve
             rel_of_means = None if base_mean == 0.0 else abs_of_means / base_mean
         relative[metric] = _spread([(t - b) / b for b, t in pairs if b != 0.0], rel_of_means)
         absolute[metric] = _spread([t - b for b, t in pairs], abs_of_means)
-    return ImprovementSummary(baseline=baseline, target=target, relative=relative, absolute=absolute)
+    return {"baseline": baseline, "target": target, "relative": relative, "absolute": absolute}

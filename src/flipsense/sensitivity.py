@@ -39,6 +39,7 @@ import heapq
 import json
 import math
 import operator
+import sys
 from dataclasses import dataclass, field, replace
 from typing import IO, AbstractSet, Iterable, Mapping
 
@@ -174,7 +175,7 @@ def empty_matrix(
         raise ConfigError("ema mode requires alpha in [0, 1], got None")
     if alpha is not None and not 0.0 <= alpha <= 1.0:
         raise ConfigError(f"alpha must be null or in [0, 1], got {alpha!r}")
-    if not 0.0 <= drop_threshold < math.inf:
+    if not 0.0 <= drop_threshold <= sys.float_info.max:  # also an int beyond the float range
         raise ConfigError(f"drop_threshold must be finite and >= 0, got {drop_threshold!r}")
     return SensitivityMatrix(
         cols={},

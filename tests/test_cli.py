@@ -554,6 +554,20 @@ class TestMalformedDocuments:
         assert main(["schedule", "cost", "--state", str(tmp_path / "state.json")]) == 0
         assert capsys.readouterr().out == "t1\n4\n"
 
+    def test_a_threshold_beyond_the_float_range_is_rejected(self, tmp_path, capsys):
+        # 10**400 compares below math.inf but is no float; written as 1e400
+        # it loads as inf and is rejected the same way
+        digits = "1" + "0" * 400
+        doc = _edit(_edit(_snapshot_doc(), ("drop_threshold",), 10**400), ("cols",), {})
+        _write_doc(tmp_path / "big.json", doc)
+        assert digits in (tmp_path / "big.json").read_text(encoding="utf-8")
+        code = main(["heatmap", "--snapshot", str(tmp_path / "big.json"),
+                     "--save-snapshot", str(tmp_path / "back.json")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: sensitivity-matrix: drop_threshold must be finite and >= 0, got {digits}\n")
+        assert not (tmp_path / "back.json").exists()
+
 
 _ANY_VALUES = st.one_of(
     st.floats(), st.integers(min_value=-2, max_value=2), st.just(10**400), st.booleans(),

@@ -16,6 +16,7 @@ from flipsense.evaluate import (
     EvalReport,
     MethodConfig,
     f_measure,
+    figure_csv,
     figure_data,
     fold,
     improvement_summary,
@@ -347,7 +348,7 @@ class TestFigureData:
 
     def test_single_method_two_sizes(self):
         data = figure_data({"ema": self.reports("ema", [5, 10])})
-        csv = data.to_csv("recall")
+        csv = figure_csv(data, "recall")
         lines = csv.strip().splitlines()
         assert lines[0] == "n,ema"
         assert len(lines) == 3
@@ -355,9 +356,9 @@ class TestFigureData:
     def test_three_methods_three_columns(self):
         reports = {m: self.reports(m, [5]) for m in ("ema", "cumulative", "random")}
         data = figure_data(reports)
-        assert data.to_csv("precision").splitlines()[0] == "n,ema,cumulative,random"
+        assert figure_csv(data, "precision").splitlines()[0] == "n,ema,cumulative,random"
         for metric in FIGURE_METRICS:
-            assert set(data.values[metric][5]) == {"ema", "cumulative", "random"}
+            assert set(data["values"][metric]["5"]) == {"ema", "cumulative", "random"}
 
     def test_inconsistent_sizes_rejected(self):
         with pytest.raises(ValidationError, match="sizes"):
@@ -379,12 +380,11 @@ class TestFigureData:
             "better": {n: fake_report(n, 0.168) for n in sizes},
             "base": {n: fake_report(n, 0.089) for n in sizes},
         }
-        data = figure_data(reports)
-        summary = improvement_summary(data, "base", "better")
-        rel = summary.relative["recall"]
+        summary = improvement_summary(reports, "base", "better")
+        rel = summary["relative"]["recall"]
         assert rel["avg_of_averages"] == pytest.approx((0.168 - 0.089) / 0.089)
         assert rel["avg_of_averages"] == pytest.approx(0.8876, abs=5e-4)
-        assert summary.absolute["recall"]["avg"] == pytest.approx(0.079)
+        assert summary["absolute"]["recall"]["avg"] == pytest.approx(0.079)
 
     def test_improvement_per_size_extremes(self):
         def fake_report(n, rec_value):
@@ -399,11 +399,19 @@ class TestFigureData:
             "better": {5: fake_report(5, 0.2), 10: fake_report(10, 0.3)},
             "base": {5: fake_report(5, 0.1), 10: fake_report(10, 0.2)},
         }
-        summary = improvement_summary(figure_data(reports), "base", "better")
-        rel = summary.relative["recall"]
+        summary = improvement_summary(reports, "base", "better")
+        rel = summary["relative"]["recall"]
         assert rel["min"] == pytest.approx(0.5)
         assert rel["max"] == pytest.approx(1.0)
         assert rel["avg"] == pytest.approx(0.75)
+
+    def test_improvement_inconsistent_sizes_rejected(self):
+        reports = {"ema": self.reports("ema", [5]), "cumulative": self.reports("cumulative", [5, 10])}
+        with pytest.raises(ValidationError, match="sizes") as from_figures:
+            figure_data(reports)
+        with pytest.raises(ValidationError, match="sizes") as from_summary:
+            improvement_summary(reports, "cumulative", "ema")
+        assert str(from_summary.value) == str(from_figures.value)
 
 
 DESK_SIZES = range(5, 26)
