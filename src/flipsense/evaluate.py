@@ -132,13 +132,12 @@ class EvalReport:
         return doc
 
 
-def _mean(values: Sequence[float]) -> float:
-    """The mean, added left to right."""
-    return reduce(add, values, 0) / len(values)
+def _mean(values: Sequence[float]) -> float | None:
+    """The mean, added left to right; None for no values."""
+    return reduce(add, values, 0) / len(values) if values else None
 
 
 def _finish_report(config: MethodConfig, n: int, rows: list[BuildMetrics]) -> EvalReport:
-    has_rows = bool(rows)
     return EvalReport(
         method=config.method,
         score_mode=config.score_mode,
@@ -149,10 +148,10 @@ def _finish_report(config: MethodConfig, n: int, rows: list[BuildMetrics]) -> Ev
         runs=config.policy.runs if config.policy else None,
         per_build=tuple(rows),
         evaluated_builds=len(rows),
-        mean_precision=_mean([r.precision for r in rows]) if has_rows else None,
-        mean_recall=_mean([r.recall for r in rows]) if has_rows else None,
-        mean_f_measure=_mean([r.f_measure for r in rows]) if has_rows else None,
-        zero_pct=_mean([r.zero_fraction for r in rows]) if has_rows else None,
+        mean_precision=_mean([r.precision for r in rows]),
+        mean_recall=_mean([r.recall for r in rows]),
+        mean_f_measure=_mean([r.f_measure for r in rows]),
+        zero_pct=_mean([r.zero_fraction for r in rows]),
     )
 
 
@@ -182,10 +181,10 @@ def _size_rows(seq: int, hits: list[list[int]], runs: int, m: int, length: int,
     count of positions under n. Each field is the mean over all ``runs``,
     added left to right in run order. A run that holds none may be left out
     of ``hits``: it adds 0 to every total, so the other runs' terms give
-    the same bits."""
-    rows = []
-    for n in sizes:
-        k = min(n, length)
+    the same bits. Sizes at or above ``length`` select the same k =
+    ``length`` entries, so each distinct k is computed once."""
+    rows: dict[int, BuildMetrics] = {}
+    for k in {min(n, length) for n in sizes}:
         i = p = r = f = hitting = 0
         for hit in map(bisect_left, hits, repeat(k)):
             if hit:
@@ -194,9 +193,9 @@ def _size_rows(seq: int, hits: list[list[int]], runs: int, m: int, length: int,
                 r += hit / m
                 f += f_measure(hit / k, hit / m)
                 hitting += 1
-        rows.append(BuildMetrics(seq, k, m, i / runs, p / runs, r / runs, f / runs,
-                                 (runs - hitting) / runs))
-    return rows
+        rows[k] = BuildMetrics(seq, k, m, i / runs, p / runs, r / runs, f / runs,
+                               (runs - hitting) / runs)
+    return [rows[min(n, length)] for n in sizes]
 
 
 def replay_sizes(
@@ -347,7 +346,7 @@ def _spread(deltas: list[float], avg_of_averages: float | None) -> dict[str, flo
     return {
         "min": min(deltas, default=None),
         "max": max(deltas, default=None),
-        "avg": _mean(deltas) if deltas else None,
+        "avg": _mean(deltas),
         "avg_of_averages": avg_of_averages,
     }
 

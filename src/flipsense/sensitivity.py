@@ -11,7 +11,9 @@ or by plain accumulation (M_k = delta_k + M_{k-1}), which together with
 constant d reproduces the classic co-occurrence counting baseline.
 
 Scoring a change set slices the rows of the changed files and reduces the
-columns (sum or max); higher score = more likely to flip. An incremental
+columns (sum or max); higher score = more likely to flip. A score vector
+holds only the scores above 0, and ``select_top_n`` alone ranks one: those
+scores by (score desc, id asc), then zero-score tests by id. An incremental
 mode updates single columns when individual tests run, decaying columns of
 tests that ran without flipping.
 
@@ -106,23 +108,17 @@ class Delta:
 @dataclass(frozen=True)
 class ScoreVector:
     """Scores of the ``known`` tests: ``positive`` holds every score above
-    0, ``order`` lists those tests by (score desc, id asc), and every other
-    known test scores 0 and ranks after them by id. ``known`` is held by
-    reference, so a vector costs the tests it credits, not the tests known."""
+    0, and every other known test scores 0. ``known`` is held by reference,
+    so a vector costs the tests it credits, not the tests known; nothing
+    is ranked until ``select_top_n`` picks from it."""
 
     positive: dict[str, float]
     known: AbstractSet[str] = field(repr=False)
-    order: tuple[str, ...] = field(init=False)
-
-    def __post_init__(self):
-        order = sorted(self.positive)
-        order.sort(key=self.positive.__getitem__, reverse=True)  # stable: ties stay by id
-        object.__setattr__(self, "order", tuple(order))
 
     @property
     def scores(self) -> dict[str, float]:
         """A computed copy: every known test's score, zeros included. Hot
-        paths read ``positive`` and ``order`` instead."""
+        paths read ``positive`` instead."""
         scores = dict.fromkeys(self.known, 0.0)
         scores.update(self.positive)
         return scores
@@ -378,39 +374,35 @@ def slice_scores(
 
 @functools.lru_cache(maxsize=8)
 def _id_order(ids: frozenset[str]) -> tuple[str, ...]:
-    """The ids sorted, once per distinct frozenset (matrices keep theirs
-    until a new test appears)."""
+    """The ids sorted, once per distinct frozenset (a frozen universe, such
+    as replay's, is sorted once for all its selections)."""
     return tuple(sorted(ids))
 
 
 def select_top_n(scores: ScoreVector, n: int, universe: Iterable[str]) -> list[str]:
-    """Pick min(n, |universe|) tests: positive scores first (score desc, id
-    asc), then zero-score universe members by id until the quota is filled.
+    """Pick min(n, |universe|) tests: the universe's positive scores first
+    (score desc, id asc), then its zero-score members by id until the quota
+    is filled.
 
     Padding keeps the selection size fixed even when the matrix knows
-    nothing about the change set. A set or frozenset universe is used as
-    given, not copied. Padding walks a frozenset universe, or else the
-    known tests, in id order, sorted once per distinct set, and stops at
-    its quota; universe members outside the known tests are merged in.
+    nothing about the change set. Only the universe's positive tests are
+    sorted. Padding walks the universe in id order, sorted once per
+    distinct frozenset, and stops at its quota; a set universe is frozen,
+    and so copied, only on a call that pads.
     """
     if n < 1:
         raise ValueError(f"selection size must be >= 1, got {n}")
     pool = universe if isinstance(universe, (set, frozenset)) else set(universe)
     quota = min(n, len(pool))
-    picked = [t for t in scores.order if t in pool][:quota]
-    need = quota - len(picked)
-    if need:
-        walk = pool if isinstance(pool, frozenset) else frozenset(scores.known)
-        taken = set(picked)
-        padding = []
-        for t in _id_order(walk):
-            if t in pool and t not in taken:
-                padding.append(t)
-                if len(padding) == need:
+    picked = sorted(t for t in scores.positive if t in pool)
+    picked.sort(key=scores.positive.__getitem__, reverse=True)  # stable: ties stay by id
+    del picked[quota:]
+    if len(picked) < quota:  # then every positive member is picked
+        for t in _id_order(frozenset(pool)):
+            if t not in scores.positive:
+                picked.append(t)
+                if len(picked) == quota:
                     break
-        if walk is not pool:
-            padding += heapq.nsmallest(need, pool.difference(walk, taken))
-        picked += sorted(padding)[:need]
     return picked
 
 

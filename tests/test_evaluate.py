@@ -59,6 +59,9 @@ class TestMetrics:
         assert _mean([1.0, 1e-16, 1e-16]) == 1.0 / 3
         assert _mean([1e-16, 1e-16, 1.0]) == 1.0000000000000002 / 3
 
+    def test_mean_of_no_values_is_none(self):
+        assert _mean([]) is None
+
     def test_f_measure_examples(self):
         assert f_measure(0.3, 0.3) == pytest.approx(0.3)
         assert f_measure(0.4, 1.0) == pytest.approx(4 / 7)
@@ -498,4 +501,17 @@ class TestSizesAgree:
         records, ledger = desk_history
         reports = replay_sizes(records, ledger, config, DESK_SIZES)
         for n in DESK_SIZES:
+            assert reports[n].to_dict() == replay(records, ledger, config, n).to_dict()
+
+    @pytest.mark.parametrize("config", DESK_CONFIGS[:2], ids=lambda c: c.method)
+    def test_sizes_beyond_the_universe(self, config):
+        # every size from the universe's up selects the whole universe, and
+        # the sizes come in no order
+        records, _ = generate(SynthConfig(seed=3, n_files=30, n_tests=12))
+        ledger = extract_flips(records)
+        sizes = [*range(20, 10, -1), *range(1, 11)]
+        assert len(ledger.universe) < max(sizes)
+        reports = replay_sizes(records, ledger, config, sizes)
+        assert reports[20].evaluated_builds > 0
+        for n in sizes:
             assert reports[n].to_dict() == replay(records, ledger, config, n).to_dict()

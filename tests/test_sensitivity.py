@@ -390,6 +390,12 @@ class TestHandBuiltAdvance:
             [("t0", ["f1"]), ("t2", ["f1"])]
 
 
+def ranking(scores):
+    """The positive tests as select_top_n ranks them, picked from those
+    tests alone: (score desc, id asc)."""
+    return select_top_n(scores, max(len(scores.positive), 1), scores.positive.keys())
+
+
 def transposed(matrix):
     """file -> the sorted tests whose column holds it."""
     rows = {}
@@ -410,7 +416,7 @@ def assert_index_current(matrix, queries):
             fresh = slice_scores(replace(matrix), changed, mode)
             assert {t: v.hex() for t, v in live.positive.items()} == \
                 {t: v.hex() for t, v in fresh.positive.items()}
-            assert live.order == fresh.order
+            assert ranking(live) == ranking(fresh)
     assert {f: sorted(row) for f, row in matrix._rows.items()} == transposed(matrix)
 
 
@@ -483,7 +489,7 @@ class TestSliceScores:
     def test_sum_mode(self):
         scores = slice_scores(self.matrix(), {"f1", "f2"}, "sum")
         assert scores.scores == {"t1": 0.5, "t2": 0.3}
-        assert scores.order == ("t1", "t2")
+        assert ranking(scores) == ["t1", "t2"]
 
     def test_max_mode(self):
         scores = slice_scores(self.matrix(), {"f1", "f2"}, "max")
@@ -593,7 +599,7 @@ class TestScoringOracle:
         scores = slice_scores(matrix, changed, mode)
         assert scores.scores == expected
         positive = sorted((t for t, v in expected.items() if v > 0.0), key=lambda t: (-expected[t], t))
-        assert list(scores.order) == positive
+        assert ranking(scores) == positive
         ranked = [t for t in positive if t in universe]
         ranked += sorted(universe - set(ranked))
         assert select_top_n(scores, n, universe) == ranked[: min(n, len(universe))]
@@ -602,15 +608,16 @@ class TestScoringOracle:
     @settings(max_examples=200)
     def test_padding_matches_oracle(self, case, data):
         # known as a frozenset, a set or dict keys; set and frozenset
-        # universes (padding walks a frozen universe, else the known
-        # tests) with ids outside known or smaller than n; one known with
-        # two universes; a set universe edited between two calls
+        # universes (padding walks the universe in id order, a set one
+        # frozen first) with ids outside known or smaller than n; one known
+        # with two universes; a set universe edited between two calls
         matrix, changed, universe, n, mode = case
         positive = slice_scores(matrix, changed, mode).positive
         ids = st.sets(st.sampled_from(sorted(matrix.tests | universe | {"a", "t", "zz"})))
 
         def oracle(scores, universe):
-            ranked = [t for t in scores.order if t in universe]
+            ranked = sorted((t for t in scores.positive if t in universe),
+                            key=lambda t: (-scores.positive[t], t))
             ranked += sorted(set(universe) - set(ranked))
             return ranked[: min(n, len(universe))]
 
@@ -643,11 +650,11 @@ class TestScoringOracle:
     def test_scores_view_is_a_copy(self, case):
         matrix, changed, _, _, mode = case
         scores = slice_scores(matrix, changed, mode)
-        order, view = scores.order, scores.scores
+        order, view = ranking(scores), scores.scores
         for t in list(view):
             view[t] = -1.0
         view["zz"] = 5.0
-        assert scores.order == order
+        assert ranking(scores) == order
         assert scores.scores == {t: scores.positive.get(t, 0.0) for t in matrix.tests}
 
     @given(histories(), st.data())
@@ -662,7 +669,7 @@ class TestScoringOracle:
                     expected[t] = 1.0 / (1 + (at_seq - 1 - record.seq))
         scores = hbtp_scores(records, ledger, at_seq)
         assert scores.scores == expected
-        assert list(scores.order) == sorted(
+        assert ranking(scores) == sorted(
             (t for t, v in expected.items() if v > 0.0), key=lambda t: (-expected[t], t))
 
 
