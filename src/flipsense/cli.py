@@ -191,6 +191,9 @@ def _method_list(text: str) -> list[str]:
             raise ValueError(f"unknown method {m!r}; expected {', '.join(evaluate.METHODS)} or all")
     if not methods:
         raise ValueError("no method given")
+    repeated = sorted({m for m in methods if methods.count(m) > 1})
+    if repeated:
+        raise ValueError(f"methods must be distinct, got {repeated} more than once")
     return methods
 
 
@@ -205,6 +208,9 @@ def cmd_replay(args) -> int:
     methods = _method_list(args.method)
     if "random" in methods and args.runs > MAX_ENTRIES:  # a drawn prefix per run, held up front
         raise ValueError(f"random selection takes at most {MAX_ENTRIES} runs, got {args.runs}")
+    baseline = args.baseline or ("cumulative" if "cumulative" in methods else methods[0])
+    if baseline not in methods:
+        raise ValidationError(f"baseline {baseline!r} is not among the replayed methods")
 
     reports = {
         m: evaluate.replay_sizes(records, ledger, _method_config(m, args, args.score_mode), sizes)
@@ -213,9 +219,6 @@ def cmd_replay(args) -> int:
     figures = evaluate.figure_data(reports)
     improvement = {}
     if len(methods) > 1:
-        baseline = args.baseline or ("cumulative" if "cumulative" in methods else methods[0])
-        if baseline not in methods:
-            raise ValidationError(f"baseline {baseline!r} is not among the replayed methods")
         improvement = {
             m: evaluate.improvement_summary(reports, baseline, m) for m in methods if m != baseline
         }

@@ -24,8 +24,8 @@ extends, not one per entry; that heap is the one place an entry whose true
 value is above 0 is deleted. A build's credits are one block, a frozen
 ``Delta`` of its changed files, its flipped tests and the one value
 1/d(|changed|), so a build costs one scaled value and a C-level update of
-each column it reaches. Every score and mean is added left to right, so
-output bytes do not depend on the Python version's ``sum``.
+each column it reaches. Every score and mean adds ``stored * scale`` per
+entry, as a snapshot holds it, left to right: ``sum`` varies by version.
 ``advance`` therefore updates its matrix in place; every other operation
 returns a new object and leaves its inputs alone, except that
 ``slice_scores`` fills in the matrix's derived row index (file -> tests),
@@ -66,10 +66,11 @@ class SensitivityMatrix:
     """Sparse non-negative matrix keyed (test -> file -> stored value).
 
     An entry's true value is its stored value times ``scale``, which only
-    ``advance`` moves off 1; ``entry`` gives true values. ``files`` and
-    ``tests`` record every id ever seen by an update, even if all its
-    entries have decayed away or been pruned; heat-map fractions and
-    zero-score ranking depend on that registry. No stored entry is 0.
+    ``advance`` moves off 1; every reader multiplies each entry on its own,
+    never a sum of stored values. ``files`` and ``tests`` record every id
+    ever seen by an update, even if all its entries have decayed away or
+    been pruned; heat-map fractions and zero-score ranking depend on that
+    registry. No stored entry is 0.
     """
 
     cols: dict[str, dict[str, float]]
@@ -338,9 +339,9 @@ def slice_scores(
 ) -> ScoreVector:
     """Score every known test against a change set.
 
-    Sum mode adds the changed files' entries per test column left to
-    right, in file id order, to one running total a test; max mode keeps
-    the largest, and either is scaled to a true value with one multiply.
+    Sum mode adds the true values (``stored * scale``, per entry) of the
+    changed files' entries per test column left to right, in file id
+    order, to one running total a test; max mode keeps the largest.
     Files the matrix has never seen contribute nothing, and tests with no
     contribution score 0 (they stay rankable via tie-break) without being
     stored.
@@ -358,18 +359,13 @@ def slice_scores(
         for t, col in cols.items():
             for f in col:
                 rows.setdefault(f, []).append(t)
-    totals: dict[str, float] = {}
+    scale, totals = matrix.scale, {}
     total = totals.get
     for f in sorted({f for f in changed_files if f in rows}):
         for t in rows[f]:
-            totals[t] = add(total(t, 0.0), cols[t][f])  # 0.0 + v and max(0.0, v) are v
-    scale = matrix.scale
-    positive = {}
-    for t, value in totals.items():
-        score = scale * value
-        if score > 0.0:  # else the product underflowed
-            positive[t] = score
-    return ScoreVector(positive, matrix.tests)
+            totals[t] = add(total(t, 0.0), cols[t][f] * scale)  # 0.0 + v and max(0.0, v) are v
+    # a total is 0 only if each of its products underflowed
+    return ScoreVector({t: v for t, v in totals.items() if v}, matrix.tests)
 
 
 @functools.lru_cache(maxsize=8)
@@ -475,14 +471,13 @@ def flakiness_index(matrix: SensitivityMatrix) -> list[tuple[str, float, float]]
 
     A test touching most of the files with small values is sensitive to
     nearly any modification -- the classic smell of a flaky or bad test.
-    The mean adds a column's entries left to right, in file id order.
+    The mean adds a column's true values left to right, in file id order.
     """
     n_files = len(matrix.files)
     rows = []
-    for t, col in matrix.cols.items():
+    for t, col in _true_cols(matrix).items():
         fraction = len(col) / n_files if n_files else 0.0
-        total = functools.reduce(operator.add, map(col.__getitem__, sorted(col)), 0.0)
-        mean = total * matrix.scale / len(col)
+        mean = functools.reduce(operator.add, map(col.__getitem__, sorted(col)), 0.0) / len(col)
         rows.append((t, fraction, mean))
     rows.sort(key=lambda r: (-r[1], r[0]))
     return rows

@@ -160,20 +160,31 @@ class TestPrioritise:
         out = capsys.readouterr().out
         assert out.startswith("t1\t")
 
-    @pytest.mark.parametrize("fmt", ["human", "machine"])
-    def test_snapshot_pads_like_history(self, history_file, changes_file, tmp_path, capsys, fmt):
-        # a0 never flipped: both ways pad with it once the credited tests run out
+    @pytest.mark.parametrize("fmt, near_tie", [("human", False), ("machine", False),
+                                               ("human", True), ("machine", True)],
+                             ids=["human", "machine", "near-tie-human", "near-tie-machine"])
+    def test_snapshot_pads_like_history(self, history_file, changes_file, tmp_path, capsys, fmt,
+                                        near_tie):
+        # a0 never flipped: both ways pad with it once the credited tests run out.
+        # In the near tie, t0070 and t0093 score one ulp apart: a live sum of
+        # stored values scaled once would rank them the other way round.
+        history, changes, alpha, n, shown = history_file, changes_file, [], "3", "a0"
+        if near_tie:
+            history, changes = tmp_path / "h.jsonl", tmp_path / "changes.txt"
+            main(["synth", "--seed", "1", "--builds", "60", "--out", str(history)])
+            changes.write_text("f0048\nf0104\nf0159\nf0169\n", encoding="utf-8")
+            alpha, n, shown = ["--alpha", "0.1"], "25", "t0093"
         snapshot = tmp_path / "matrix.json"
-        main(["heatmap", "--input", str(history_file), "--out", str(tmp_path / "hm"),
+        main(["heatmap", "--input", str(history), *alpha, "--out", str(tmp_path / "hm"),
               "--save-snapshot", str(snapshot)])
         capsys.readouterr()
         outs = []
-        for source in (["--history", str(history_file)], ["--snapshot", str(snapshot)]):
-            assert main(["prioritise", *source, "--changes", str(changes_file), "-n", "3",
+        for source in (["--history", str(history), *alpha], ["--snapshot", str(snapshot)]):
+            assert main(["prioritise", *source, "--changes", str(changes), "-n", n,
                          "--show-scores", "--format", fmt]) == 0
             outs.append(capsys.readouterr().out)
         assert outs[0] == outs[1]
-        assert "a0" in outs[1]
+        assert shown in outs[1]
 
 
 class TestReplay:
@@ -219,6 +230,20 @@ class TestReplay:
 
     def test_unknown_method(self, history_file, capsys):
         assert main(["replay", "--input", str(history_file), "--method", "bogus"]) == 2
+
+    def test_repeated_method_is_a_usage_error(self, history_file, capsys):
+        assert main(["replay", "--input", str(history_file),
+                     "--method", "ema,cumulative,ema"]) == 2
+        assert capsys.readouterr() == \
+            ("", "error: methods must be distinct, got ['ema'] more than once\n")
+
+    @pytest.mark.parametrize("methods", ["ema", "ema,cumulative"])
+    def test_baseline_outside_the_methods_is_a_usage_error(self, history_file, capsys, methods):
+        # also with one method, where no improvement is computed
+        assert main(["replay", "--input", str(history_file), "--method", methods,
+                     "--baseline", "random"]) == 2
+        assert capsys.readouterr() == \
+            ("", "error: baseline 'random' is not among the replayed methods\n")
 
     def test_d_mode_applies_to_cumulative(self, history_file, capsys):
         assert main(["replay", "--input", str(history_file), "--method", "cumulative",
@@ -878,7 +903,7 @@ class TestPinnedOutputs:
         (["sweep-alpha", "--input", "{history}", "--grid", "0:1:0.1", "--format", "machine"],
          "5a2d38e2a83b3d49dd796804d1b06e94"),
         (["prioritise", "--history", "{history}", "--changes", "{changes}", "-n", "25",
-          "--method", "ema", "--format", "machine"], "eed498681b5875c91eb4179f72c9071d"),
+          "--method", "ema", "--format", "machine"], "848925d40d00976ff7af20e1a4418101"),
         (["replay", "--input", "{history}", "--method", "cumulative", "--score-mode", "max",
           "--format", "machine"], "be48c83f38739d3441837dca5a271f6c"),
         (["replay", "--input", "{history}", "--method", "random", "--format", "machine"],

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 
 from flipsense.baselines import hbtp_scores
 from flipsense.errors import ConfigError, ValidationError
+from flipsense.evaluate import MethodConfig, fold
 from flipsense.history import extract_flips
 from flipsense.sensitivity import (
     D_MODES,
@@ -35,6 +36,7 @@ from flipsense.sensitivity import (
     select_top_n,
     slice_scores,
 )
+from flipsense.synth import SynthConfig, generate
 
 from conftest import histories, sum_left_to_right
 
@@ -894,3 +896,30 @@ class TestSnapshotWriter:
                 '"last_seq":1,"tests":["t1","t2"],"update_mode":"ema"}')
         with pytest.raises(ValidationError, match="column 't1' entries must be finite"):
             load_matrix(io.StringIO(text))
+
+
+class TestSnapshotScoresAsItsMatrix:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10**6), st.sampled_from([0.1, 0.3, 0.8]) | st.floats(0.01, 0.99),
+           st.data())
+    def test_live_and_reloaded_give_the_same_bits(self, seed, alpha, data):
+        # a snapshot holds each entry's true value, stored * scale; the live
+        # matrix must add exactly those, not scale a sum of stored values
+        records, _ = generate(SynthConfig(seed=seed, n_builds=40, n_files=60, n_tests=40))
+        for live in fold(records, extract_flips(records), MethodConfig(method="ema", alpha=alpha)):
+            pass
+        buf = io.StringIO()
+        save_matrix(live, buf)
+        loaded = load_matrix(io.StringIO(buf.getvalue()))
+        files = sorted(live.files)
+        for _ in range(10):
+            changed = data.draw(st.sets(st.sampled_from(files), min_size=1, max_size=12))
+            for mode in SCORE_MODES:
+                live_bits, loaded_bits = (
+                    {t: v.hex() for t, v in slice_scores(m, changed, mode).positive.items()}
+                    for m in (live, loaded))
+                assert live_bits == loaded_bits
+        live_index, loaded_index = (
+            [(t, fraction.hex(), mean.hex()) for t, fraction, mean in flakiness_index(m)]
+            for m in (live, loaded))
+        assert live_index == loaded_index
