@@ -124,29 +124,45 @@ def _emit(args, doc: dict, lines) -> None:
 
 
 def _method_config(method: str, args, score_mode: str = "sum") -> evaluate.MethodConfig:
-    """The config the flags name: --alpha for ema only (so a cumulative
-    snapshot keeps "alpha": null) and --d-mode for every matrix method,
-    which otherwise keeps its own default."""
+    """The config the flags name: --alpha (else DEFAULT_ALPHA) for ema only,
+    so a cumulative snapshot keeps "alpha": null, and --d-mode for every
+    matrix method, which otherwise keeps its own default."""
+    alpha = DEFAULT_ALPHA if args.alpha is None else args.alpha
     return evaluate.MethodConfig(
         method=method,
-        alpha=args.alpha if method == "ema" else None,
+        alpha=alpha if method == "ema" else None,
         d_mode=None if method == "random" else args.d_mode,
         score_mode=score_mode,
         policy=baselines.RandomPolicy(seed=_seed(args), runs=args.runs) if method == "random" else None,
     )
 
 
+def _check_snapshot_flags(args, matrix: sensitivity.SensitivityMatrix) -> None:
+    """Each of --method, --alpha and --d-mode that is given must name the
+    snapshot's own setting; a cumulative snapshot has no alpha."""
+    for flag, given, held in (
+        ("--method", args.method, matrix.update_mode),
+        ("--alpha", args.alpha, matrix.alpha if matrix.update_mode == "ema" else None),
+        ("--d-mode", args.d_mode, matrix.d_mode),
+    ):
+        if given is not None and given != held:
+            holds = f"{flag[2:]} {held}" if held is not None else f"no {flag[2:]}"
+            raise ValidationError(f"{flag} {given} contradicts the snapshot, which holds {holds}")
+
+
 def _matrix(args, path: str | None, flag: str) -> sensitivity.SensitivityMatrix:
     """--snapshot loaded, or else the history at path folded for
-    --method/--alpha/--d-mode, knowing every test in the history, as its
-    snapshot would."""
+    --method (else ema), --alpha and --d-mode, knowing every test in the
+    history, as its snapshot would."""
     if args.snapshot:
-        return _load(args.snapshot, sensitivity.load_matrix)
+        matrix = _load(args.snapshot, sensitivity.load_matrix)
+        _check_snapshot_flags(args, matrix)
+        return matrix
     if not path:
         raise ValidationError(f"{args.command} needs {flag} or --snapshot")
     records = _read_history(path)
     ledger = history.extract_flips(records)
-    for matrix in evaluate.fold(records, ledger, _method_config(args.method, args)):
+    for matrix in evaluate.fold(records, ledger, _method_config(args.method or "ema", args)):
         pass
     matrix.tests |= ledger.universe
     return matrix
@@ -431,11 +447,12 @@ def build_parser() -> argparse.ArgumentParser:
     score = argparse.ArgumentParser(add_help=False)
     score.add_argument("--score-mode", choices=sensitivity.SCORE_MODES, default="sum")
     decay = argparse.ArgumentParser(add_help=False)
-    decay.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
+    decay.add_argument("--alpha", type=float, default=None, help=f"default: {DEFAULT_ALPHA}")
     decay.add_argument("--d-mode", choices=sensitivity.D_MODES, default=None,
                        help="default: linear for ema, constant for cumulative")
     matrix = argparse.ArgumentParser(add_help=False, parents=[decay])
-    matrix.add_argument("--method", choices=("ema", "cumulative"), default="ema")
+    matrix.add_argument("--method", choices=("ema", "cumulative"), default=None,
+                        help="default: ema")
     matrix.add_argument("--snapshot", help="previously saved matrix snapshot")
 
     p = sub.add_parser("ingest", parents=[fmt], help="validate a history file and print summary stats")

@@ -21,6 +21,11 @@ from .errors import HistoryParseError, ValidationError
 
 VERDICTS = ("pass", "fail")
 
+# each verdict to itself: indexing it checks a verdict in C and hands back
+# the one shared string, where an unknown verdict raises KeyError and an
+# unhashable one TypeError
+_VERDICT = {v: v for v in VERDICTS}
+
 
 @dataclass(frozen=True)
 class BuildRecord:
@@ -50,7 +55,13 @@ class FlipLedger:
         return self.predictable_at.get(seq, frozenset())
 
 
-def _parse_line(line_no: int, line: str) -> tuple[str, frozenset[str], dict[str, str]]:
+def _parse_line(
+    line_no: int, line: str, ids: dict[str, str]
+) -> tuple[str, frozenset[str], dict[str, str]]:
+    """One line's build id, change set and verdicts. Each test id is the
+    object ``ids`` holds for its text, and each verdict one of VERDICTS,
+    so a history holds one copy of each id and verdict however many
+    builds name it."""
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -77,14 +88,20 @@ def _parse_line(line_no: int, line: str) -> tuple[str, frozenset[str], dict[str,
     results = obj["results"]
     if not isinstance(results, dict):
         raise HistoryParseError(line_no, "'results' must be an object")
-    for test_id, verdict in results.items():
-        if not isinstance(test_id, str) or not test_id:
-            raise HistoryParseError(line_no, f"test id {test_id!r} is not a non-empty string")
-        if verdict not in VERDICTS:
-            raise HistoryParseError(
-                line_no, f"test {test_id!r} has verdict {verdict!r}; expected 'pass' or 'fail'"
-            )
-    return build_id, frozenset(changes), dict(results)
+    try:
+        verdicts = dict(zip(map(ids.setdefault, results, results),
+                            map(_VERDICT.__getitem__, results.values())))
+    except (KeyError, TypeError):
+        verdicts = None
+    if verdicts is None or "" in verdicts:  # a bad entry: name the first one
+        for test_id, verdict in results.items():
+            if not test_id:  # a JSON key is always a string
+                raise HistoryParseError(line_no, f"test id {test_id!r} is not a non-empty string")
+            if verdict not in VERDICTS:
+                raise HistoryParseError(
+                    line_no, f"test {test_id!r} has verdict {verdict!r}; expected 'pass' or 'fail'"
+                )
+    return build_id, frozenset(changes), verdicts
 
 
 def ingest_history(lines: Iterable[str]) -> list[BuildRecord]:
@@ -95,10 +112,11 @@ def ingest_history(lines: Iterable[str]) -> list[BuildRecord]:
     """
     records: list[BuildRecord] = []
     seen_ids: set[str] = set()
+    test_ids: dict[str, str] = {}
     for line_no, line in enumerate(lines, start=1):
         if not line.strip():
             continue
-        build_id, changed, verdicts = _parse_line(line_no, line)
+        build_id, changed, verdicts = _parse_line(line_no, line, test_ids)
         if build_id in seen_ids:
             raise ValidationError(f"duplicate build id {build_id!r} at line {line_no}")
         seen_ids.add(build_id)

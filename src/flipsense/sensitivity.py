@@ -489,11 +489,19 @@ def export_heatmap(matrix: SensitivityMatrix, heatmap_fp: IO[str], flakiness_fp:
     Values carry 6 significant digits; absent entries are written as 0.
     """
     tests = sorted(matrix.tests)
-    files = sorted(matrix.files)
+    # file -> (test position, cell) of each entry, the cell from the same
+    # product entry() returns; every other cell is "0", as 0.0 prints
+    nonzeros: dict[str, list[tuple[int, str]]] = {}
+    for i, t in enumerate(tests):
+        for f, stored in matrix.cols.get(t, {}).items():
+            nonzeros.setdefault(f, []).append((i, f"{stored * matrix.scale:.6g}"))
     writer = csv.writer(heatmap_fp, lineterminator="\n")
     writer.writerow(["file"] + tests)
-    for f in files:
-        writer.writerow([f] + [f"{matrix.entry(f, t):.6g}" for t in tests])
+    for f in sorted(matrix.files):
+        row = ["0"] * len(tests)
+        for i, cell in nonzeros.get(f, ()):
+            row[i] = cell
+        writer.writerow([f] + row)
 
     fwriter = csv.writer(flakiness_fp, lineterminator="\n")
     fwriter.writerow(["test_id", "fraction", "mean_magnitude"])

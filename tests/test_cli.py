@@ -186,6 +186,55 @@ class TestPrioritise:
         assert outs[0] == outs[1]
         assert shown in outs[1]
 
+    @pytest.mark.parametrize("saved, flags, err", [
+        (["--alpha", "0.1"], ["--alpha", "0.9"],
+         "--alpha 0.9 contradicts the snapshot, which holds alpha 0.1"),
+        (["--alpha", "0.1"], ["--method", "cumulative"],
+         "--method cumulative contradicts the snapshot, which holds method ema"),
+        (["--alpha", "0.1"], ["--alpha", "0.1", "--method", "cumulative"],
+         "--method cumulative contradicts the snapshot, which holds method ema"),
+        (["--alpha", "0.1"], ["--d-mode", "constant"],
+         "--d-mode constant contradicts the snapshot, which holds d-mode linear"),
+        (["--method", "cumulative"], ["--alpha", "0.8"],
+         "--alpha 0.8 contradicts the snapshot, which holds no alpha"),
+        (["--method", "cumulative"], ["--method", "ema"],
+         "--method ema contradicts the snapshot, which holds method cumulative"),
+        (["--method", "cumulative"], ["--d-mode", "linear"],
+         "--d-mode linear contradicts the snapshot, which holds d-mode constant"),
+    ], ids=["alpha", "method", "alpha-and-method", "d-mode", "alpha-on-cumulative",
+            "method-on-cumulative", "d-mode-on-cumulative"])
+    @pytest.mark.parametrize("command", ["prioritise", "heatmap"])
+    def test_snapshot_flag_that_contradicts_it(self, history_file, changes_file, tmp_path, capsys,
+                                               saved, flags, err, command):
+        # a flag that names a setting the snapshot does not hold is a usage
+        # error, not a setting silently ignored
+        snapshot = tmp_path / "matrix.json"
+        assert main(["heatmap", "--input", str(history_file), *saved, "--out", str(tmp_path / "hm"),
+                     "--save-snapshot", str(snapshot)]) == 0
+        capsys.readouterr()
+        argv = {"prioritise": ["prioritise", "--changes", str(changes_file), "-n", "1"],
+                "heatmap": ["heatmap", "--out", str(tmp_path / "hm2")]}[command]
+        assert main([*argv, "--snapshot", str(snapshot), *flags]) == 2
+        assert capsys.readouterr() == ("", f"error: {err}\n")
+        assert not (tmp_path / "hm2").exists()
+
+    @pytest.mark.parametrize("saved, flags", [
+        (["--alpha", "0.1"], ["--alpha", "0.1", "--method", "ema", "--d-mode", "linear"]),
+        (["--method", "cumulative"], ["--method", "cumulative", "--d-mode", "constant"]),
+    ], ids=["ema", "cumulative"])
+    def test_snapshot_flags_that_agree_change_nothing(self, history_file, changes_file, tmp_path,
+                                                      capsys, saved, flags):
+        snapshot = tmp_path / "matrix.json"
+        assert main(["heatmap", "--input", str(history_file), *saved, "--out", str(tmp_path / "hm"),
+                     "--save-snapshot", str(snapshot)]) == 0
+        capsys.readouterr()
+        outs = []
+        for extra in ([], flags):
+            assert main(["prioritise", "--snapshot", str(snapshot), "--changes", str(changes_file),
+                         "-n", "3", "--show-scores", *extra]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1] and outs[0].startswith("t1\t")
+
 
 class TestReplay:
     def test_figure_tables_written(self, history_file, tmp_path, capsys):

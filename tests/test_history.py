@@ -3,17 +3,21 @@
 import io
 import json
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
 from flipsense.errors import HistoryParseError, ValidationError
 from flipsense.history import (
+    VERDICTS,
+    BuildRecord,
     extract_flips,
     ingest_history,
     record_to_line,
     summarise,
     write_history,
 )
+from flipsense.synth import SynthConfig, generate
 
 from conftest import histories, history_lines, rec
 
@@ -77,6 +81,74 @@ class TestIngest:
             lines.append(json.dumps({"build": f"b{k}", "changes": files, "results": tests}))
         doc = summarise(ingest_history(lines))
         assert (doc["builds"], doc["files"], doc["tests"]) == (176, 6720, 1254)
+
+
+@st.composite
+def history_texts(draw):
+    """The lines of a synth history, or of a small drawn one whose lines
+    list their results in drawn orders, with blank lines between."""
+    if draw(st.booleans()):
+        config = SynthConfig(seed=draw(st.integers(0, 10**6)),
+                             n_builds=draw(st.integers(1, 30)), n_tests=draw(st.integers(1, 40)))
+        return [record_to_line(r) for r in generate(config)[0]]
+    lines = []
+    for r in draw(histories()):
+        results = list(r.verdicts.items())
+        order = draw(st.permutations(range(len(results))))
+        lines.append(json.dumps({"results": dict(results[i] for i in order),
+                                 "changes": sorted(r.changed_files), "build": r.build_id}))
+        lines.extend(draw(st.lists(st.sampled_from(["", "  ", "\n"]), max_size=1)))
+    return lines
+
+
+def plain_parse(lines) -> list[BuildRecord]:
+    """One json.loads a line, with no check and no sharing."""
+    docs = [json.loads(line) for line in lines if line.strip()]
+    return [BuildRecord(d["build"], seq, frozenset(d["changes"]), d["results"])
+            for seq, d in enumerate(docs)]
+
+
+class TestSharedStrings:
+    @given(history_texts())
+    @settings(max_examples=60, deadline=None)
+    def test_records_are_a_plain_parse_with_shared_strings(self, lines):
+        records = ingest_history(lines)
+        plain = plain_parse(lines)
+        assert records == plain
+        assert [list(r.verdicts) for r in records] == [list(r.verdicts) for r in plain]
+        first: dict[str, str] = {}
+        for r in records:
+            for test_id, verdict in r.verdicts.items():
+                assert verdict is VERDICTS[0] or verdict is VERDICTS[1]
+                assert first.setdefault(test_id, test_id) is test_id
+
+    # each line's first bad entry in key order, word for word as the
+    # per-entry check words it
+    @pytest.mark.parametrize("results, message", [
+        ({"t_ok": "pass", "t_bad": ["pass"], "t_after": "fail"},
+         "test 't_bad' has verdict ['pass']; expected 'pass' or 'fail'"),
+        ({"t_ok": "pass", "t_bad": {}, "t_after": "fail"},
+         "test 't_bad' has verdict {}; expected 'pass' or 'fail'"),
+        ({"t_ok": "pass", "t_bad": 1, "t_after": "fail"},
+         "test 't_bad' has verdict 1; expected 'pass' or 'fail'"),
+        ({"t_ok": "pass", "t_bad": True, "t_after": "fail"},
+         "test 't_bad' has verdict True; expected 'pass' or 'fail'"),
+        ({"t_ok": "pass", "t_bad": None, "t_after": "fail"},
+         "test 't_bad' has verdict None; expected 'pass' or 'fail'"),
+        ({"t_ok": "pass", "t_bad": "PASS", "t_after": "fail"},
+         "test 't_bad' has verdict 'PASS'; expected 'pass' or 'fail'"),
+        ({"t_ok": "pass", "": "fail", "t_bad": "skip"}, "test id '' is not a non-empty string"),
+        ({"t_ok": "pass", "t_bad": "skip", "": "fail"},
+         "test 't_bad' has verdict 'skip'; expected 'pass' or 'fail'"),
+        ({"t_ok": "pass", "": "pass"}, "test id '' is not a non-empty string"),
+    ], ids=["list", "object", "number", "true", "null", "upper-case", "empty-id-first",
+            "empty-id-last", "empty-id-only"])
+    def test_error_line_of_a_bad_entry(self, results, message):
+        lines = ['{"build":"b1","changes":[],"results":{"t_ok":"fail"}}',
+                 json.dumps({"build": "b2", "changes": ["f1"], "results": results})]
+        with pytest.raises(HistoryParseError) as info:
+            ingest_history(lines)
+        assert str(info.value) == f"line 2: {message}"
 
 
 class TestExtractFlips:

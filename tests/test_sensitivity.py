@@ -765,6 +765,23 @@ class TestExports:
         assert lines[1] == "f1,0.3,0"
         assert lines[2] == "f2,0,0"
 
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10**6), st.sampled_from(["ema", "cumulative"]),
+           st.floats(0.01, 0.99))
+    def test_heatmap_cells_are_the_entries(self, seed, method, alpha):
+        # the table written from the nonzeros is the dense table of entry()
+        records, _ = generate(SynthConfig(seed=seed, n_builds=30, n_files=40, n_tests=30))
+        ledger = extract_flips(records)
+        config = MethodConfig(method=method, alpha=alpha if method == "ema" else None)
+        for m in fold(records, ledger, config):
+            pass
+        m.tests |= ledger.universe | {"t_unseen"}
+        tests, files = sorted(m.tests), sorted(m.files)
+        hm = io.StringIO()
+        export_heatmap(m, hm, io.StringIO())
+        assert hm.getvalue().splitlines() == [",".join(["file"] + tests)] + [
+            ",".join([f] + [f"{m.entry(f, t):.6g}" for t in tests]) for f in files]
+
     def test_empty_matrix_headers_only(self):
         hm, fl = io.StringIO(), io.StringIO()
         export_heatmap(empty_matrix(alpha=0.5), hm, fl)
