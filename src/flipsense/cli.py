@@ -153,8 +153,10 @@ def _check_snapshot_flags(args, matrix: sensitivity.SensitivityMatrix) -> None:
 def _matrix(args, path: str | None, flag: str) -> sensitivity.SensitivityMatrix:
     """--snapshot loaded, or else the history at path folded for
     --method (else ema), --alpha and --d-mode, knowing every test in the
-    history, as its snapshot would."""
+    history, as its snapshot would; one source, never both."""
     if args.snapshot:
+        if path is not None:
+            raise ValidationError(f"{args.command} takes {flag} or --snapshot, not both")
         matrix = _load(args.snapshot, sensitivity.load_matrix)
         _check_snapshot_flags(args, matrix)
         return matrix

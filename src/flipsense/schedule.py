@@ -23,7 +23,6 @@ from .sensitivity import (
     SensitivityMatrix,
     check_fields,
     check_ids,
-    make_scores,
     new_pending,
     read_document,
     select_top_n,
@@ -149,8 +148,6 @@ def office_hours_tick(
     """
     if not 0.0 <= w <= 1.0:
         raise ValueError(f"blend weight must be in [0, 1], got {w}")
-    if k < 1:
-        raise ValueError(f"selection size must be >= 1, got {k}")
     sens = _normalise(slice_scores(matrix, changed_files, score_mode).positive)
     recency = _normalise(hbtp.positive)
     universe = matrix.tests | hbtp.known | pending.tests()
@@ -158,7 +155,8 @@ def office_hours_tick(
         t: w * sens.get(t, 0.0) + (1.0 - w) * recency.get(t, 0.0)
         for t in sens.keys() | recency.keys()
     }
-    return select_top_n(make_scores(combined), k, universe)
+    positive = {t: v for t, v in combined.items() if v > 0.0}
+    return select_top_n(ScoreVector(positive, universe), k, universe)
 
 
 def save_state(state: ScheduleState, fp: IO[str]) -> None:

@@ -322,18 +322,6 @@ def _renormalise(matrix: SensitivityMatrix) -> None:
     matrix.scale, matrix._heap, matrix._rows = 1.0, None, None
 
 
-def make_scores(scores: Mapping[str, float]) -> ScoreVector:
-    """The vector of the given scores, which must be >= 0 (not NaN); the
-    mapping's tests are its known tests."""
-    positive = {}
-    for t, v in scores.items():
-        if v > 0.0:
-            positive[t] = v
-        elif v != 0.0:
-            raise ValueError(f"test {t!r} has score {v!r}; scores must be >= 0")
-    return ScoreVector(positive, frozenset(scores))
-
-
 def slice_scores(
     matrix: SensitivityMatrix, changed_files: Iterable[str], score_mode: str = "sum"
 ) -> ScoreVector:
@@ -426,13 +414,6 @@ def incremental_apply(
     """
     if matrix.update_mode != "ema":
         raise ConfigError("incremental updates require an ema matrix")
-    executed = sorted(set(executed))
-    for t in executed:
-        if t not in new_verdicts:
-            raise ValueError(f"executed test {t!r} has no verdict")
-        if new_verdicts[t] not in VERDICTS:
-            raise ValueError(f"test {t!r} has verdict {new_verdicts[t]!r}")
-
     alpha = matrix.alpha
     keep = 1.0 - alpha
     cols = _true_cols(matrix)
@@ -442,8 +423,13 @@ def incremental_apply(
     last_verdict = dict(pending.last_verdict)
     since = pending._changed_since()
 
-    for t in executed:
+    # only the copies above change, so a bad verdict leaves the inputs as they were
+    for t in sorted(set(executed)):
+        if t not in new_verdicts:
+            raise ValueError(f"executed test {t!r} has no verdict")
         verdict = new_verdicts[t]
+        if verdict not in VERDICTS:
+            raise ValueError(f"test {t!r} has verdict {verdict!r}")
         prev = last_verdict.get(t)
         flipped = prev is not None and prev != verdict
         acc = since(last_run.get(t, pending.clock))  # a test seen first starts now

@@ -37,26 +37,23 @@ class SynthConfig:
         # random.Random seeds from |seed|, so -s would generate what s does
         if self.seed < 0:
             raise ConfigError(f"synth needs seed >= 0, got {self.seed}")
-
-
-def validate_config(config: SynthConfig) -> None:
-    if min(config.n_builds, config.n_files, config.n_tests) < 1:
-        raise ValidationError("n_builds, n_files, and n_tests must all be >= 1")
-    for name, (lo, hi) in (
-        ("deps_per_test", config.deps_per_test),
-        ("change_set_size", config.change_set_size),
-    ):
-        if lo < 1 or hi < lo:
-            raise ValidationError(f"{name} must be a range 1 <= lo <= hi, got {lo}..{hi}")
-        if hi > config.n_files:
-            raise ValidationError(f"{name} max {hi} exceeds n_files {config.n_files}")
-    for name, p in (
-        ("flip_probability_hit", config.flip_probability_hit),
-        ("flip_probability_noise", config.flip_probability_noise),
-        ("initial_fail_fraction", config.initial_fail_fraction),
-    ):
-        if not 0.0 <= p <= 1.0:
-            raise ValidationError(f"{name} must be in [0, 1], got {p}")
+        if min(self.n_builds, self.n_files, self.n_tests) < 1:
+            raise ValidationError("n_builds, n_files, and n_tests must all be >= 1")
+        for name, (lo, hi) in (
+            ("deps_per_test", self.deps_per_test),
+            ("change_set_size", self.change_set_size),
+        ):
+            if lo < 1 or hi < lo:
+                raise ValidationError(f"{name} must be a range 1 <= lo <= hi, got {lo}..{hi}")
+            if hi > self.n_files:
+                raise ValidationError(f"{name} max {hi} exceeds n_files {self.n_files}")
+        for name, p in (
+            ("flip_probability_hit", self.flip_probability_hit),
+            ("flip_probability_noise", self.flip_probability_noise),
+            ("initial_fail_fraction", self.initial_fail_fraction),
+        ):
+            if not 0.0 <= p <= 1.0:
+                raise ValidationError(f"{name} must be in [0, 1], got {p}")
 
 
 def _flip(verdict: str) -> str:
@@ -65,7 +62,6 @@ def _flip(verdict: str) -> str:
 
 def generate(config: SynthConfig) -> tuple[list[BuildRecord], dict[str, tuple[str, ...]]]:
     """Build the history and the planted dependency map."""
-    validate_config(config)
     rng = random.Random(config.seed)
     files = [f"f{i:04d}" for i in range(config.n_files)]
     tests = [f"t{i:04d}" for i in range(config.n_tests)]

@@ -218,6 +218,23 @@ class TestPrioritise:
         assert capsys.readouterr() == ("", f"error: {err}\n")
         assert not (tmp_path / "hm2").exists()
 
+    @pytest.mark.parametrize("command", ["prioritise", "heatmap"])
+    def test_snapshot_beside_a_history(self, history_file, changes_file, tmp_path, capsys, command):
+        # one matrix source: a history given as well is an error, not
+        # silently ignored, and it is neither read nor written
+        snapshot = tmp_path / "matrix.json"
+        assert main(["heatmap", "--input", str(history_file), "--out", str(tmp_path / "hm"),
+                     "--save-snapshot", str(snapshot)]) == 0
+        capsys.readouterr()
+        argv, flag = {
+            "prioritise": (["prioritise", "--changes", str(changes_file), "-n", "3"], "--history"),
+            "heatmap": (["heatmap", "--out", str(tmp_path / "hm2")], "--input"),
+        }[command]
+        for history in (str(tmp_path / "nonexistent.jsonl"), str(history_file)):
+            assert main([*argv, "--snapshot", str(snapshot), flag, history]) == 2
+            assert capsys.readouterr() == ("", f"error: {command} takes {flag} or --snapshot, not both\n")
+        assert not (tmp_path / "hm2").exists()
+
     @pytest.mark.parametrize("saved, flags", [
         (["--alpha", "0.1"], ["--alpha", "0.1", "--method", "ema", "--d-mode", "linear"]),
         (["--method", "cumulative"], ["--method", "cumulative", "--d-mode", "constant"]),

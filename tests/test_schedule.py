@@ -3,6 +3,7 @@
 import io
 import json
 import random
+import re
 from itertools import combinations
 
 import hypothesis.strategies as st
@@ -24,11 +25,11 @@ from flipsense.schedule import (
 )
 from flipsense.sensitivity import (
     PendingChanges,
+    ScoreVector,
     SensitivityMatrix,
     empty_matrix,
     incremental_apply,
     incremental_observe,
-    make_scores,
     new_pending,
     select_top_n,
     slice_scores,
@@ -186,18 +187,18 @@ class TestOfficeHoursTick:
 
     def test_pure_sensitivity_at_w_one(self):
         m = self.matrix()
-        hbtp = make_scores({"b": 1.0})
+        hbtp = ScoreVector({"b": 1.0}, frozenset({"b"}))
         assert office_hours_tick(m, new_pending(), {"f1"}, hbtp, 1, w=1.0) == ["a"]
 
     def test_pure_recency_at_w_zero(self):
         m = self.matrix()
-        hbtp = make_scores({"b": 1.0})
+        hbtp = ScoreVector({"b": 1.0}, frozenset({"b"}))
         assert office_hours_tick(m, new_pending(), {"f1"}, hbtp, 1, w=0.0) == ["b"]
 
     def test_even_blend_ties_break_by_id(self):
         # by hand: both normalise to 1.0, so a and b tie at 0.5
         m = self.matrix()
-        hbtp = make_scores({"b": 1.0})
+        hbtp = ScoreVector({"b": 1.0}, frozenset({"b"}))
         assert office_hours_tick(m, new_pending(), {"f1"}, hbtp, 2, w=0.5) == ["a", "b"]
 
     def test_all_zero_recency_equals_sensitivity_path(self):
@@ -211,14 +212,20 @@ class TestOfficeHoursTick:
         m = SensitivityMatrix(cols=cols, files=frozenset(files), tests=frozenset(tests),
                               d_mode="linear", update_mode="ema", alpha=0.8)
         changed = set(rng.sample(files, 3))
-        hbtp = make_scores({t: 0.0 for t in tests})
+        hbtp = ScoreVector({}, frozenset(tests))
         blended = office_hours_tick(m, new_pending(tests), changed, hbtp, 4, w=0.6)
         pure = select_top_n(slice_scores(m, changed, "sum"), 4, set(tests))
         assert blended == pure
 
     def test_weight_bounds(self):
-        with pytest.raises(ValueError):
-            office_hours_tick(self.matrix(), new_pending(), set(), make_scores({}), 1, w=1.5)
+        # w is checked first; select_top_n checks the size
+        for k, w, err in [
+            (1, 1.5, "blend weight must be in [0, 1], got 1.5"),
+            (0, 1.5, "blend weight must be in [0, 1], got 1.5"),
+            (0, 0.5, "selection size must be >= 1, got 0"),
+        ]:
+            with pytest.raises(ValueError, match=re.escape(err)):
+                office_hours_tick(self.matrix(), new_pending(), set(), ScoreVector({}, frozenset()), k, w=w)
 
 
 class TestStatePersistence:

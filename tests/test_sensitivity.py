@@ -30,7 +30,6 @@ from flipsense.sensitivity import (
     incremental_apply,
     incremental_observe,
     load_matrix,
-    make_scores,
     new_pending,
     save_matrix,
     select_top_n,
@@ -522,26 +521,21 @@ class TestSliceScores:
 
 class TestSelectTopN:
     def test_argmax(self):
-        assert select_top_n(make_scores({"a": 0.5, "b": 0.3}), 1, {"a", "b"}) == ["a"]
+        assert select_top_n(ScoreVector({"a": 0.5, "b": 0.3}, frozenset("ab")), 1, {"a", "b"}) == ["a"]
 
     def test_lexicographic_tie(self):
-        assert select_top_n(make_scores({"a": 0.5, "b": 0.5}), 1, {"a", "b"}) == ["a"]
+        assert select_top_n(ScoreVector({"a": 0.5, "b": 0.5}, frozenset("ab")), 1, {"a", "b"}) == ["a"]
 
     def test_zero_score_padding(self):
         # oracle: positive scores first, then remaining universe by id
-        assert select_top_n(make_scores({"a": 0.5}), 3, {"a", "b", "c"}) == ["a", "b", "c"]
+        assert select_top_n(ScoreVector({"a": 0.5}, frozenset("a")), 3, {"a", "b", "c"}) == ["a", "b", "c"]
 
     def test_quota_capped_by_universe(self):
-        assert select_top_n(make_scores({"a": 1.0}), 10, {"a", "b"}) == ["a", "b"]
+        assert select_top_n(ScoreVector({"a": 1.0}, frozenset("a")), 10, {"a", "b"}) == ["a", "b"]
 
     def test_zero_n_rejected(self):
         with pytest.raises(ValueError):
-            select_top_n(make_scores({"a": 1.0}), 0, {"a"})
-
-    @pytest.mark.parametrize("bad", [-0.5, float("nan")], ids=["negative", "nan"])
-    def test_make_scores_rejects(self, bad):
-        with pytest.raises(ValueError, match="'b'"):
-            make_scores({"a": 1.0, "b": bad})
+            select_top_n(ScoreVector({"a": 1.0}, frozenset("a")), 0, {"a"})
 
     @given(st.dictionaries(st.sampled_from("abcdef"), st.floats(0, 10), min_size=1),
            st.floats(min_value=0.1, max_value=100))
@@ -550,8 +544,10 @@ class TestSelectTopN:
     def test_invariant_under_positive_rescaling(self, scores, factor):
         universe = set(scores) | {"zz"}
         rescaled = {t: v * factor for t, v in scores.items()}
-        base = select_top_n(make_scores(scores), 3, universe)
-        scaled = select_top_n(make_scores(rescaled), 3, universe)
+        base = select_top_n(ScoreVector({t: v for t, v in scores.items() if v > 0.0},
+                                        frozenset(scores)), 3, universe)
+        scaled = select_top_n(ScoreVector({t: v for t, v in rescaled.items() if v > 0.0},
+                                          frozenset(rescaled)), 3, universe)
         # oracle: score desc, id asc; absent ids score 0
         assert scaled == sorted(universe, key=lambda t: (-rescaled.get(t, 0.0), t))[:3]
         # Float rescaling can round a positive score to 0 or two distinct
@@ -721,6 +717,21 @@ class TestIncremental:
         m = empty_matrix(alpha=0.8)
         with pytest.raises(ValueError, match="no verdict"):
             incremental_apply(m, new_pending(["t"]), {"t"}, {})
+        # checked as it applies: the second executed test, in id order, is
+        # named after the first was applied, and the inputs are left alone
+        m = SensitivityMatrix(
+            cols={"a": {"f1": 0.4}, "b": {"f2": 0.2}}, files=frozenset({"f1", "f2"}),
+            tests=frozenset({"a", "b"}), d_mode="linear", update_mode="ema", alpha=0.8,
+        )
+        pending = new_pending(["a", "b"])
+        pending.last_verdict.update({"a": "pass", "b": "pass"})
+        pending = incremental_observe(pending, {"f1", "f3"})
+        cols = {t: dict(col) for t, col in m.cols.items()}
+        before = replace(pending, changed_at=dict(pending.changed_at), last_run=dict(pending.last_run),
+                         last_verdict=dict(pending.last_verdict))
+        with pytest.raises(ValueError, match="test 'b' has verdict 'maybe'"):
+            incremental_apply(m, pending, ["b", "a"], {"a": "fail", "b": "maybe"})
+        assert m.cols == cols and pending == before
 
     def test_first_execution_is_not_a_flip(self):
         m = empty_matrix(alpha=0.8)

@@ -6,7 +6,7 @@ import pytest
 
 from flipsense.errors import ConfigError, ValidationError
 from flipsense.history import extract_flips, ingest_history, summarise, write_history
-from flipsense.synth import SynthConfig, generate, validate_config
+from flipsense.synth import SynthConfig, generate
 
 
 def small(**kw):
@@ -18,20 +18,22 @@ def small(**kw):
 
 class TestConfigValidation:
     def test_bad_probability(self):
-        with pytest.raises(ValidationError):
-            validate_config(small(flip_probability_hit=1.5))
+        with pytest.raises(ValidationError,
+                           match=r"^flip_probability_hit must be in \[0, 1\], got 1\.5$"):
+            small(flip_probability_hit=1.5)
 
     def test_deps_exceed_files(self):
-        with pytest.raises(ValidationError):
-            validate_config(small(deps_per_test=(1, 99)))
+        with pytest.raises(ValidationError, match="^deps_per_test max 99 exceeds n_files 8$"):
+            small(deps_per_test=(1, 99))
 
     def test_bad_range(self):
-        with pytest.raises(ValidationError):
-            validate_config(small(change_set_size=(3, 1)))
+        with pytest.raises(ValidationError,
+                           match=r"^change_set_size must be a range 1 <= lo <= hi, got 3\.\.1$"):
+            small(change_set_size=(3, 1))
 
     def test_zero_counts(self):
-        with pytest.raises(ValidationError):
-            validate_config(small(n_tests=0))
+        with pytest.raises(ValidationError, match="^n_builds, n_files, and n_tests must all be >= 1$"):
+            small(n_tests=0)
 
     def test_negative_seed(self):
         # random.Random(-3) draws what random.Random(3) draws
