@@ -226,6 +226,8 @@ def cmd_replay(args) -> int:
     methods = _method_list(args.method)
     if "random" in methods and args.runs > MAX_ENTRIES:  # a drawn prefix per run, held up front
         raise ValueError(f"random selection takes at most {MAX_ENTRIES} runs, got {args.runs}")
+    if "random" in methods and args.runs * len(sizes) > MAX_ENTRIES:  # and a row per run and size
+        raise ValueError(f"random runs x sizes must be at most {MAX_ENTRIES}, got {args.runs} x {len(sizes)}")
     baseline = args.baseline or ("cumulative" if "cumulative" in methods else methods[0])
     if baseline not in methods:
         raise ValidationError(f"baseline {baseline!r} is not among the replayed methods")

@@ -294,6 +294,26 @@ class TestReplay:
         err = capsys.readouterr().err
         assert err == "error: random selection takes at most 10000 runs, got 10001\n"
 
+    def test_too_many_random_runs_times_sizes_is_a_usage_error(self, history_file, capsys,
+                                                                monkeypatch):
+        # each run and size is a row per build, so their product is capped too
+        def no_permutations(*args):
+            raise AssertionError("a permutation was built")
+
+        monkeypatch.setattr(evaluate, "shuffled_universe", no_permutations)
+        assert main(["replay", "--input", str(history_file), "--method", "ema,random",
+                     "--runs", "1000", "--select", "1..11"]) == 2
+        assert capsys.readouterr() == \
+            ("", "error: random runs x sizes must be at most 10000, got 1000 x 11\n")
+
+    @pytest.mark.parametrize("method, runs, select", [
+        ("random", "1000", "1..10"),  # at the cap
+        ("ema", "1000", "1..11"),  # no random runs to draw
+    ])
+    def test_runs_times_sizes_within_the_cap(self, history_file, capsys, method, runs, select):
+        assert main(["replay", "--input", str(history_file), "--method", method,
+                     "--runs", runs, "--select", select]) == 0
+
     def test_unknown_method(self, history_file, capsys):
         assert main(["replay", "--input", str(history_file), "--method", "bogus"]) == 2
 

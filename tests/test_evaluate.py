@@ -249,11 +249,13 @@ class TestSizeRowsOracle:
     def test_every_field_equals_set_intersection(self, build, seq):
         rankings, predictable, sizes = build
         positions = [[i for i, t in enumerate(r) if t in predictable] for r in rankings]
-        rows = _size_rows(seq, [p for p in positions if p], len(rankings), len(predictable),
-                          len(rankings[0]), sizes)
-        assert len(rows) == len(sizes)
-        for n, row in zip(sizes, rows):
-            assert row == _oracle_row(seq, [r[:n] for r in rankings], predictable), n
+        ks = sorted({min(n, len(rankings[0])) for n in sizes})
+        rows = _size_rows(seq, [p for p in positions if p], len(rankings), len(predictable), ks)
+        assert len(rows) == len(ks)
+        by_k = dict(zip(ks, rows))
+        for n in sizes:
+            assert by_k[min(n, len(rankings[0]))] == \
+                _oracle_row(seq, [r[:n] for r in rankings], predictable), n
 
 
 class TestMethodConfig:
@@ -431,6 +433,29 @@ def desk_history():
     return records, extract_flips(records)
 
 
+class TestBuildMetricsRows:
+    FIELDS = ["seq", "n_selected", "n_predictable", "intersection", "precision", "recall",
+              "f_measure", "zero_fraction"]
+
+    def test_row_is_immutable(self, desk_history):
+        records, ledger = desk_history
+        row = replay(records, ledger, DESK_CONFIGS[0], 5).per_build[0]
+        with pytest.raises(AttributeError):
+            row.precision = 1.0
+        assert list(BuildMetrics._fields) == self.FIELDS
+
+    @pytest.mark.parametrize("config", DESK_CONFIGS, ids=lambda c: c.method)
+    def test_json_writes_each_row_as_an_object(self, desk_history, config):
+        # a named tuple would otherwise serialise as an array
+        records, ledger = desk_history
+        report = replay(records, ledger, config, 5)
+        doc = json.loads(json.dumps(report.to_dict()))
+        assert len(doc["per_build"]) == report.evaluated_builds > 0
+        for entry, row in zip(doc["per_build"], report.per_build):
+            assert list(entry) == self.FIELDS
+            assert list(entry.values()) == list(row)
+
+
 class TestFold:
     @pytest.mark.parametrize("config", DESK_CONFIGS[:2], ids=lambda c: c.method)
     def test_yields_m0_then_one_matrix_per_build(self, desk_history, config):
@@ -492,7 +517,7 @@ class TestRandomReplayOracle:
 
 
 def _hex_row(row):
-    return tuple(v.hex() if isinstance(v, float) else v for v in vars(row).values())
+    return tuple(v.hex() if isinstance(v, float) else v for v in row)
 
 
 class TestSizesAgree:
@@ -515,3 +540,19 @@ class TestSizesAgree:
         assert reports[20].evaluated_builds > 0
         for n in sizes:
             assert reports[n].to_dict() == replay(records, ledger, config, n).to_dict()
+
+    @pytest.mark.parametrize("config", DESK_CONFIGS, ids=lambda c: c.method)
+    def test_sizes_beyond_the_universe_share_each_row(self, config):
+        # one row a build per distinct selection length, shared by every size
+        # that selects the whole universe
+        records, _ = generate(SynthConfig(seed=3, n_files=30, n_tests=12))
+        ledger = extract_flips(records)
+        length = len(ledger.universe)
+        sizes = [length + 5, length - 1, length, length + 1]
+        reports = replay_sizes(records, ledger, config, sizes)
+        whole = reports[length].per_build
+        assert whole
+        for n in (length + 1, length + 5):
+            assert len(reports[n].per_build) == len(whole)
+            assert all(a is b for a, b in zip(reports[n].per_build, whole))
+        assert not any(a is b for a, b in zip(reports[length - 1].per_build, whole))
