@@ -196,41 +196,29 @@ def _size_rows(seq: int, hits: list[list[int]], runs: int, m: int,
     return rows
 
 
-def replay_sizes(
-    records: Sequence[BuildRecord],
-    ledger: FlipLedger,
-    config: MethodConfig,
-    sizes: Sequence[int],
-) -> dict[int, EvalReport]:
-    """Replay once, reporting every selection size from the same pass: each
-    evaluated build ranks its largest size once (the random method's fixed
-    draws, one per run, or a matrix method's single ranking), and a size-n
-    selection is each ranking's first n entries.
-
-    The random method draws only the first ``max(sizes)`` entries of each
-    run's permutation, in one ``shuffled_universe`` call, and indexes once
-    per call where each test stands in them, so a build reads only the runs
-    that hold one of its predictable tests."""
+def _largest_size(sizes: Sequence[int]) -> int:
+    """Check the selection sizes and return the largest."""
     if not sizes or any(n < 1 for n in sizes):
         raise ValueError(f"selection sizes must be >= 1, got {list(sizes)}")
     if len(set(sizes)) != len(sizes):
         repeated = sorted(n for n, count in Counter(sizes).items() if count > 1)
         raise ValueError(f"selection sizes must be distinct, got {repeated} more than once")
-    universe = frozenset(ledger.universe)
-    largest = max(sizes)
-    length = min(largest, len(universe))
-    ks = sorted({min(n, length) for n in sizes})  # sizes >= length share k = length
-    rows: dict[int, list[BuildMetrics]] = {k: [] for k in ks}
+    return max(sizes)
+
+
+def _build_hits(records: Sequence[BuildRecord], ledger: FlipLedger, config: MethodConfig,
+                largest: int) -> Iterator[tuple[int, int, list[list[int]]]]:
+    """Yield (seq, |predictable|, hits) per evaluated build, ``hits`` as ``_size_rows``
+    reads them: one list for a matrix method, one per random run that holds a hit."""
     if config.method == "random":
-        runs = config.policy.runs
         # test -> (run, position) of every place it holds in a ranking
         places: dict[str, list[tuple[int, int]]] = {}
-        for run, ranking in enumerate(shuffled_universe(universe, config.policy, largest)):
+        for run, ranking in enumerate(shuffled_universe(ledger.universe, config.policy, largest)):
             for pos, t in enumerate(ranking):
                 places.setdefault(t, []).append((run, pos))
         matrices = repeat(None)
     else:
-        runs, matrices = 1, fold(records, ledger, config)
+        matrices = fold(records, ledger, config)
 
     # zip pairs build k with the state after build k-1, so selection
     # strictly precedes the update with build k's delta.
@@ -246,11 +234,24 @@ def replay_sizes(
             hits = [sorted(found[run]) for run in sorted(found)]
         else:
             scores = slice_scores(matrix, record.changed_files, config.score_mode)
-            ranking = select_top_n(scores, largest, universe)
+            ranking = select_top_n(scores, largest, ledger.universe)
             hits = [[pos for pos, t in enumerate(ranking) if t in predictable]]
-        for k, row in zip(ks, _size_rows(record.seq, hits, runs, len(predictable), ks)):
-            rows[k].append(row)
+        yield record.seq, len(predictable), hits
 
+
+def replay_sizes(records: Sequence[BuildRecord], ledger: FlipLedger, config: MethodConfig,
+                 sizes: Sequence[int]) -> dict[int, EvalReport]:
+    """Replay once, reporting every selection size from the same pass: each
+    evaluated build is ranked once at the largest size (once per random run),
+    and a size-n selection is each ranking's first n entries."""
+    largest = _largest_size(sizes)
+    length = min(largest, len(ledger.universe))
+    ks = sorted({min(n, length) for n in sizes})  # sizes >= length share k = length
+    rows: dict[int, list[BuildMetrics]] = {k: [] for k in ks}
+    runs = config.policy.runs if config.method == "random" else 1
+    for seq, m, hits in _build_hits(records, ledger, config, largest):
+        for k, row in zip(ks, _size_rows(seq, hits, runs, m, ks)):
+            rows[k].append(row)
     return {n: _finish_report(config, n, rows[min(n, length)]) for n in sizes}
 
 
@@ -270,28 +271,27 @@ class SweepPoint:
     total_zero: int
 
 
-def sweep_alpha(
-    records: Sequence[BuildRecord],
-    ledger: FlipLedger,
-    grid: Sequence[float],
-    sizes: Sequence[int],
-    score_mode: str = "sum",
-    d_mode: str = "linear",
-) -> tuple[float, list[SweepPoint]]:
+def sweep_alpha(records: Sequence[BuildRecord], ledger: FlipLedger, grid: Sequence[float],
+                sizes: Sequence[int], score_mode: str = "sum",
+                d_mode: str = "linear") -> tuple[float, list[SweepPoint]]:
     """Pick the alpha that minimises zero results, summed over the sizes.
 
-    Ties go to the smaller alpha. The full table is returned for plotting.
+    Ties go to the smaller alpha. The full table is returned for plotting. A
+    build is a zero result at size n exactly when its first hit stands at n
+    or later, or it has none, so each alpha builds no row.
     """
     if not grid:
         raise ValueError("alpha grid is empty")
     for a in grid:
         if not 0.0 <= a <= 1.0:
             raise ValueError(f"alpha {a} outside [0, 1]")
+    largest = _largest_size(sizes)
     table: list[SweepPoint] = []
     for a in sorted(set(grid)):
         config = MethodConfig(method="ema", alpha=a, d_mode=d_mode, score_mode=score_mode)
-        reports = replay_sizes(records, ledger, config, sizes)
-        zero_counts = {n: reports[n].zero_count() for n in sizes}
+        firsts = sorted(hits[0][0] if hits[0] else largest
+                        for _, _, hits in _build_hits(records, ledger, config, largest))
+        zero_counts = {n: len(firsts) - bisect_left(firsts, n) for n in sizes}
         table.append(SweepPoint(alpha=a, zero_counts=zero_counts, total_zero=sum(zero_counts.values())))
     best = min(table, key=lambda p: (p.total_zero, p.alpha))
     return best.alpha, table

@@ -202,11 +202,13 @@ def build_delta(
 
 
 def _true_cols(matrix: SensitivityMatrix) -> dict[str, dict[str, float]]:
-    """A fresh copy of the columns holding true values."""
+    """A fresh copy of the columns holding true values, leaving out one that
+    underflows to 0.0 and a column left with none."""
     s = matrix.scale
     if s == 1.0:
         return {t: dict(col) for t, col in matrix.cols.items()}
-    return {t: {f: v * s for f, v in col.items()} for t, col in matrix.cols.items()}
+    cols = ({f: w for f, v in col.items() if (w := v * s)} for col in matrix.cols.values())
+    return {t: col for t, col in zip(matrix.cols, cols) if col}
 
 
 def advance(matrix: SensitivityMatrix, delta: Delta) -> SensitivityMatrix:
@@ -313,12 +315,9 @@ def _renormalise(matrix: SensitivityMatrix) -> None:
     """Multiply the stored values by the scale and reset it to 1; values
     that underflow to 0 are dropped, and the heap and the row index are
     rebuilt when next needed."""
-    for t, col in _true_cols(matrix).items():
-        col = {f: v for f, v in col.items() if v}
-        if col:
-            matrix.cols[t] = col
-        else:
-            del matrix.cols[t]
+    cols = _true_cols(matrix)
+    matrix.cols.clear()  # in place: advance holds the dict
+    matrix.cols.update(cols)
     matrix.scale, matrix._heap, matrix._rows = 1.0, None, None
 
 
@@ -556,7 +555,8 @@ class _Memo(dict):
 
 def save_matrix(matrix: SensitivityMatrix, fp: IO[str]) -> None:
     """Persist as one JSON document: the settings, the known files and
-    tests, and the columns (test -> file -> true value).
+    tests, and the columns (test -> file -> true value), leaving out an
+    entry whose true value underflows to 0.0, which no snapshot may hold.
 
     The bytes are those of ``json.dumps(doc, sort_keys=True,
     separators=(",", ":"))``, but ``cols`` is written here, so that each
@@ -564,11 +564,11 @@ def save_matrix(matrix: SensitivityMatrix, fp: IO[str]) -> None:
     prints a float; stored values are floats, as every operation here
     makes them.
     """
-    encode, number, scale = json.encoder.encode_basestring_ascii, _Memo(repr), matrix.scale
+    encode, number = json.encoder.encode_basestring_ascii, _Memo(repr)
+    true_cols = matrix.cols if matrix.scale == 1.0 else _true_cols(matrix)
     cols = ",".join(
-        encode(t) + ":{" + ",".join(
-            [encode(f) + ":" + number[col[f] * scale] for f in sorted(col)]) + "}"
-        for t, col in sorted(matrix.cols.items())
+        encode(t) + ":{" + ",".join([encode(f) + ":" + number[col[f]] for f in sorted(col)]) + "}"
+        for t, col in sorted(true_cols.items())
     )
     rest = {
         "kind": "sensitivity-matrix",

@@ -18,6 +18,9 @@ from typing import IO
 from .errors import ConfigError, ValidationError
 from .history import BuildRecord
 
+# generate holds a verdict per build and test and an id per file
+MAX_CELLS = 10_000_000
+
 
 @dataclass(frozen=True)
 class SynthConfig:
@@ -39,6 +42,9 @@ class SynthConfig:
             raise ConfigError(f"synth needs seed >= 0, got {self.seed}")
         if min(self.n_builds, self.n_files, self.n_tests) < 1:
             raise ValidationError("n_builds, n_files, and n_tests must all be >= 1")
+        if self.n_builds * self.n_tests + self.n_files > MAX_CELLS:
+            raise ValidationError(f"synth holds at most {MAX_CELLS} verdicts and file ids, got "
+                                  f"{self.n_builds} x {self.n_tests} + {self.n_files}")
         for name, (lo, hi) in (
             ("deps_per_test", self.deps_per_test),
             ("change_set_size", self.change_set_size),

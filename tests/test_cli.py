@@ -1002,6 +1002,17 @@ class TestPinnedOutputs:
         _, path, changes = desk_history
         assert _stdout_md5([a.format(history=path, changes=changes) for a in argv]) == digest
 
+    def test_sweep_across_the_universe_and_its_table(self, desk_history):
+        # sizes 90..110 cross the 100-test universe, so sizes 100 and up
+        # share one ranking length
+        root, path, _ = desk_history
+        out = root / "sweep"
+        assert _stdout_md5(["sweep-alpha", "--input", path, "--score-mode", "max", "--d-mode",
+                            "constant", "--select", "90..110", "--format", "machine",
+                            "--out", str(out)]) == "d7cc6cd6cf4d8f9b6e44fb9b6d60e199"
+        assert hashlib.md5((out / "sweep.csv").read_bytes()).hexdigest() \
+            == "f4f1b3c1e7156974a434093919cccd8c"
+
     def test_schedule_init_state(self, desk_history):
         root, path, _ = desk_history
         state = root / "state.json"

@@ -4,7 +4,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from flipsense import evaluate
@@ -337,6 +337,64 @@ class TestSweepAlpha:
             sweep_alpha(records, ledger, [], [1])
         with pytest.raises(ValueError):
             sweep_alpha(records, ledger, [1.5], [1])
+
+
+def padding_history():
+    """Two builds whose predictable test scores 0, so that only zero-score
+    padding, in id order (a0, t1, t2, z9), can select it: at build 3 no
+    changed file was ever credited, and at alpha 0 the matrix stays empty."""
+    tests = ("a0", "t1", "t2", "z9")
+    fails = {1: {"t2"}, 2: {"t1", "t2"}, 3: {"t1"}, 4: set()}
+    changes = {1: ["f1"], 2: ["f2"], 3: ["f3"], 4: ["f2"]}
+    return [rec(0, [], dict.fromkeys(tests, "pass"))] + [
+        rec(seq, changes[seq], {t: "fail" if t in fails[seq] else "pass" for t in tests})
+        for seq in range(1, 5)
+    ]
+
+
+@st.composite
+def sweep_cases(draw):
+    """(records, grid, score_mode, d_mode, sizes): a small synth history, a
+    grid holding alpha 0 and 1, and sizes up to three past the universe's."""
+    n_files, n_tests = draw(st.integers(2, 8)), draw(st.integers(1, 6))
+    config = SynthConfig(seed=draw(st.integers(0, 10**6)), n_builds=draw(st.integers(2, 14)),
+                         n_files=n_files, n_tests=n_tests, deps_per_test=(1, 2),
+                         change_set_size=(1, min(3, n_files)), flip_probability_noise=0.2)
+    records, _ = generate(config)
+    grid = [0.0, 1.0] + draw(st.lists(st.floats(0.0, 1.0), max_size=4))
+    sizes = draw(st.lists(st.integers(1, n_tests + 3), min_size=1, max_size=6, unique=True))
+    return (records, grid, draw(st.sampled_from(["sum", "max"])),
+            draw(st.sampled_from(["linear", "constant"])), sizes)
+
+
+class TestSweepOracle:
+    """Every zero count of the sweep against a full replay at its alpha."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(sweep_cases())
+    @example((padding_history(), [0.0, 0.5, 1.0], "sum", "linear", [3, 1, 2, 4, 6]))
+    @example((padding_history(), [0.0, 0.5, 1.0], "max", "constant", [5, 2]))
+    def test_zero_counts_equal_each_replay(self, case):
+        records, grid, score_mode, d_mode, sizes = case
+        ledger = extract_flips(records)
+        _, table = sweep_alpha(records, ledger, grid, sizes, score_mode, d_mode)
+        assert [p.alpha for p in table] == sorted(set(grid))
+        for point in table:
+            config = MethodConfig(method="ema", alpha=point.alpha, d_mode=d_mode,
+                                  score_mode=score_mode)
+            reports = replay_sizes(records, ledger, config, sizes)
+            assert list(point.zero_counts) == sizes
+            assert point.zero_counts == {n: reports[n].zero_count() for n in sizes}, point.alpha
+            assert point.total_zero == sum(point.zero_counts.values())
+
+    def test_padding_alone_selects_a_zero_score_test(self):
+        # build 3 ranks t2 third by id at every alpha; at alpha 0 build 4
+        # ranks t1 second, and at alpha 0.5 first, by its credit from f2
+        records = padding_history()
+        ledger = extract_flips(records)
+        assert ledger.predictable_at == {3: {"t2"}, 4: {"t1"}}
+        _, table = sweep_alpha(records, ledger, [0.0, 0.5], [1, 2, 3, 5])
+        assert [p.zero_counts for p in table] == [{1: 2, 2: 1, 3: 0, 5: 0}, {1: 1, 2: 1, 3: 0, 5: 0}]
 
 
 class TestFigureData:

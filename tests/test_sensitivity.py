@@ -842,11 +842,7 @@ class TestExports:
 def json_dumps_snapshot(matrix):
     """The snapshot bytes as one json.dumps of the whole document, true
     values copied column by column: the reference for save_matrix."""
-    s = matrix.scale
-    if s == 1.0:
-        cols = {t: dict(col) for t, col in matrix.cols.items()}
-    else:
-        cols = {t: {f: v * s for f, v in col.items()} for t, col in matrix.cols.items()}
+    cols = true_cols_of(matrix)
     doc = {
         "kind": "sensitivity-matrix",
         "d_mode": matrix.d_mode,
@@ -859,6 +855,14 @@ def json_dumps_snapshot(matrix):
         "cols": cols,
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def true_cols_of(matrix):
+    """Each entry's stored value times the scale, leaving out a true value
+    that underflows to 0.0 and a column left with none."""
+    cols = {t: {f: v * matrix.scale for f, v in col.items() if v * matrix.scale}
+            for t, col in matrix.cols.items()}
+    return {t: col for t, col in cols.items() if col}
 
 
 # ids that json.dumps must escape: quotes, backslashes, control, non-ASCII
@@ -899,16 +903,32 @@ class TestSnapshotWriter:
         buf = io.StringIO()
         save_matrix(matrix, buf)
         assert buf.getvalue() == json_dumps_snapshot(matrix)
-        true_cols = {t: {f: v * matrix.scale for f, v in col.items()} for t, col in matrix.cols.items()}
-        if all(min(col.values()) > 0.0 and min(col.values()) >= matrix.drop_threshold
+        true_cols = true_cols_of(matrix)
+        if all(min(col.values()) >= matrix.drop_threshold
                and math.isfinite(sum(col.values())) for col in true_cols.values()):
             loaded = load_matrix(io.StringIO(buf.getvalue()))
             as_bits = lambda cols: {t: {f: v.hex() for f, v in col.items()} for t, col in cols.items()}
             assert as_bits(loaded.cols) == as_bits(true_cols)
             assert (loaded.files, loaded.tests, loaded.alpha) == (matrix.files, matrix.tests, matrix.alpha)
-        else:  # an entry underflowed to 0 or is below drop_threshold, or a column sums to infinity
+        else:  # an entry is below drop_threshold, or a column sums to infinity
             with pytest.raises(ValidationError):
                 load_matrix(io.StringIO(buf.getvalue()))
+
+    def test_underflowed_entries_are_left_out(self):
+        # drop_threshold 0 deletes nothing: t1's stored value stays positive
+        # while its true value, 0.9 * 0.1**324, underflows to 0.0
+        m = empty_matrix(alpha=0.9, drop_threshold=0.0)
+        advance(m, build_delta({"f1"}, {"t1"}))
+        advance(m, build_delta({"f2"}, {"t2"}))
+        for _ in range(323):
+            advance(m, build_delta({"f3"}, ()))
+        assert m.cols["t1"]["f1"] > 0.0 and m.entry("f1", "t1") == 0.0 and m.entry("f2", "t2") > 0.0
+        buf = io.StringIO()
+        save_matrix(m, buf)
+        assert json.loads(buf.getvalue())["cols"] == {"t2": {"f2": m.entry("f2", "t2")}}
+        loaded = load_matrix(io.StringIO(buf.getvalue()))
+        assert loaded.tests == m.tests == {"t1", "t2"}
+        assert flakiness_index(loaded) == flakiness_index(m) == [("t2", 1 / 3, m.entry("f2", "t2"))]
 
     def test_one_number_text_in_two_columns(self):
         text = ('{"alpha":0.8,"cols":{"t1":{"f1":0.1,"f2":1e-1},"t2":{"f1":0.1}},"d_mode":"linear",'

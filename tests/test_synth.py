@@ -6,7 +6,8 @@ import pytest
 
 from flipsense.errors import ConfigError, ValidationError
 from flipsense.history import extract_flips, ingest_history, summarise, write_history
-from flipsense.synth import SynthConfig, generate
+from flipsense.cli import main
+from flipsense.synth import MAX_CELLS, SynthConfig, generate
 
 
 def small(**kw):
@@ -39,6 +40,23 @@ class TestConfigValidation:
         # random.Random(-3) draws what random.Random(3) draws
         with pytest.raises(ConfigError, match="seed >= 0, got -3"):
             small(seed=-3)
+
+    # no config here is generated, so the cap is tested without allocating
+    def test_size_cap(self):
+        with pytest.raises(ValidationError, match=r"^synth holds at most 10000000 verdicts and "
+                                                  r"file ids, got 9999 x 1000 \+ 1001$"):
+            SynthConfig(n_builds=9_999, n_files=1_001, n_tests=1_000)
+        assert 9_999 * 1_000 + 1_000 == MAX_CELLS
+        SynthConfig(n_builds=9_999, n_files=1_000, n_tests=1_000)  # at the cap
+        SynthConfig(n_builds=1_400, n_files=2_000, n_tests=1_000)  # the largest benchmark history
+
+    def test_size_cap_on_the_command_line(self, tmp_path, capsys):
+        out = tmp_path / "out.jsonl"
+        assert main(["synth", "--seed", "1", "--builds", "100000000", "--tests", "100000000",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ("error: synth holds at most 10000000 verdicts and file "
+                                           "ids, got 100000000 x 100000000 + 200\n")
+        assert not out.exists()
 
 
 class TestDynamics:
