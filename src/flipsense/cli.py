@@ -429,7 +429,11 @@ def cmd_schedule_apply(args) -> int:
     matrix = _load(args.matrix, sensitivity.load_matrix)
     verdicts = _read_results(args.results)
     executed = _read_ids(args.executed) if args.executed else sorted(verdicts)
+    before = state.pending.last_verdict
     matrix, state.pending = sensitivity.incremental_apply(matrix, state.pending, executed, verdicts)
+    for t in executed:  # stable means never flipped; a flip is a verdict unlike the last
+        if before.get(t, verdicts[t]) != verdicts[t]:
+            state.stable[t] = False
     _write_atomic(args.matrix, sensitivity.save_matrix, matrix)
     _write_atomic(args.state, schedule.save_state, state)
     print(f"applied {len(executed)} verdicts")

@@ -12,7 +12,10 @@ and the matrix is only then advanced with build k's delta. Builds without
 predictable tests never enter any average. A build where the selection
 misses every predictable test is a zero result; the fraction of those is
 the headline robustness number, and the decay weight alpha is tuned by
-minimising it over the whole history.
+minimising it over the whole history. The random method scores the mean
+over its runs from the hits h summed over them: P = h / (n runs) and
+R = h / (|predictable| runs), and since F = 2h / (n + |predictable|) is
+linear in h, the F of those is the mean F.
 """
 
 from __future__ import annotations
@@ -173,26 +176,20 @@ def fold(
         yield advance(matrix, delta)
 
 
-def _size_rows(seq: int, hits: list[list[int]], runs: int, m: int,
+def _size_rows(seq: int, hits: list[int], firsts: list[int], runs: int, m: int,
                ks: Sequence[int]) -> list[BuildMetrics]:
     """One evaluated build at each selection length k in ``ks``. ``hits``
-    lists, in run order, the sorted positions of the predictable tests in a
-    run's ranking; a length-k selection's intersection is the count under k.
-    Each field is the mean over all ``runs``, added left to right in run
-    order. A run that holds none may be left out of ``hits``: it adds 0 to
-    every total, so the other runs' terms give the same bits."""
+    pools, sorted, the positions of the predictable tests in every run's
+    ranking, so the count under k is the total intersection of the length-k
+    selections; ``firsts`` holds, sorted, the first such position of each
+    run that has one. Each field is the mean over ``runs``, taken from
+    these integer totals as the module docstring states."""
     rows = []
     for k in ks:
-        i = p = r = f = hitting = 0
-        for hit in map(bisect_left, hits, repeat(k)):
-            if hit:
-                i += hit
-                p += hit / k
-                r += hit / m
-                f += f_measure(hit / k, hit / m)
-                hitting += 1
-        rows.append(BuildMetrics(seq, k, m, i / runs, p / runs, r / runs, f / runs,
-                                 (runs - hitting) / runs))
+        h = bisect_left(hits, k)
+        p, r = h / (k * runs), h / (m * runs)
+        rows.append(BuildMetrics(seq, k, m, h / runs, p, r, f_measure(p, r),
+                                 (runs - bisect_left(firsts, k)) / runs))
     return rows
 
 
@@ -207,15 +204,16 @@ def _largest_size(sizes: Sequence[int]) -> int:
 
 
 def _build_hits(records: Sequence[BuildRecord], ledger: FlipLedger, config: MethodConfig,
-                largest: int) -> Iterator[tuple[int, int, list[list[int]]]]:
-    """Yield (seq, |predictable|, hits) per evaluated build, ``hits`` as ``_size_rows``
-    reads them: one list for a matrix method, one per random run that holds a hit."""
+                largest: int) -> Iterator[tuple[int, int, list[int], list[int]]]:
+    """Yield (seq, |predictable|, hits, firsts) per evaluated build, as ``_size_rows``
+    reads them: the predictable tests' positions pooled over every ranking (one
+    for a matrix method, one per run for random) and each ranking's first hit."""
     if config.method == "random":
-        # test -> (run, position) of every place it holds in a ranking
+        # test -> (position, run) of every place it holds in a ranking
         places: dict[str, list[tuple[int, int]]] = {}
         for run, ranking in enumerate(shuffled_universe(ledger.universe, config.policy, largest)):
             for pos, t in enumerate(ranking):
-                places.setdefault(t, []).append((run, pos))
+                places.setdefault(t, []).append((pos, run))
         matrices = repeat(None)
     else:
         matrices = fold(records, ledger, config)
@@ -227,16 +225,16 @@ def _build_hits(records: Sequence[BuildRecord], ledger: FlipLedger, config: Meth
         if not predictable:
             continue
         if matrix is None:
-            found: dict[int, list[int]] = {}
-            for t in predictable:
-                for run, pos in places.get(t, ()):
-                    found.setdefault(run, []).append(pos)
-            hits = [sorted(found[run]) for run in sorted(found)]
+            pairs = sorted(pair for t in predictable for pair in places.get(t, ()))
+            hits = [pos for pos, _ in pairs]
+            # walked from the back, each run's last write is its first hit
+            firsts = sorted({run: pos for pos, run in reversed(pairs)}.values())
         else:
             scores = slice_scores(matrix, record.changed_files, config.score_mode)
             ranking = select_top_n(scores, largest, ledger.universe)
-            hits = [[pos for pos, t in enumerate(ranking) if t in predictable]]
-        yield record.seq, len(predictable), hits
+            hits = [pos for pos, t in enumerate(ranking) if t in predictable]
+            firsts = hits[:1]
+        yield record.seq, len(predictable), hits, firsts
 
 
 def replay_sizes(records: Sequence[BuildRecord], ledger: FlipLedger, config: MethodConfig,
@@ -249,8 +247,8 @@ def replay_sizes(records: Sequence[BuildRecord], ledger: FlipLedger, config: Met
     ks = sorted({min(n, length) for n in sizes})  # sizes >= length share k = length
     rows: dict[int, list[BuildMetrics]] = {k: [] for k in ks}
     runs = config.policy.runs if config.method == "random" else 1
-    for seq, m, hits in _build_hits(records, ledger, config, largest):
-        for k, row in zip(ks, _size_rows(seq, hits, runs, m, ks)):
+    for seq, m, hits, firsts in _build_hits(records, ledger, config, largest):
+        for k, row in zip(ks, _size_rows(seq, hits, firsts, runs, m, ks)):
             rows[k].append(row)
     return {n: _finish_report(config, n, rows[min(n, length)]) for n in sizes}
 
@@ -289,9 +287,9 @@ def sweep_alpha(records: Sequence[BuildRecord], ledger: FlipLedger, grid: Sequen
     table: list[SweepPoint] = []
     for a in sorted(set(grid)):
         config = MethodConfig(method="ema", alpha=a, d_mode=d_mode, score_mode=score_mode)
-        firsts = sorted(hits[0][0] if hits[0] else largest
-                        for _, _, hits in _build_hits(records, ledger, config, largest))
-        zero_counts = {n: len(firsts) - bisect_left(firsts, n) for n in sizes}
+        starts = sorted(firsts[0] if firsts else largest
+                        for *_, firsts in _build_hits(records, ledger, config, largest))
+        zero_counts = {n: len(starts) - bisect_left(starts, n) for n in sizes}
         table.append(SweepPoint(alpha=a, zero_counts=zero_counts, total_zero=sum(zero_counts.values())))
     best = min(table, key=lambda p: (p.total_zero, p.alpha))
     return best.alpha, table

@@ -452,6 +452,23 @@ class TestSchedule:
             "--results", str(results),
         ]) == 0
 
+    def test_apply_clears_stable_for_a_flip(self, history_file, tmp_path, capsys):
+        # a0 never flipped in the history; once apply sees it flip, it is
+        # no longer stable, even after it flips back
+        state, matrix, results = (tmp_path / n for n in ("state.json", "matrix.json", "results.json"))
+        main(["schedule", "init", "--history", str(history_file), "--state", str(state)])
+        main(["heatmap", "--input", str(history_file), "--out", str(tmp_path / "hm"),
+              "--save-snapshot", str(matrix)])
+        for verdict, picked in (("pass", ["a0"]), ("pass", ["a0"]), ("fail", []), ("pass", [])):
+            results.write_text(json.dumps({"a0": verdict}), encoding="utf-8")
+            assert main(["schedule", "apply", "--state", str(state), "--matrix", str(matrix),
+                         "--results", str(results)]) == 0
+            capsys.readouterr()
+            assert main(["schedule", "stable", "--state", str(state), "--budget", "3"]) == 0
+            assert capsys.readouterr().out.split() == picked, verdict
+        with open(state, encoding="utf-8") as fp:
+            assert load_state(fp).stable == {"a0": False, "t1": False, "t2": False}
+
     @pytest.mark.parametrize("flag", [["-k", "0"], ["-k", "5", "-w", "7"]], ids=["k", "w"])
     def test_rejected_office_observes_nothing(self, flag, history_file, changes_file,
                                               tmp_path, capsys):
@@ -974,14 +991,14 @@ class TestPinnedOutputs:
         out = root / "figs"
         assert _stdout_md5(["replay", "--input", path, "--method", "all", "--alpha", "0.3",
                             "--runs", "20", "--format", "machine", "--out", str(out)]) \
-            == "7b20fbcf551646c8437d952b0c1c9b67"
+            == "1e2e42610f9ad424862a377d57718e43"
         files = {p.name: hashlib.md5(p.read_bytes()).hexdigest() for p in out.iterdir()}
         assert files == {
-            "f_measure.csv": "c142cb6cd47753a11aeba369d20fa61a",
-            "improvement.json": "8a7161caa7a726acce541845edf37c92",
-            "precision.csv": "554c51f5f5cef39fc4dd21c155cf0bf5",
-            "recall.csv": "e515e08c681c4d768c5df21a1760612e",
-            "reports.json": "865e92229103a2e570d694389054ecf7",
+            "f_measure.csv": "555ea92a1cefc28105093fe97e3013a0",
+            "improvement.json": "66e86e6af7059d31257bb1d15a45a5b1",
+            "precision.csv": "b505484c76eaea42f45c301d0ea5df6e",
+            "recall.csv": "fdc8fcc5d88a1e492850bdc6e8865552",
+            "reports.json": "b9f05c7e7fc9bd109a55bc9674f09b21",
             "zero_pct.csv": "6350ba852247e8b0260ad875152f233a",
         }
 
@@ -993,7 +1010,7 @@ class TestPinnedOutputs:
         (["replay", "--input", "{history}", "--method", "cumulative", "--score-mode", "max",
           "--format", "machine"], "be48c83f38739d3441837dca5a271f6c"),
         (["replay", "--input", "{history}", "--method", "random", "--format", "machine"],
-         "9449dd20bc7a332746fa6490b8c8b1db"),
+         "50069c755689775949e7a052ca0e8f09"),
         (["ingest", "{history}"], "65e68cc8b36a6cc1b065449b07c9a809"),
         (["ingest", "{history}", "--format", "machine"], "4c2139febaf3b741c8c5e0eb139f0305"),
     ], ids=["sweep-alpha", "prioritise", "replay-cumulative-max", "replay-random", "ingest",
@@ -1059,7 +1076,8 @@ class TestPinnedOutputs:
     def test_day_loop_cycle(self, desk_history, tmp_path):
         # ten days of the resource-managed loop on builds 40-49, after a
         # history of builds 0-39; schedule apply rewrites the matrix and
-        # the state every day
+        # the state every day, and takes t0003 out of the stable pass once
+        # it sees it flip at build 44
         _, path, _ = desk_history
         records = read_history(path)
         hist, changes, state, matrix, results, executed = (
@@ -1098,6 +1116,6 @@ class TestPinnedOutputs:
             with open(hist, "a", encoding="utf-8") as fp:
                 write_history([record], fp)
         run("schedule", "stable", "--state", state, "--budget", "9")
-        assert hashlib.md5(stdout.getvalue().encode("utf-8")).hexdigest() == "ac4150024372f078cc59a7cdc5b885a8"
-        assert hashlib.md5(matrix.read_bytes()).hexdigest() == "6e5ad153cd1a4a512523a287a2c9abc1"
-        assert hashlib.md5(state.read_bytes()).hexdigest() == "7e2c8c6b4d4c718f452b5fe93dc3fc44"
+        assert hashlib.md5(stdout.getvalue().encode("utf-8")).hexdigest() == "eb2b8154f0b195e4d849f5e56966f052"
+        assert hashlib.md5(matrix.read_bytes()).hexdigest() == "6066c00e9dc6cae7a7b249327de6dcdf"
+        assert hashlib.md5(state.read_bytes()).hexdigest() == "0db257ed4c11919bbae6d40a107e8ae4"

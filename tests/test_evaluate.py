@@ -1,7 +1,10 @@
 """Replay metrics, the replay protocol, the alpha sweep, and figure tables."""
 
 import json
+import math
 import random
+from fractions import Fraction
+from itertools import chain
 
 import pytest
 from hypothesis import example, given, settings
@@ -226,12 +229,48 @@ def _oracle_row(seq, selections, predictable):
     )
 
 
+def _total_row(seq, selections, predictable):
+    """One evaluated build by integer totals: each selection's set
+    intersection, summed; P and R are that total over |selected| (and
+    |predictable|) times the number of selections, and F is their F."""
+    runs, k, m = len(selections), len(selections[0]), len(predictable)
+    inter = [len(set(selected) & predictable) for selected in selections]
+    total = sum(inter)
+    p, r = total / (k * runs), total / (m * runs)
+    return BuildMetrics(seq, k, m, total / runs, p, r, f_measure(p, r), inter.count(0) / runs)
+
+
+def _ulps(x, exact):
+    """How far x lies from the rational ``exact``, in ulps of ``exact``."""
+    return abs(Fraction(x) - exact) / Fraction(math.ulp(float(exact)))
+
+
+def _check_row(row, seq, selections, predictable):
+    """A row is the integer-total row bit for bit. Its intersection and
+    zero share are the oracle's, one selection gives the oracle's row, and
+    P, R and F stay within 2, 2 and 4 ulps of the exact mean over the
+    selections, each F taken as 2PR/(P+R) in rationals."""
+    assert _hex_row(row) == _hex_row(_total_row(seq, selections, predictable))
+    oracle = _oracle_row(seq, selections, predictable)
+    assert (row.intersection, row.zero_fraction) == (oracle.intersection, oracle.zero_fraction)
+    if len(selections) == 1:
+        assert _hex_row(row) == _hex_row(oracle)
+    k, m = len(selections[0]), len(predictable)
+    ps = [Fraction(len(set(selected) & predictable), k) for selected in selections]
+    rs = [p * k / m for p in ps]
+    fs = [2 * p * r / (p + r) if p else Fraction(0) for p, r in zip(ps, rs)]
+    for value, exact, bound in ((row.precision, ps, 2), (row.recall, rs, 2),
+                                (row.f_measure, fs, 4)):
+        assert _ulps(value, sum(exact) / len(exact)) <= bound
+
+
 @st.composite
 def ranked_builds(draw):
     """(rankings, predictable, sizes) as replay_sizes hands them to a row:
     one ranking or several runs, each min(max(sizes), |universe|) distinct
     ids long; the universe may be shorter than the largest size, and the
-    predictable tests may fall inside or outside the rankings."""
+    predictable tests may fall inside or outside the rankings. Several runs
+    over a small universe often hold a hit at the same position."""
     universe = draw(st.lists(st.sampled_from([f"t{i:02d}" for i in range(30)]),
                              min_size=1, max_size=20, unique=True))
     sizes = draw(st.lists(st.integers(min_value=1, max_value=24), min_size=1, max_size=6,
@@ -246,16 +285,19 @@ def ranked_builds(draw):
 class TestSizeRowsOracle:
     @settings(max_examples=400, deadline=None)
     @given(ranked_builds(), st.integers(min_value=1, max_value=99))
+    @example(([["t00", "t01", "t02"], ["t02", "t01", "t00"], ["t00", "t02", "t01"]],
+              frozenset({"t00", "t01"}), [1, 2, 5]), 4)
     def test_every_field_equals_set_intersection(self, build, seq):
         rankings, predictable, sizes = build
         positions = [[i for i, t in enumerate(r) if t in predictable] for r in rankings]
+        hits = sorted(chain.from_iterable(positions))
+        firsts = sorted(p[0] for p in positions if p)
         ks = sorted({min(n, len(rankings[0])) for n in sizes})
-        rows = _size_rows(seq, [p for p in positions if p], len(rankings), len(predictable), ks)
+        rows = _size_rows(seq, hits, firsts, len(rankings), len(predictable), ks)
         assert len(rows) == len(ks)
         by_k = dict(zip(ks, rows))
         for n in sizes:
-            assert by_k[min(n, len(rankings[0]))] == \
-                _oracle_row(seq, [r[:n] for r in rankings], predictable), n
+            _check_row(by_k[min(n, len(rankings[0]))], seq, [r[:n] for r in rankings], predictable)
 
 
 class TestMethodConfig:
@@ -536,7 +578,8 @@ class TestFold:
 
 
 class TestRandomReplayOracle:
-    """The random method against intersecting every run's prefix as a set."""
+    """The random method against intersecting every run's prefix as a set,
+    row by row as ``_check_row`` states."""
 
     @pytest.mark.parametrize("synth, sizes, short", [
         (SynthConfig(seed=7), range(5, 26), False),
@@ -553,9 +596,9 @@ class TestRandomReplayOracle:
         predictable = [(seq, pred) for seq, pred in predictable if pred]
         assert predictable
         for n in sizes:
-            expected = [_oracle_row(seq, [p[:n] for p in permutations], pred)
-                        for seq, pred in predictable]
-            assert [_hex_row(row) for row in reports[n].per_build] == list(map(_hex_row, expected))
+            assert len(reports[n].per_build) == len(predictable)
+            for row, (seq, pred) in zip(reports[n].per_build, predictable):
+                _check_row(row, seq, [p[:n] for p in permutations], pred)
 
 
     def test_draws_through_one_shuffled_universe_call(self, desk_history, monkeypatch):
