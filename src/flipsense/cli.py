@@ -37,10 +37,6 @@ def _seed(args) -> int:
         raise ValueError(f"FLIPSENSE_SEED must be an integer, got {text!r}") from None
 
 
-def _env_out() -> str:
-    return os.environ.get("FLIPSENSE_OUT", ".")
-
-
 def _read_history(path: str) -> list[history.BuildRecord]:
     return history.read_history(sys.stdin if path == "-" else path)
 
@@ -237,11 +233,9 @@ def cmd_replay(args) -> int:
         for m in methods
     }
     figures = evaluate.figure_data(reports)
-    improvement = {}
-    if len(methods) > 1:
-        improvement = {
-            m: evaluate.improvement_summary(reports, baseline, m) for m in methods if m != baseline
-        }
+    improvement = {
+        m: evaluate.improvement_summary(reports, baseline, m) for m in methods if m != baseline
+    }
     doc = {
         "figures": figures,
         "reports": {m: {str(n): r.to_dict() for n, r in reports[m].items()} for m in methods},
@@ -359,6 +353,7 @@ def cmd_schedule_init(args) -> int:
     state = schedule.state_from_history(
         records, ledger, always_passed_only=(args.stable_rule == "always-passed")
     )
+    state.pending.last_verdict.update(ledger.last_verdict)  # so the first apply can see a flip
     _write_atomic(args.state, schedule.save_state, state)
     print(f"{len(state.staleness)} tests tracked, {len(state.stable_tests())} stable")
     return 0
@@ -495,7 +490,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("heatmap", parents=[matrix], help="export the matrix heat map and flakiness index")
     p.add_argument("--input", help="history file to fold into a matrix")
-    p.add_argument("--out", default=_env_out())
+    p.add_argument("--out", default=os.environ.get("FLIPSENSE_OUT", "."),
+                   help="default: FLIPSENSE_OUT, else the current directory")
     p.add_argument("--save-snapshot", default=None, help="also save the matrix snapshot here")
     p.set_defaults(func=cmd_heatmap)
 

@@ -40,13 +40,14 @@ class BuildRecord:
 @dataclass(frozen=True)
 class FlipLedger:
     """The flipped and the predictable tests of each build (a build with
-    none is absent), and every test that has a verdict. A test flips at
-    most once a build, so the flips of a history number the sum of the
-    flipped_at set sizes."""
+    none is absent), every test that has a verdict, and each test's last
+    verdict, against which its next one is judged. A test flips at most
+    once a build, so the flips number the sum of the flipped_at sizes."""
 
     flipped_at: dict[int, frozenset[str]]
     predictable_at: dict[int, frozenset[str]]
     universe: frozenset[str]
+    last_verdict: dict[str, str]  # test -> its verdict at the last build that ran it
 
     def flipped(self, seq: int) -> frozenset[str]:
         return self.flipped_at.get(seq, frozenset())
@@ -175,7 +176,7 @@ def extract_flips(records: list[BuildRecord]) -> FlipLedger:
                 predictable_at[record.seq] = predictable
             flipped_before.update(flipped_now)
 
-    return FlipLedger(flipped_at, predictable_at, frozenset(last_verdict))
+    return FlipLedger(flipped_at, predictable_at, frozenset(last_verdict), last_verdict)
 
 
 def summarise(records: list[BuildRecord]) -> dict:

@@ -62,6 +62,10 @@ def stable_tests(
 def state_from_history(
     records: Sequence[BuildRecord], ledger: FlipLedger, always_passed_only: bool = False
 ) -> ScheduleState:
+    """Every test at staleness 0, stable as stable_tests says, and with no
+    last verdict, so a caller that replays the history's own builds through
+    incremental_apply judges each verdict once. `schedule init` goes on
+    from the history's end, so it seeds pending.last_verdict from the ledger."""
     stable = stable_tests(records, ledger, always_passed_only)
     tests = sorted(ledger.universe)
     return ScheduleState(

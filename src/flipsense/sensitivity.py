@@ -429,8 +429,7 @@ def incremental_apply(
         verdict = new_verdicts[t]
         if verdict not in VERDICTS:
             raise ValueError(f"test {t!r} has verdict {verdict!r}")
-        prev = last_verdict.get(t)
-        flipped = prev is not None and prev != verdict
+        flipped = last_verdict.get(t, verdict) != verdict  # a test seen first never flips
         acc = since(last_run.get(t, pending.clock))  # a test seen first starts now
         col = {f: keep * v for f, v in cols.pop(t, {}).items()}
         if flipped and acc:

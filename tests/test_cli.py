@@ -393,6 +393,17 @@ class TestHeatmap:
         assert header.startswith("file,")
         assert (tmp_path / "m.jsonl").exists()
 
+    def test_out_defaults_to_flipsense_out(self, history_file, tmp_path, monkeypatch, capsys):
+        # heatmap --out is the one output that FLIPSENSE_OUT sets; replay
+        # without --out still writes no tables
+        out = tmp_path / "env-out"
+        monkeypatch.setenv("FLIPSENSE_OUT", str(out))
+        assert main(["heatmap", "--input", str(history_file)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["flakiness.csv", "heatmap.csv"]
+        assert main(["replay", "--input", str(history_file), "--select", "1"]) == 0
+        assert "tables written" not in capsys.readouterr().out
+        assert sorted(p.name for p in out.iterdir()) == ["flakiness.csv", "heatmap.csv"]
+
 
 class TestExitCodes:
     def test_unwritable_output_is_runtime_error(self, history_file, tmp_path, capsys):
@@ -468,6 +479,61 @@ class TestSchedule:
             assert capsys.readouterr().out.split() == picked, verdict
         with open(state, encoding="utf-8") as fp:
             assert load_state(fp).stable == {"a0": False, "t1": False, "t2": False}
+
+    @pytest.fixture
+    def two_build_loop(self, tmp_path, capsys):
+        """init and a matrix snapshot of a history where t1 fails at its last
+        build and a0 always passes, then one observed change set, f2."""
+        hist, state, matrix, changes = (
+            tmp_path / n for n in ("history.jsonl", "state.json", "matrix.json", "changes.txt"))
+        hist.write_text("\n".join(history_lines([
+            ("b0", [], {"t1": "pass", "a0": "pass"}),
+            ("b1", ["f1"], {"t1": "fail", "a0": "pass"}),
+        ])) + "\n", encoding="utf-8")
+        changes.write_text("f2\n", encoding="utf-8")
+        main(["schedule", "init", "--history", str(hist), "--state", str(state)])
+        main(["heatmap", "--input", str(hist), "--out", str(tmp_path / "hm"),
+              "--save-snapshot", str(matrix)])
+        assert main(["schedule", "office", "--state", str(state), "--matrix", str(matrix),
+                     "--history", str(hist), "--changes", str(changes), "-k", "2", "--observe"]) == 0
+        capsys.readouterr()
+        return state, matrix
+
+    def _apply_and_pick(self, state, matrix, tmp_path, capsys):
+        results = tmp_path / "results.json"
+        results.write_text(json.dumps({"a0": "fail", "t1": "pass"}), encoding="utf-8")
+        assert main(["schedule", "apply", "--state", str(state), "--matrix", str(matrix),
+                     "--results", str(results)]) == 0
+        capsys.readouterr()
+        assert main(["schedule", "stable", "--state", str(state), "--budget", "3"]) == 0
+        with open(matrix, encoding="utf-8") as fp:
+            return capsys.readouterr().out.split(), load_matrix(fp).cols
+
+    def test_first_apply_after_init_judges_the_history_verdict(self, two_build_loop, tmp_path,
+                                                               capsys):
+        # init records each test's last history verdict, so the first apply
+        # flips a0 (pass -> fail) and t1 (fail -> pass) as any later one would
+        state, matrix = two_build_loop
+        picked, cols = self._apply_and_pick(state, matrix, tmp_path, capsys)
+        assert picked == []  # a0 flipped, so it left the stable pass
+        # t1's column decays by 1 - alpha and is credited alpha on the observed file
+        assert cols["t1"] == {"f1": pytest.approx(0.8 * 0.2), "f2": pytest.approx(0.8)}
+        assert cols["a0"] == {"f2": pytest.approx(0.8)}
+
+    def test_a_state_without_last_verdicts_judges_no_first_flip(self, two_build_loop, tmp_path,
+                                                                 capsys):
+        # a state written before init recorded verdicts holds null ones; it
+        # still loads, and its first apply only records the verdicts
+        state, matrix = two_build_loop
+        doc = json.loads(state.read_text(encoding="utf-8"))
+        for info in doc["tests"].values():
+            info["last_verdict"] = None
+        state.write_text(json.dumps(doc), encoding="utf-8")
+        picked, cols = self._apply_and_pick(state, matrix, tmp_path, capsys)
+        assert picked == ["a0"]
+        assert cols == {"t1": {"f1": pytest.approx(0.8 * 0.2)}}
+        with open(state, encoding="utf-8") as fp:
+            assert load_state(fp).pending.last_verdict == {"a0": "fail", "t1": "pass"}
 
     @pytest.mark.parametrize("flag", [["-k", "0"], ["-k", "5", "-w", "7"]], ids=["k", "w"])
     def test_rejected_office_observes_nothing(self, flag, history_file, changes_file,
@@ -624,6 +690,16 @@ _BAD_STATES = {
 }
 
 
+_BAD_HISTORY_LINES = {
+    "build a number": ({"build": 7, "changes": [], "results": {}},
+                       "'build' must be a non-empty string"),
+    "changes an object": ({"build": "b1", "changes": {"f1": 1}, "results": {}},
+                          "'changes' must be an array of strings"),
+    "results an array": ({"build": "b1", "changes": [], "results": [["t1", "pass"]]},
+                         "'results' must be an object"),
+}
+
+
 def _write_doc(path, doc):
     path.write_text(doc if isinstance(doc, str) else json.dumps(doc), encoding="utf-8")
 
@@ -656,6 +732,15 @@ class TestMalformedDocuments:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("name", sorted(_BAD_HISTORY_LINES))
+    def test_history(self, name, tmp_path, capsys):
+        record, message = _BAD_HISTORY_LINES[name]
+        path = tmp_path / "history.jsonl"
+        path.write_text('{"build":"b0","changes":[],"results":{"t1":"pass"}}\n'
+                        + json.dumps(record) + "\n", encoding="utf-8")
+        assert main(["ingest", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: line 2: {message}\n"
 
     @pytest.mark.parametrize("table, argv, digest", [
         (_BAD_SNAPSHOTS, ["prioritise", "--snapshot", "{doc}", "--changes", "{changes}", "-n", "1"],
@@ -902,6 +987,13 @@ class TestSynthCommand:
         assert len(out.read_text(encoding="utf-8").strip().splitlines()) == 5
         assert len(json.loads(truth.read_text(encoding="utf-8"))) == 4
 
+    def test_writes_history_to_stdout_by_default(self, tmp_path, capsys):
+        argv = ["synth", "--seed", "3", "--builds", "5", "--files", "30", "--tests", "4"]
+        out = tmp_path / "synth.jsonl"
+        assert main([*argv, "--out", str(out)]) == 0
+        assert main(argv) == 0
+        assert capsys.readouterr().out == out.read_text(encoding="utf-8")
+
     def test_pipe_composition(self):
         # synth | replay as a real shell pipeline
         synth_cmd = [sys.executable, "-m", "flipsense.cli", "synth", "--seed", "1",
@@ -1034,7 +1126,7 @@ class TestPinnedOutputs:
         root, path, _ = desk_history
         state = root / "state.json"
         _stdout_md5(["schedule", "init", "--history", path, "--state", str(state)])
-        assert hashlib.md5(state.read_bytes()).hexdigest() == "f7ecace1a336a1418c789c1f40d454de"
+        assert hashlib.md5(state.read_bytes()).hexdigest() == "b55b691f75352cd73ab770772be5d4ba"
 
     @pytest.mark.parametrize("n, digest", [
         ("25", "d41c0735b0f4325af5af8dfc587998ba"),
@@ -1076,8 +1168,9 @@ class TestPinnedOutputs:
     def test_day_loop_cycle(self, desk_history, tmp_path):
         # ten days of the resource-managed loop on builds 40-49, after a
         # history of builds 0-39; schedule apply rewrites the matrix and
-        # the state every day, and takes t0003 out of the stable pass once
-        # it sees it flip at build 44
+        # the state every day, credits t0053's flip on its first run (build
+        # 40, judged against its build-39 verdict that init records), and
+        # takes t0003 out of the stable pass once it sees it flip at build 44
         _, path, _ = desk_history
         records = read_history(path)
         hist, changes, state, matrix, results, executed = (
@@ -1116,6 +1209,6 @@ class TestPinnedOutputs:
             with open(hist, "a", encoding="utf-8") as fp:
                 write_history([record], fp)
         run("schedule", "stable", "--state", state, "--budget", "9")
-        assert hashlib.md5(stdout.getvalue().encode("utf-8")).hexdigest() == "eb2b8154f0b195e4d849f5e56966f052"
-        assert hashlib.md5(matrix.read_bytes()).hexdigest() == "6066c00e9dc6cae7a7b249327de6dcdf"
-        assert hashlib.md5(state.read_bytes()).hexdigest() == "0db257ed4c11919bbae6d40a107e8ae4"
+        assert hashlib.md5(stdout.getvalue().encode("utf-8")).hexdigest() == "33c641e1dbb88cb3334250f1f8ba39d2"
+        assert hashlib.md5(matrix.read_bytes()).hexdigest() == "9a8266a37cacc40e337b4eae5e19ef33"
+        assert hashlib.md5(state.read_bytes()).hexdigest() == "c8b90c5c22991a984ac99b18d8245bd5"

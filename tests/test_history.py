@@ -190,6 +190,10 @@ class TestExtractFlips:
             seen = [r.verdicts[t] for r in records if t in r.verdicts]
             sign_changes = sum(1 for a, b in zip(seen, seen[1:]) if a != b)
             assert sum(t in tests for tests in ledger.flipped_at.values()) == sign_changes
+        carried: dict[str, str] = {}
+        for r in records:
+            carried.update(r.verdicts)
+        assert ledger.last_verdict == carried
 
     @given(histories())
     @settings(max_examples=60)
