@@ -245,7 +245,7 @@ def cmd_replay(args) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        for metric in evaluate.FIGURE_METRICS:
+        for metric in evaluate.FIGURE_FIELDS:
             (out / f"{metric}.csv").write_text(evaluate.figure_csv(figures, metric), encoding="utf-8")
         for name in ("reports", "improvement"):
             if doc[name]:

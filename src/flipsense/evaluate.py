@@ -41,7 +41,6 @@ FIGURE_FIELDS = {
     "recall": "mean_recall",
     "f_measure": "mean_f_measure",
 }
-FIGURE_METRICS = tuple(FIGURE_FIELDS)
 
 
 def precision(selected: Iterable[str], predictable: Iterable[str]) -> float:
@@ -68,9 +67,9 @@ def f_measure(p: float, r: float) -> float:
 class MethodConfig:
     """What to replay: a matrix method (ema/cumulative) or the random floor.
 
-    d_mode defaults per method: linear for ema, constant for cumulative
-    (constant d plus plain accumulation is the co-occurrence counting
-    baseline).
+    d_mode, unless given, resolves per method when the config is made:
+    constant for cumulative (constant d plus plain accumulation is the
+    co-occurrence counting baseline), linear otherwise.
     """
 
     method: str
@@ -87,11 +86,8 @@ class MethodConfig:
                 raise ConfigError(f"ema requires alpha in [0, 1], got {self.alpha!r}")
         if self.method == "random" and self.policy is None:
             raise ConfigError("random method requires a RandomPolicy")
-
-    def resolved_d_mode(self) -> str:
-        if self.d_mode is not None:
-            return self.d_mode
-        return "constant" if self.method == "cumulative" else "linear"
+        if self.d_mode is None:
+            object.__setattr__(self, "d_mode", "constant" if self.method == "cumulative" else "linear")
 
 
 class BuildMetrics(NamedTuple):
@@ -146,7 +142,7 @@ def _finish_report(config: MethodConfig, n: int, rows: list[BuildMetrics]) -> Ev
         score_mode=config.score_mode,
         n=n,
         alpha=config.alpha,
-        d_mode=config.resolved_d_mode(),
+        d_mode=config.d_mode,
         seed=config.policy.seed if config.policy else None,
         runs=config.policy.runs if config.policy else None,
         per_build=tuple(rows),
@@ -165,14 +161,13 @@ def fold(
     records[1:], since advance updates it in place. Read each state before
     asking for the next.
 
-    The method names the update (ema blends by alpha, cumulative sums) and,
-    unless set, the d_mode; random has no matrix and is rejected.
+    The method names the update (ema blends by alpha, cumulative sums) and
+    the config its d_mode; random has no matrix and is rejected.
     """
-    d_mode = config.resolved_d_mode()
-    matrix = empty_matrix(alpha=config.alpha, d_mode=d_mode, update_mode=config.method)
+    matrix = empty_matrix(alpha=config.alpha, d_mode=config.d_mode, update_mode=config.method)
     yield matrix
     for record in records[1:]:
-        delta = build_delta(record.changed_files, ledger.flipped(record.seq), d_mode)
+        delta = build_delta(record.changed_files, ledger.flipped(record.seq), config.d_mode)
         yield advance(matrix, delta)
 
 
@@ -328,7 +323,7 @@ def figure_data(reports: Mapping[str, Mapping[int, EvalReport]]) -> dict:
 def figure_csv(figures: dict, metric: str) -> str:
     """One metric's table of a figure document: a row per size, a column
     per method, and an empty cell where a method has no value."""
-    if metric not in FIGURE_METRICS:
+    if metric not in FIGURE_FIELDS:
         raise ValueError(f"unknown metric {metric!r}")
     methods = figures["methods"]
     lines = ["n," + ",".join(methods)]

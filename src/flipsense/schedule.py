@@ -42,31 +42,17 @@ class ScheduleState:
         return sorted(t for t, s in self.stable.items() if s)
 
 
-def stable_tests(
-    records: Sequence[BuildRecord], ledger: FlipLedger, always_passed_only: bool = False
-) -> frozenset[str]:
-    """Tests that never flipped; optionally restricted to ones that also
-    never failed."""
-    never_flipped = ledger.universe.difference(*ledger.flipped_at.values())
-    if not always_passed_only:
-        return never_flipped
-    failed_once = {
-        t
-        for record in records
-        for t, verdict in record.verdicts.items()
-        if verdict == "fail"
-    }
-    return never_flipped - frozenset(failed_once)
-
-
 def state_from_history(
     records: Sequence[BuildRecord], ledger: FlipLedger, always_passed_only: bool = False
 ) -> ScheduleState:
-    """Every test at staleness 0, stable as stable_tests says, and with no
-    last verdict, so a caller that replays the history's own builds through
+    """Every test at staleness 0, stable if it never flipped (and, with
+    always_passed_only, never failed either), and with no last verdict, so
+    a caller that replays the history's own builds through
     incremental_apply judges each verdict once. `schedule init` goes on
     from the history's end, so it seeds pending.last_verdict from the ledger."""
-    stable = stable_tests(records, ledger, always_passed_only)
+    stable = ledger.universe.difference(*ledger.flipped_at.values())
+    if always_passed_only:
+        stable -= {t for record in records for t, verdict in record.verdicts.items() if verdict == "fail"}
     tests = sorted(ledger.universe)
     return ScheduleState(
         staleness={t: 0 for t in tests},

@@ -14,8 +14,9 @@ Scoring a change set slices the rows of the changed files and reduces the
 columns (sum or max); higher score = more likely to flip. A score vector
 holds only the scores above 0, and ``select_top_n`` alone ranks one: those
 scores by (score desc, id asc), then zero-score tests by id. An incremental
-mode updates single columns when individual tests run, decaying columns of
-tests that ran without flipping.
+mode blends single columns the same way when individual tests run, so a
+test that ran without flipping only decays (an EMA column) or keeps its
+values (a cumulative one).
 
 The EMA fold is lazy: ``cols`` holds every entry divided by one running
 ``scale``, so a build decays the whole matrix with one multiply and costs
@@ -211,10 +212,17 @@ def _true_cols(matrix: SensitivityMatrix) -> dict[str, dict[str, float]]:
     return {t: col for t, col in zip(matrix.cols, cols) if col}
 
 
+def _blend(matrix: SensitivityMatrix) -> tuple[float, float]:
+    """(weight, keep) of M = weight * delta + keep * M: (alpha, 1 - alpha)
+    blends an EMA, (1, 1) is a plain sum."""
+    if matrix.update_mode == "ema":
+        return matrix.alpha, 1.0 - matrix.alpha
+    return 1.0, 1.0
+
+
 def advance(matrix: SensitivityMatrix, delta: Delta) -> SensitivityMatrix:
     """Fold one build's block into the matrix in place and return it,
-    M = weight * delta + keep * M: (alpha, 1 - alpha) blends an EMA, (1, 1)
-    is a plain sum.
+    blended as ``_blend`` says.
 
     Decay multiplies ``scale`` by keep (at keep 0 that is 0, and the
     renormalisation empties the matrix), and the block adds one stored
@@ -237,10 +245,7 @@ def advance(matrix: SensitivityMatrix, delta: Delta) -> SensitivityMatrix:
         raise ConfigError(
             f"d_mode mismatch: matrix is {matrix.d_mode!r}, delta is {delta.d_mode!r}"
         )
-    if matrix.update_mode == "ema":
-        weight, keep = matrix.alpha, 1.0 - matrix.alpha
-    else:  # cumulative
-        weight, keep = 1.0, 1.0
+    weight, keep = _blend(matrix)
     cols, threshold = matrix.cols, matrix.drop_threshold
     if keep < 1.0:
         matrix.scale *= keep
@@ -406,15 +411,14 @@ def incremental_apply(
 ) -> tuple[SensitivityMatrix, PendingChanges]:
     """Column-wise update after a subset of tests ran.
 
-    A test that flipped against its last known verdict gets an EMA blend of
-    a delta built from the files accumulated since it last ran; a test that
-    ran without flipping has its column decayed by (1 - alpha). Either way
-    its accumulated set resets. Tests that did not run are untouched.
+    Each executed test's column is blended as ``_blend`` says: it decays by
+    keep, and a test that flipped against its last known verdict also gains
+    weight / d(|accumulated|) on each file accumulated since it last ran.
+    So an EMA column decays by (1 - alpha) and a cumulative one, which
+    counts, only gains. Either way its accumulated set resets. Tests that
+    did not run are untouched.
     """
-    if matrix.update_mode != "ema":
-        raise ConfigError("incremental updates require an ema matrix")
-    alpha = matrix.alpha
-    keep = 1.0 - alpha
+    weight, keep = _blend(matrix)
     cols = _true_cols(matrix)
     files = set(matrix.files)
     tests = set(matrix.tests)
@@ -433,7 +437,7 @@ def incremental_apply(
         acc = since(last_run.get(t, pending.clock))  # a test seen first starts now
         col = {f: keep * v for f, v in cols.pop(t, {}).items()}
         if flipped and acc:
-            value = alpha / _d(matrix.d_mode, len(acc))
+            value = weight / _d(matrix.d_mode, len(acc))
             for f in acc:
                 col[f] = value + col.get(f, 0.0)
         col = {f: v for f, v in col.items() if v and v >= matrix.drop_threshold}

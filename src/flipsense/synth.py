@@ -81,20 +81,16 @@ def generate(config: SynthConfig) -> tuple[list[BuildRecord], dict[str, tuple[st
         for t in tests
     }
 
-    records = [
-        BuildRecord("b0000", 0, frozenset(rng.sample(files, rng.randint(*config.change_set_size))), dict(verdicts))
-    ]
-    for seq in range(1, config.n_builds):
+    records = []
+    for seq in range(config.n_builds):
         changed = frozenset(rng.sample(files, rng.randint(*config.change_set_size)))
-        new_verdicts = {}
-        for t in tests:
-            p = config.flip_probability_hit if deps[t] & changed else config.flip_probability_noise
-            v = verdicts[t]
-            if rng.random() < p:
-                v = _flip(v)
-            new_verdicts[t] = v
-        verdicts = new_verdicts
-        records.append(BuildRecord(f"b{seq:04d}", seq, changed, new_verdicts))
+        if seq:  # build 0 keeps the initial verdicts
+            new_verdicts = {}
+            for t, v in verdicts.items():
+                p = config.flip_probability_hit if deps[t] & changed else config.flip_probability_noise
+                new_verdicts[t] = _flip(v) if rng.random() < p else v
+            verdicts = new_verdicts
+        records.append(BuildRecord(f"b{seq:04d}", seq, changed, verdicts))
 
     truth = {t: tuple(sorted(deps[t])) for t in tests}
     return records, truth

@@ -316,6 +316,9 @@ class TestReplay:
 
     def test_unknown_method(self, history_file, capsys):
         assert main(["replay", "--input", str(history_file), "--method", "bogus"]) == 2
+        capsys.readouterr()
+        assert main(["replay", "--input", str(history_file), "--method", ","]) == 2
+        assert capsys.readouterr() == ("", "error: no method given\n")
 
     def test_repeated_method_is_a_usage_error(self, history_file, capsys):
         assert main(["replay", "--input", str(history_file),
@@ -357,6 +360,10 @@ class TestSweep:
         assert main(["sweep-alpha", "--input", str(history_file), f"--grid={grid}"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+    def test_grid_without_a_step_is_a_usage_error(self, history_file, capsys):
+        assert main(["sweep-alpha", "--input", str(history_file), "--grid", "1:2"]) == 2
+        assert capsys.readouterr() == ("", "error: grid must be lo:hi:step, got '1:2'\n")
 
 
 class TestListFlags:
@@ -479,6 +486,34 @@ class TestSchedule:
             assert capsys.readouterr().out.split() == picked, verdict
         with open(state, encoding="utf-8") as fp:
             assert load_state(fp).stable == {"a0": False, "t1": False, "t2": False}
+
+    @pytest.mark.parametrize("d_mode, gain", [("constant", 1.0), ("linear", 0.5)])
+    def test_apply_counts_into_a_cumulative_snapshot(self, history_file, tmp_path, capsys,
+                                                     d_mode, gain):
+        # t1 flips (pass -> fail) and gains 1/d on each of its two pending
+        # files; t2 ran without flipping and keeps its column, since a
+        # cumulative matrix counts and never decays
+        state, matrix, changes, results = (
+            tmp_path / n for n in ("state.json", "matrix.json", "changes.txt", "results.json"))
+        main(["schedule", "init", "--history", str(history_file), "--state", str(state)])
+        assert main(["heatmap", "--input", str(history_file), "--method", "cumulative",
+                     "--d-mode", d_mode, "--out", str(tmp_path / "hm"),
+                     "--save-snapshot", str(matrix)]) == 0
+        changes.write_text("f1\nf3\n", encoding="utf-8")
+        assert main(["schedule", "office", "--state", str(state), "--matrix", str(matrix),
+                     "--history", str(history_file), "--changes", str(changes), "-k", "1",
+                     "--observe"]) == 0
+        with open(matrix, encoding="utf-8") as fp:
+            before = load_matrix(fp).cols
+        results.write_text(json.dumps({"t1": "fail", "t2": "pass"}), encoding="utf-8")
+        assert main(["schedule", "apply", "--state", str(state), "--matrix", str(matrix),
+                     "--results", str(results)]) == 0
+        with open(matrix, encoding="utf-8") as fp:
+            after = load_matrix(fp)
+        assert (after.update_mode, after.d_mode) == ("cumulative", d_mode)
+        assert after.cols["t1"] == {"f1": before["t1"]["f1"] + gain, "f2": before["t1"]["f2"],
+                                    "f3": gain}
+        assert after.cols["t2"] == before["t2"]
 
     @pytest.fixture
     def two_build_loop(self, tmp_path, capsys):

@@ -14,7 +14,7 @@ from flipsense import evaluate
 from flipsense.baselines import RandomPolicy, shuffled_universe
 from flipsense.errors import ConfigError, UndefinedMetricError, ValidationError
 from flipsense.evaluate import (
-    FIGURE_METRICS,
+    FIGURE_FIELDS,
     BuildMetrics,
     EvalReport,
     MethodConfig,
@@ -206,6 +206,8 @@ class TestReplay:
             replay_sizes(records, ledger, config, [3, 1, 2, 3, 1])
         with pytest.raises(ValueError, match=r"\[1\] more than once"):
             sweep_alpha(records, ledger, [0.5], [1, 1])
+        with pytest.raises(ValueError, match=r"^selection sizes must be >= 1, got \[0\]$"):
+            replay_sizes(records, ledger, config, [0])
 
 
 def _oracle_row(seq, selections, predictable):
@@ -316,8 +318,10 @@ class TestMethodConfig:
             MethodConfig(method="bayesian")
 
     def test_d_mode_defaults_per_method(self):
-        assert MethodConfig(method="ema", alpha=0.5).resolved_d_mode() == "linear"
-        assert MethodConfig(method="cumulative").resolved_d_mode() == "constant"
+        assert MethodConfig(method="ema", alpha=0.5).d_mode == "linear"
+        assert MethodConfig(method="cumulative").d_mode == "constant"
+        assert MethodConfig(method="random", policy=RandomPolicy(seed=1, runs=2)).d_mode == "linear"
+        assert MethodConfig(method="cumulative", d_mode="linear").d_mode == "linear"
 
 
 class TestSweepAlpha:
@@ -457,17 +461,21 @@ class TestFigureData:
         lines = csv.strip().splitlines()
         assert lines[0] == "n,ema"
         assert len(lines) == 3
+        with pytest.raises(ValueError, match=r"^unknown metric 'x'$"):
+            figure_csv(data, "x")
 
     def test_three_methods_three_columns(self):
         reports = {m: self.reports(m, [5]) for m in ("ema", "cumulative", "random")}
         data = figure_data(reports)
         assert figure_csv(data, "precision").splitlines()[0] == "n,ema,cumulative,random"
-        for metric in FIGURE_METRICS:
+        for metric in FIGURE_FIELDS:
             assert set(data["values"][metric]["5"]) == {"ema", "cumulative", "random"}
 
     def test_inconsistent_sizes_rejected(self):
         with pytest.raises(ValidationError, match="sizes"):
             figure_data({"ema": self.reports("ema", [5]), "cumulative": self.reports("cumulative", [5, 10])})
+        with pytest.raises(ValidationError, match=r"^no reports given$"):
+            figure_data({})
 
     def test_improvement_avg_of_averages(self):
         # recall aggregates 0.168 vs 0.089 -> +88.8% relative on the
@@ -517,6 +525,8 @@ class TestFigureData:
         with pytest.raises(ValidationError, match="sizes") as from_summary:
             improvement_summary(reports, "cumulative", "ema")
         assert str(from_summary.value) == str(from_figures.value)
+        with pytest.raises(ValidationError, match=r"^methods 'cumulative'/'ema' not among the reports$"):
+            improvement_summary({"ema": self.reports("ema", [5])}, "cumulative", "ema")
 
 
 DESK_SIZES = range(5, 26)
@@ -569,7 +579,7 @@ class TestFold:
         assert states[0][0]
         assert [s[1] for s in states] == list(range(len(records)))
         assert {s[2] for s in states} == {config.method}
-        assert {s[3] for s in states} == {config.resolved_d_mode()}
+        assert {s[3] for s in states} == {config.d_mode}
 
     def test_random_has_no_matrix(self, desk_history):
         records, ledger = desk_history

@@ -20,7 +20,6 @@ from flipsense.schedule import (
     office_hours_tick,
     save_state,
     select_stable,
-    stable_tests,
     state_from_history,
 )
 from flipsense.sensitivity import (
@@ -102,6 +101,8 @@ class TestSelectStable:
     def test_invalid_budget(self):
         with pytest.raises(ValueError):
             select_stable(state_of({"a": 1}), 0)
+        with pytest.raises(ValueError, match=r"^unknown strategy 'x'$"):
+            select_stable(state_of({"a": 1}), 1, strategy="x")
 
     @pytest.mark.parametrize("window", [0, -5])
     def test_invalid_window(self, window):
@@ -164,12 +165,13 @@ class TestStableTests:
     def test_never_flipped_rule(self):
         records = self.history()
         ledger = extract_flips(records)
-        assert stable_tests(records, ledger) == {"always_fail", "always_pass"}
+        assert state_from_history(records, ledger).stable_tests() == ["always_fail", "always_pass"]
 
     def test_always_passed_rule(self):
         records = self.history()
         ledger = extract_flips(records)
-        assert stable_tests(records, ledger, always_passed_only=True) == {"always_pass"}
+        state = state_from_history(records, ledger, always_passed_only=True)
+        assert state.stable_tests() == ["always_pass"]
 
     def test_state_from_history(self):
         records = self.history()

@@ -90,6 +90,10 @@ class TestBuildDelta:
         m = advance(empty_matrix(update_mode="cumulative", d_mode="constant"), delta)
         assert nnz(m) == 6
         assert all(m.entry(f, t) == 1.0 for f in delta.files for t in delta.tests)
+        with pytest.raises(ConfigError, match=r"^unknown d_mode 'x'$"):
+            build_delta([], [], "x")
+        with pytest.raises(ConfigError, match=r"^unknown d_mode 'x'$"):
+            empty_matrix(d_mode="x")
 
     def test_registers_files_and_tests(self):
         delta = build_delta({"f1"}, set(), "linear")
@@ -495,6 +499,8 @@ class TestSliceScores:
     def test_max_mode(self):
         scores = slice_scores(self.matrix(), {"f1", "f2"}, "max")
         assert scores.scores == {"t1": 0.4, "t2": 0.3}
+        with pytest.raises(ConfigError, match=r"^unknown score_mode 'x'$"):
+            slice_scores(self.matrix(), [], "x")
 
     def test_unknown_files_score_zero(self):
         scores = slice_scores(self.matrix(), {"nope"}, "sum")
@@ -739,6 +745,27 @@ class TestIncremental:
         m2, pending2 = incremental_apply(m, pending, {"t"}, {"t": "fail"})
         assert nnz(m2) == 0
         assert pending2.last_verdict["t"] == "fail"
+
+    @given(st.integers(0, 10**6), st.integers(1, 12), st.integers(1, 10), st.integers(1, 8),
+           st.sampled_from(D_MODES))
+    @settings(max_examples=80, deadline=None)
+    def test_cumulative_columns_match_the_build_wise_fold(self, seed, n_builds, n_files, n_tests,
+                                                          d_mode):
+        # every test runs every build, so each flip credits exactly that
+        # build's changed files, as the build-wise counting fold does
+        config = SynthConfig(seed=seed, n_builds=n_builds, n_files=n_files, n_tests=n_tests,
+                             deps_per_test=(1, min(3, n_files)), change_set_size=(1, min(4, n_files)))
+        records, _ = generate(config)
+        for full in fold(records, extract_flips(records), MethodConfig("cumulative", d_mode=d_mode)):
+            pass
+        tests = sorted(records[0].verdicts)
+        inc, pending = incremental_apply(empty_matrix(d_mode=d_mode, update_mode="cumulative"),
+                                         new_pending(tests), tests, records[0].verdicts)
+        for record in records[1:]:
+            pending = incremental_observe(pending, record.changed_files)
+            inc, pending = incremental_apply(inc, pending, tests, record.verdicts)
+        assert full.scale == inc.scale == 1.0
+        assert inc.cols == full.cols
 
 
 class TestExports:

@@ -115,3 +115,5 @@ class TestDynamics:
         records, _ = generate(small())
         for r in records:
             assert len(r.verdicts) == 5
+        # one build is one record: build 0, with the initial verdicts
+        assert generate(small(n_builds=1))[0] == records[:1]
