@@ -133,6 +133,12 @@ def _method_config(method: str, args, score_mode: str = "sum") -> evaluate.Metho
     )
 
 
+def _check_alpha(args, methods: list[str]) -> None:
+    """--alpha sets the EMA alone, so it needs ema among the methods."""
+    if args.alpha is not None and "ema" not in methods:
+        raise ValidationError(f"--alpha {args.alpha} needs --method ema, got {','.join(methods)}")
+
+
 def _check_snapshot_flags(args, matrix: sensitivity.SensitivityMatrix) -> None:
     """Each of --method, --alpha and --d-mode that is given must name the
     snapshot's own setting; a cumulative snapshot has no alpha."""
@@ -158,6 +164,7 @@ def _matrix(args, path: str | None, flag: str) -> sensitivity.SensitivityMatrix:
         return matrix
     if not path:
         raise ValidationError(f"{args.command} needs {flag} or --snapshot")
+    _check_alpha(args, [args.method or "ema"])
     records = _read_history(path)
     ledger = history.extract_flips(records)
     for matrix in evaluate.fold(records, ledger, _method_config(args.method or "ema", args)):
@@ -220,6 +227,7 @@ def cmd_replay(args) -> int:
     ledger = history.extract_flips(records)
     sizes = _parse_size_range(args.select)
     methods = _method_list(args.method)
+    _check_alpha(args, methods)
     if "random" in methods and args.runs > MAX_ENTRIES:  # a drawn prefix per run, held up front
         raise ValueError(f"random selection takes at most {MAX_ENTRIES} runs, got {args.runs}")
     if "random" in methods and args.runs * len(sizes) > MAX_ENTRIES:  # and a row per run and size

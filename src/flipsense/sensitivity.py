@@ -71,12 +71,13 @@ class SensitivityMatrix:
     never a sum of stored values. ``files`` and ``tests`` record every id
     ever seen by an update, even if all its entries have decayed away or
     been pruned; heat-map fractions and zero-score ranking depend on that
-    registry. No stored entry is 0.
+    registry: sets the matrix owns and ``advance`` grows in place, which
+    ``replace`` shares as it shares ``cols``. No stored entry is 0.
     """
 
     cols: dict[str, dict[str, float]]
-    files: frozenset[str]
-    tests: frozenset[str]
+    files: set[str]
+    tests: set[str]
     d_mode: str
     update_mode: str
     alpha: float | None = None      # ema mode only
@@ -112,7 +113,8 @@ class ScoreVector:
     """Scores of the ``known`` tests: ``positive`` holds every score above
     0, and every other known test scores 0. ``known`` is held by reference,
     so a vector costs the tests it credits, not the tests known; nothing
-    is ranked until ``select_top_n`` picks from it."""
+    is ranked until ``select_top_n`` picks from it. ``slice_scores`` hands
+    it the live ``matrix.tests``: read it before the next ``advance``."""
 
     positive: dict[str, float]
     known: AbstractSet[str] = field(repr=False)
@@ -177,8 +179,8 @@ def empty_matrix(
         raise ConfigError(f"drop_threshold must be finite and >= 0, got {drop_threshold!r}")
     return SensitivityMatrix(
         cols={},
-        files=frozenset(),
-        tests=frozenset(),
+        files=set(),
+        tests=set(),
         d_mode=d_mode,
         update_mode=update_mode,
         alpha=alpha,
@@ -308,10 +310,8 @@ def advance(matrix: SensitivityMatrix, delta: Delta) -> SensitivityMatrix:
         elif not col:
             del cols[t]
 
-    if not delta.files <= matrix.files:
-        matrix.files = matrix.files | delta.files
-    if not delta.tests <= matrix.tests:
-        matrix.tests = matrix.tests | delta.tests
+    matrix.files |= delta.files
+    matrix.tests |= delta.tests
     matrix.last_seq += 1
     return matrix
 
@@ -448,9 +448,7 @@ def incremental_apply(
         last_run[t] = pending.clock
         last_verdict[t] = verdict
 
-    new_matrix = replace(
-        matrix, cols=cols, files=frozenset(files), tests=frozenset(tests), scale=1.0
-    )
+    new_matrix = replace(matrix, cols=cols, files=files, tests=tests, scale=1.0)
     return new_matrix, PendingChanges(pending.clock, dict(pending.changed_at), last_run, last_verdict)
 
 
@@ -627,7 +625,7 @@ def load_matrix(fp: IO[str]) -> SensitivityMatrix:
         settings = empty_matrix(doc["alpha"], doc["d_mode"], doc["update_mode"], doc["drop_threshold"])
     except ConfigError as exc:
         raise ValidationError(f"sensitivity-matrix: {exc}") from exc
-    files, tests = frozenset(doc["files"]), frozenset(doc["tests"])
+    files, tests = set(doc["files"]), set(doc["tests"])
     cols = doc["cols"]
     for t, col in cols.items():
         if t not in tests:

@@ -252,6 +252,25 @@ class TestPrioritise:
             outs.append(capsys.readouterr().out)
         assert outs[0] == outs[1] and outs[0].startswith("t1\t")
 
+    @pytest.mark.parametrize("argv, got", [
+        (["prioritise", "--history", "{history}", "--changes", "{changes}", "-n", "1",
+          "--method", "cumulative"], "cumulative"),
+        (["heatmap", "--input", "{history}", "--out", "{out}", "--method", "cumulative"],
+         "cumulative"),
+        (["replay", "--input", "{history}", "--out", "{out}", "--method", "cumulative"],
+         "cumulative"),
+        (["replay", "--input", "{history}", "--method", "cumulative,random"], "cumulative,random"),
+    ], ids=["prioritise", "heatmap", "replay", "replay-two"])
+    def test_alpha_without_ema_is_a_usage_error(self, history_file, changes_file, tmp_path, capsys,
+                                                argv, got):
+        # no chosen method reads --alpha: it is a usage error, as against a
+        # cumulative snapshot, not a flag silently dropped
+        out = tmp_path / "out"
+        argv = [a.format(history=history_file, changes=changes_file, out=out) for a in argv]
+        assert main([*argv, "--alpha", "0.5"]) == 2
+        assert capsys.readouterr() == ("", f"error: --alpha 0.5 needs --method ema, got {got}\n")
+        assert not out.exists()
+
 
 class TestReplay:
     def test_figure_tables_written(self, history_file, tmp_path, capsys):
@@ -1196,7 +1215,8 @@ class TestPinnedOutputs:
     def test_heatmap_snapshot(self, desk_history, tmp_path, method, digest):
         _, path, _ = desk_history
         matrix = tmp_path / "matrix.json"
-        _stdout_md5(["heatmap", "--input", path, "--alpha", "0.3", "--method", method,
+        alpha = ["--alpha", "0.3"] if method == "ema" else []  # cumulative reads no alpha
+        _stdout_md5(["heatmap", "--input", path, *alpha, "--method", method,
                      "--out", str(tmp_path / "hm"), "--save-snapshot", str(matrix)])
         assert hashlib.md5(matrix.read_bytes()).hexdigest() == digest
 

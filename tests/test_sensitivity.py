@@ -395,6 +395,67 @@ class TestHandBuiltAdvance:
             [("t0", ["f1"]), ("t2", ["f1"])]
 
 
+def _start(kind, start):
+    """A matrix holding start's entries, whose registries are sets
+    (``empty`` holds none), frozensets (``frozen``, built by hand) or sets
+    read back from a snapshot (``loaded``)."""
+    m = empty_matrix(alpha=0.5)
+    if kind != "empty":
+        m = replace(m, cols={t: dict(col) for t, col in start.items()},
+                    files=frozenset().union(*start.values()), tests=frozenset(start))
+    if kind == "loaded":
+        buf = io.StringIO()
+        save_matrix(m, buf)
+        m = load_matrix(io.StringIO(buf.getvalue()))
+    return m
+
+
+class TestRegistries:
+    """``files`` and ``tests`` grow in place by each build's block."""
+
+    @given(st.lists(_hand_blocks, max_size=20), st.sampled_from(["empty", "frozen", "loaded"]),
+           st.dictionaries(st.sampled_from(_TEST_POOL),
+                           st.dictionaries(st.sampled_from(_FILE_POOL), st.just(1.0), min_size=1),
+                           max_size=3))
+    @settings(max_examples=200, deadline=None)
+    def test_registries_are_the_union_of_the_folded_blocks(self, builds, kind, start):
+        m = _start(kind, start)
+        files, tests = set(m.files), set(m.tests)
+        deltas = [Delta(frozenset(f), frozenset(t), value, "linear") for f, t, value in builds]
+        begin = {(t, f): v for t, col in m.cols.items() for f, v in col.items()}
+        registries = m.files, m.tests
+        for delta, expected in zip(deltas, reference_fold(deltas, "ema", 0.5, "linear",
+                                                          m.drop_threshold, begin)):
+            advance(m, delta)
+            files |= delta.files
+            tests |= delta.tests
+            assert true_entries(m) == {key: v.hex() for key, v in expected.items()}
+            assert (m.files, m.tests) == (files, tests)
+            if kind != "frozen":  # a set registry grows in place
+                assert m.files is registries[0] and m.tests is registries[1]
+
+    def test_replace_shares_the_registries(self):
+        m = empty_matrix(alpha=0.5)
+        copy = replace(m)
+        assert copy.files is m.files and copy.tests is m.tests and copy.cols is m.cols
+
+    @pytest.mark.parametrize("make", ["load_matrix", "incremental_apply"])
+    def test_a_new_matrix_shares_no_registry_with_its_input(self, make):
+        m = advance(empty_matrix(alpha=0.5), build_delta({"f1"}, {"t1"}))
+        if make == "load_matrix":
+            buf = io.StringIO()
+            save_matrix(m, buf)
+            made = load_matrix(io.StringIO(buf.getvalue()))
+        else:
+            pending = incremental_observe(new_pending(["t2"]), {"f2"})
+            made, _ = incremental_apply(m, pending, ["t2"], {"t2": "pass"})
+        before = set(made.files), set(made.tests)
+        advance(made, build_delta({"f3"}, {"t3"}))
+        assert (m.files, m.tests) == ({"f1"}, {"t1"})
+        advance(m, build_delta({"f4"}, {"t4"}))
+        assert (made.files, made.tests) == (before[0] | {"f3"}, before[1] | {"t3"})
+
+
 def ranking(scores):
     """The positive tests as select_top_n ranks them, picked from those
     tests alone: (score desc, id asc)."""
