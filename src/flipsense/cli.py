@@ -223,8 +223,6 @@ def _pct(value: float | None) -> str:
 
 
 def cmd_replay(args) -> int:
-    records = _read_history(args.input)
-    ledger = history.extract_flips(records)
     sizes = _parse_size_range(args.select)
     methods = _method_list(args.method)
     _check_alpha(args, methods)
@@ -235,11 +233,11 @@ def cmd_replay(args) -> int:
     baseline = args.baseline or ("cumulative" if "cumulative" in methods else methods[0])
     if baseline not in methods:
         raise ValidationError(f"baseline {baseline!r} is not among the replayed methods")
+    configs = {m: _method_config(m, args, args.score_mode) for m in methods}
 
-    reports = {
-        m: evaluate.replay_sizes(records, ledger, _method_config(m, args, args.score_mode), sizes)
-        for m in methods
-    }
+    records = _read_history(args.input)
+    ledger = history.extract_flips(records)
+    reports = {m: evaluate.replay_sizes(records, ledger, configs[m], sizes) for m in methods}
     figures = evaluate.figure_data(reports)
     improvement = {
         m: evaluate.improvement_summary(reports, baseline, m) for m in methods if m != baseline
@@ -278,10 +276,11 @@ def cmd_replay(args) -> int:
 
 
 def cmd_sweep_alpha(args) -> int:
-    records = _read_history(args.input)
-    ledger = history.extract_flips(records)
     sizes = _parse_size_range(args.select)
     grid = _parse_grid(args.grid)
+    evaluate.check_grid(grid)
+    records = _read_history(args.input)
+    ledger = history.extract_flips(records)
     best, table = evaluate.sweep_alpha(
         records, ledger, grid, sizes, score_mode=args.score_mode, d_mode=args.d_mode
     )

@@ -264,6 +264,13 @@ class SweepPoint:
     total_zero: int
 
 
+def check_grid(grid: Sequence[float]) -> None:
+    """ValueError unless the alpha grid is non-empty and inside [0, 1]."""
+    outside = [a for a in grid if not 0.0 <= a <= 1.0]
+    if outside or not grid:
+        raise ValueError(f"alpha {outside[0]} outside [0, 1]" if outside else "alpha grid is empty")
+
+
 def sweep_alpha(records: Sequence[BuildRecord], ledger: FlipLedger, grid: Sequence[float],
                 sizes: Sequence[int], score_mode: str = "sum",
                 d_mode: str = "linear") -> tuple[float, list[SweepPoint]]:
@@ -273,11 +280,7 @@ def sweep_alpha(records: Sequence[BuildRecord], ledger: FlipLedger, grid: Sequen
     build is a zero result at size n exactly when its first hit stands at n
     or later, or it has none, so each alpha builds no row.
     """
-    if not grid:
-        raise ValueError("alpha grid is empty")
-    for a in grid:
-        if not 0.0 <= a <= 1.0:
-            raise ValueError(f"alpha {a} outside [0, 1]")
+    check_grid(grid)
     largest = _largest_size(sizes)
     table: list[SweepPoint] = []
     for a in sorted(set(grid)):

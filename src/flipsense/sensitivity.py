@@ -30,7 +30,8 @@ entry, as a snapshot holds it, left to right: ``sum`` varies by version.
 ``advance`` therefore updates its matrix in place; every other operation
 returns a new object and leaves its inputs alone, except that
 ``slice_scores`` fills in the matrix's derived row index (file -> tests),
-the one cache an operation builds, which ``advance`` then keeps current.
+the one cache an operation builds. ``advance`` keeps it current up to
+stale rows: pruning only marks a row, which is compacted when next read.
 """
 
 from __future__ import annotations
@@ -89,8 +90,10 @@ class SensitivityMatrix:
     # until advance next needs it
     _heap: list | None = field(default=None, init=False, repr=False, compare=False)
     # file -> the tests whose column holds it: the transposition of cols,
-    # built by slice_scores, kept current by advance and never saved
+    # built by slice_scores, current up to stale rows and never saved
     _rows: dict[str, list[str]] | None = field(default=None, init=False, repr=False, compare=False)
+    # files whose row may name a test pruned from that file; made and dropped with _rows
+    _stale: set[str] | None = field(default=None, init=False, repr=False, compare=False)
 
     def entry(self, file_id: str, test_id: str) -> float:
         return self.cols.get(test_id, {}).get(file_id, 0.0) * self.scale
@@ -257,7 +260,10 @@ def advance(matrix: SensitivityMatrix, delta: Delta) -> SensitivityMatrix:
     if threshold > 0.0 and keep < 1.0 and matrix._heap is None:
         matrix._heap = [(min(col.values()), t, tuple(col)) for t, col in cols.items() if col]
         heapq.heapify(matrix._heap)
-    scale, rows, heap = matrix.scale, matrix._rows, matrix._heap
+    scale, rows, stale, heap = matrix.scale, matrix._rows, matrix._stale, matrix._heap
+    if rows is not None:  # before the credits, which would make a pruned name look live
+        for f in stale.intersection(delta.files):
+            _compact_row(matrix, f)
 
     s = weight / scale * delta.value
     if s and delta.files:
@@ -298,13 +304,10 @@ def advance(matrix: SensitivityMatrix, delta: Delta) -> SensitivityMatrix:
         for f in group:
             if col[f] * scale < threshold:
                 del col[f]
-                if rows is not None:
-                    row = rows[f]
-                    row.remove(t)
-                    if not row:
-                        del rows[f]
             else:
                 survivors.append(f)
+        if stale is not None:
+            stale.update(group)
         if survivors:
             heapq.heappush(heap, (min(map(col.__getitem__, survivors)), t, tuple(survivors)))
         elif not col:
@@ -318,12 +321,20 @@ def advance(matrix: SensitivityMatrix, delta: Delta) -> SensitivityMatrix:
 
 def _renormalise(matrix: SensitivityMatrix) -> None:
     """Multiply the stored values by the scale and reset it to 1; values
-    that underflow to 0 are dropped, and the heap and the row index are
-    rebuilt when next needed."""
+    that underflow to 0 are dropped, and the heap and the row index, stale
+    marks and all, are rebuilt when next needed."""
     cols = _true_cols(matrix)
     matrix.cols.clear()  # in place: advance holds the dict
     matrix.cols.update(cols)
-    matrix.scale, matrix._heap, matrix._rows = 1.0, None, None
+    matrix.scale, matrix._heap, matrix._rows, matrix._stale = 1.0, None, None, None
+
+
+def _compact_row(matrix: SensitivityMatrix, f: str) -> None:
+    """Unmark f's stale row, keeping the tests whose column still holds f."""
+    row = [t for t in matrix._rows.pop(f) if f in matrix.cols.get(t, ())]
+    if row:
+        matrix._rows[f] = row
+    matrix._stale.discard(f)
 
 
 def slice_scores(
@@ -340,20 +351,23 @@ def slice_scores(
 
     A query reads only the rows of the changed files: the first one
     transposes ``cols`` into the matrix's row index (file -> tests), which
-    later queries reuse and ``advance`` keeps current.
+    later queries reuse; it is current up to stale rows, compacted when read.
     """
     if score_mode not in SCORE_MODES:
         raise ConfigError(f"unknown score_mode {score_mode!r}")
     add = operator.add if score_mode == "sum" else max
-    cols, rows = matrix.cols, matrix._rows
+    cols, rows, changed = matrix.cols, matrix._rows, set(changed_files)
     if rows is None:
         rows = matrix._rows = {}
+        matrix._stale = set()
         for t, col in cols.items():
             for f in col:
                 rows.setdefault(f, []).append(t)
+    for f in matrix._stale.intersection(changed):
+        _compact_row(matrix, f)
     scale, totals = matrix.scale, {}
     total = totals.get
-    for f in sorted({f for f in changed_files if f in rows}):
+    for f in sorted({f for f in changed if f in rows}):
         for t in rows[f]:
             totals[t] = add(total(t, 0.0), cols[t][f] * scale)  # 0.0 + v and max(0.0, v) are v
     # a total is 0 only if each of its products underflowed

@@ -443,6 +443,29 @@ class TestExitCodes:
     def test_missing_input_file(self, capsys):
         assert main(["ingest", "/nonexistent/history.jsonl"]) == 1
 
+    @pytest.mark.parametrize("argv, err", [
+        (["replay", "--select", "0"], "selection size must be >= 1, got 0"),
+        (["replay", "--method", "bogus"],
+         "unknown method 'bogus'; expected ema, cumulative, random or all"),
+        (["replay", "--method", "cumulative", "--alpha", "0.5"],
+         "--alpha 0.5 needs --method ema, got cumulative"),
+        (["replay", "--alpha", "1.5"], "ema requires alpha in [0, 1], got 1.5"),
+        (["replay", "--method", "random", "--runs", "10001"],
+         "random selection takes at most 10000 runs, got 10001"),
+        (["replay", "--method", "ema", "--baseline", "random"],
+         "baseline 'random' is not among the replayed methods"),
+        (["sweep-alpha", "--select", "3..1"], "bad size range '3..1'"),
+        (["sweep-alpha", "--grid", "1:2"], "grid must be lo:hi:step, got '1:2'"),
+        (["sweep-alpha", "--grid", "0:2:0.5"], "alpha 1.5 outside [0, 1]"),
+    ], ids=["replay-select", "replay-method", "replay-alpha", "replay-alpha-range", "replay-runs",
+            "replay-baseline", "sweep-select", "sweep-grid", "sweep-grid-range"])
+    def test_flags_are_checked_before_the_input_is_read(self, tmp_path, capsys, argv, err):
+        # a usage error exits 2 without reading the history, which would
+        # otherwise fail first, with exit 1
+        missing = str(tmp_path / "nonexistent.jsonl")
+        assert main([argv[0], "--input", missing, *argv[1:]]) == 2
+        assert capsys.readouterr() == ("", f"error: {err}\n")
+
 
 class TestSchedule:
     def test_init_stable_tick_cycle(self, history_file, tmp_path, capsys):

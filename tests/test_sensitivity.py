@@ -356,6 +356,11 @@ class TestHandBuiltAdvance:
     @example(builds=[((), (), 1.0), ({"f0"}, {"t2"}, 0.1), ((), (), 1.0)],
              update=("ema", 0.5), threshold=0.3,
              start={"t0": {"f0": 0.5, "f1": 2.0}, "t1": {"f2": 0.6}}, via_snapshot=True)
+    # build 2 empties t0's column and leaves f3's row stale; build 3 gives
+    # t0 the whole block, so the stale row must be compacted before the
+    # credit, or it names t0 twice and a query adds its credit twice
+    @example(builds=[({"f3"}, {"t0"}, 0.25), ((), (), 0.1), ({"f0", "f3"}, {"t0"}, 0.25)],
+             update=("ema", 0.5), threshold=0.1, start={}, via_snapshot=False)
     def test_matches_recursion_bit_for_bit(self, builds, update, threshold, start, via_snapshot):
         update_mode, alpha = update
         m = replace(empty_matrix(alpha=alpha, update_mode=update_mode, drop_threshold=threshold),
@@ -471,11 +476,28 @@ def transposed(matrix):
     return rows
 
 
+def assert_rows(matrix):
+    """The row index, when built, names a test at most once a row, names
+    only live entries outside the stale rows, and once its stale rows are
+    compacted it is the transposition of cols."""
+    rows, stale = matrix._rows, matrix._stale
+    if rows is None:
+        assert stale is None
+        return
+    assert stale <= rows.keys()
+    for f, row in rows.items():
+        assert row and len(set(row)) == len(row), f"row {f!r} is empty or names a test twice"
+        if f not in stale:
+            assert all(f in matrix.cols.get(t, ()) for t in row), f"row {f!r} names a pruned entry"
+    compacted = {f: sorted(t for t in row if f in matrix.cols.get(t, ())) for f, row in rows.items()}
+    assert {f: row for f, row in compacted.items() if row} == transposed(matrix)
+
+
 def assert_index_current(matrix, queries):
-    """The row index, when built, is the transposition of cols, and every
-    query scores as on a copy whose index is built afresh, bit for bit."""
-    if matrix._rows is not None:
-        assert {f: sorted(row) for f, row in matrix._rows.items()} == transposed(matrix)
+    """The row index is current up to stale rows, a query leaves none of
+    the rows it read stale, and every query scores as on a copy whose index
+    is built afresh, bit for bit."""
+    assert_rows(matrix)
     for changed in queries:
         for mode in SCORE_MODES:
             live = slice_scores(matrix, changed, mode)
@@ -483,7 +505,8 @@ def assert_index_current(matrix, queries):
             assert {t: v.hex() for t, v in live.positive.items()} == \
                 {t: v.hex() for t, v in fresh.positive.items()}
             assert ranking(live) == ranking(fresh)
-    assert {f: sorted(row) for f, row in matrix._rows.items()} == transposed(matrix)
+        assert not matrix._stale & set(changed)
+    assert_rows(matrix)
 
 
 class TestRowIndex:
@@ -529,16 +552,42 @@ class TestRowIndex:
         assert "t0" not in m.cols
 
     def test_index_is_not_copied_or_compared(self):
-        m = empty_matrix(alpha=0.5)
-        advance(m, build_delta({"f1"}, {"t1"}))
+        # the second build prunes (f0, t0) after the index is built, so
+        # f0's row stays, marked stale
+        m = empty_matrix(alpha=0.5, drop_threshold=0.3)
+        advance(m, build_delta({"f0"}, {"t0"}))
         slice_scores(m, {"f1"})
-        assert m._rows == {"f1": ["t1"]}
-        assert replace(m)._rows is None and replace(m) == m
+        advance(m, build_delta({"f1"}, {"t1"}))
+        assert m._rows == {"f0": ["t0"], "f1": ["t1"]} and m._stale == {"f0"}
+        copy = replace(m)
+        assert copy._rows is None and copy._stale is None and copy == m
         buf = io.StringIO()
         save_matrix(m, buf)
-        assert load_matrix(io.StringIO(buf.getvalue()))._rows is None
+        loaded = load_matrix(io.StringIO(buf.getvalue()))
+        assert loaded._rows is None and loaded._stale is None
         applied, _ = incremental_apply(m, new_pending(), [], {})
-        assert applied._rows is None
+        assert applied._rows is None and applied._stale is None
+        slice_scores(m, {"f0"})  # reading the stale row compacts it away
+        assert m._rows == {"f1": ["t1"]} and m._stale == set()
+
+    def test_pruned_entries_credited_again_at_high_alpha(self):
+        # at alpha 0.9 an entry falls under 0.3 one build after its credit
+        # unless credited again, so rows go stale often and pruned entries
+        # are credited again, with a query between builds
+        rng = random.Random(31)
+        m = empty_matrix(alpha=0.9, drop_threshold=0.3)
+        files, tests = [f"f{i}" for i in range(6)], [f"t{i}" for i in range(5)]
+        seen, pruned, recredited, stale_rows = set(), set(), set(), 0
+        for _ in range(400):
+            changed = rng.sample(files, rng.randint(1, 3))
+            advance(m, build_delta(changed, rng.sample(tests, rng.randint(0, 3))))
+            stale_rows += len(m._stale or ())
+            entries = {(t, f) for t, col in m.cols.items() for f in col}
+            recredited |= entries & pruned
+            pruned |= seen - entries
+            seen = entries
+            assert_index_current(m, [set(rng.sample(files, rng.randint(0, 3)))])
+        assert len(recredited) > 10 and stale_rows > 100
 
 
 class TestSliceScores:
