@@ -14,7 +14,7 @@ import math
 import random
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import AbstractSet, Iterable, Mapping, Sequence
 
 from .errors import ConfigError
 from .history import BuildRecord, FlipLedger
@@ -70,23 +70,21 @@ def shuffled_universe(
     return runs
 
 
+def recency_scores(last_fail: Mapping[str, int], now: int, known: AbstractSet[str]) -> ScoreVector:
+    """Failure recency on one clock: score(t) = 1 / (1 + now - last_fail[t]),
+    so a failure at now scores 1; tests that never failed score 0."""
+    return ScoreVector({t: 1.0 / (1 + (now - s)) for t, s in last_fail.items()}, known)
+
+
 def hbtp_scores(
     records: Sequence[BuildRecord], ledger: FlipLedger, at_seq: int
 ) -> ScoreVector:
-    """History-based prioritisation: weight by recency of the last failure.
-
-    score(t) = 1 / (1 + g) with g = builds since t's most recent failure
-    strictly before at_seq; tests that never failed score 0.
-    """
+    """History-based prioritisation: recency_scores at seq at_seq - 1 of
+    each test's most recent failing seq before at_seq."""
     if not 0 <= at_seq <= len(records):
         raise ValueError(f"at_seq {at_seq} outside history of {len(records)} builds")
-    last_fail: dict[str, int] = {}
-    for record in records[:at_seq]:
-        for test_id, verdict in record.verdicts.items():
-            if verdict == "fail":
-                last_fail[test_id] = record.seq
-    positive = {t: 1.0 / (1 + (at_seq - 1 - seq)) for t, seq in last_fail.items()}
-    return ScoreVector(positive, ledger.universe)
+    last_fail = {t: r.seq for r in records[:at_seq] for t, v in r.verdicts.items() if v == "fail"}
+    return recency_scores(last_fail, at_seq - 1, ledger.universe)
 
 
 def identifier_tokens(test_id: str) -> frozenset[str]:

@@ -357,9 +357,7 @@ def cmd_synth(args) -> int:
 def cmd_schedule_init(args) -> int:
     records = _read_history(args.history)
     ledger = history.extract_flips(records)
-    state = schedule.state_from_history(
-        records, ledger, always_passed_only=(args.stable_rule == "always-passed")
-    )
+    state = schedule.state_from_history(records, ledger)
     state.pending.last_verdict.update(ledger.last_verdict)  # so the first apply can see a flip
     _write_atomic(args.state, schedule.save_state, state)
     print(f"{len(state.staleness)} tests tracked, {len(state.stable_tests())} stable")
@@ -385,12 +383,11 @@ def cmd_schedule_office(args) -> int:
     state = _load(args.state, schedule.load_state)
     changed = set(_read_ids(args.changes))
     matrix = _load(args.matrix, sensitivity.load_matrix)
-    records = _read_history(args.history)
-    ledger = history.extract_flips(records)
-    recency = baselines.hbtp_scores(records, ledger, len(records))
+    pending = state.pending
+    recency = baselines.recency_scores(state.failed_at, pending.clock, pending.tests())
     # select first, so that a rejected -k or -w records no change set
     selected = schedule.office_hours_tick(
-        matrix, state.pending, changed, recency, args.k, w=args.weight, score_mode=args.score_mode
+        matrix, pending, changed, recency, args.k, w=args.weight, score_mode=args.score_mode
     )
     if args.observe:
         state.pending = sensitivity.incremental_observe(state.pending, changed)
@@ -436,6 +433,8 @@ def cmd_schedule_apply(args) -> int:
     for t in executed:  # stable means never flipped; a flip is a verdict unlike the last
         if before.get(t, verdicts[t]) != verdicts[t]:
             state.stable[t] = False
+        if verdicts[t] == "fail":
+            state.failed_at[t] = state.pending.clock
     _write_atomic(args.matrix, sensitivity.save_matrix, matrix)
     _write_atomic(args.state, schedule.save_state, state)
     print(f"applied {len(executed)} verdicts")
@@ -464,6 +463,8 @@ def build_parser() -> argparse.ArgumentParser:
     matrix.add_argument("--method", choices=("ema", "cumulative"), default=None,
                         help="default: ema")
     matrix.add_argument("--snapshot", help="previously saved matrix snapshot")
+    state = argparse.ArgumentParser(add_help=False)
+    state.add_argument("--state", required=True)
 
     p = sub.add_parser("ingest", parents=[fmt], help="validate a history file and print summary stats")
     p.add_argument("input", help="history file (JSON lines), or - for stdin")
@@ -505,41 +506,35 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("schedule", help="resource-managed scheduling of stable tests")
     ssub = p.add_subparsers(dest="subcommand", required=True)
 
-    sp = ssub.add_parser("init", help="build schedule state from a history")
+    sp = ssub.add_parser("init", parents=[state], help="build schedule state from a history")
     sp.add_argument("--history", required=True)
-    sp.add_argument("--state", required=True)
-    sp.add_argument("--stable-rule", choices=("never-flipped", "always-passed"), default="never-flipped")
     sp.set_defaults(func=cmd_schedule_init)
 
-    sp = ssub.add_parser("cost", parents=[fmt], help="current staleness cost sum(s_i^2)")
-    sp.add_argument("--state", required=True)
+    sp = ssub.add_parser("cost", parents=[fmt, state], help="current staleness cost sum(s_i^2)")
     sp.set_defaults(func=cmd_schedule_cost)
 
-    sp = ssub.add_parser("stable", parents=[fmt], help="pick stable tests for the after-hours pass")
-    sp.add_argument("--state", required=True)
+    sp = ssub.add_parser("stable", parents=[fmt, state],
+                         help="pick stable tests for the after-hours pass")
     sp.add_argument("--budget", type=int, required=True)
     sp.add_argument("--strategy", choices=schedule.STRATEGIES, default="cost_min")
     sp.add_argument("--window", type=int, default=7)
     sp.set_defaults(func=cmd_schedule_stable)
 
-    sp = ssub.add_parser("office", parents=[fmt, score],
+    sp = ssub.add_parser("office", parents=[fmt, score, state],
                          help="office-hours selection: sensitivity + failure recency")
-    sp.add_argument("--state", required=True)
     sp.add_argument("--matrix", required=True, help="matrix snapshot file")
-    sp.add_argument("--history", required=True, help="history for the recency scores")
     sp.add_argument("--changes", required=True)
     sp.add_argument("-k", type=int, required=True)
     sp.add_argument("-w", "--weight", type=float, default=0.5)
     sp.add_argument("--observe", action="store_true", help="record the change set into pending state")
     sp.set_defaults(func=cmd_schedule_office)
 
-    sp = ssub.add_parser("tick", help="advance the day counter")
-    sp.add_argument("--state", required=True)
+    sp = ssub.add_parser("tick", parents=[state], help="advance the day counter")
     sp.add_argument("--executed", default=None, help="file listing tests executed today")
     sp.set_defaults(func=cmd_schedule_tick)
 
-    sp = ssub.add_parser("apply", help="apply verdicts test-case-wise to the matrix")
-    sp.add_argument("--state", required=True)
+    sp = ssub.add_parser("apply", parents=[state],
+                         help="apply verdicts test-case-wise to the matrix")
     sp.add_argument("--matrix", required=True)
     sp.add_argument("--results", required=True, help="JSON object test -> pass|fail")
     sp.add_argument("--executed", default=None, help="subset that actually ran (default: all results)")

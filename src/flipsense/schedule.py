@@ -37,27 +37,26 @@ class ScheduleState:
     staleness: dict[str, int] = field(default_factory=dict)  # test -> days since last run
     stable: dict[str, bool] = field(default_factory=dict)    # test -> never flipped
     pending: PendingChanges = field(default_factory=new_pending)
+    failed_at: dict[str, int] = field(default_factory=dict)  # test -> clock of its last fail
 
     def stable_tests(self) -> list[str]:
         return sorted(t for t, s in self.stable.items() if s)
 
 
-def state_from_history(
-    records: Sequence[BuildRecord], ledger: FlipLedger, always_passed_only: bool = False
-) -> ScheduleState:
-    """Every test at staleness 0, stable if it never flipped (and, with
-    always_passed_only, never failed either), and with no last verdict, so
-    a caller that replays the history's own builds through
-    incremental_apply judges each verdict once. `schedule init` goes on
-    from the history's end, so it seeds pending.last_verdict from the ledger."""
+def state_from_history(records: Sequence[BuildRecord], ledger: FlipLedger) -> ScheduleState:
+    """Every test at staleness 0, stable if it never flipped, with its last
+    failure at seq s stamped s - (builds - 1), so that the last build stands
+    at clock 0, and with no last verdict, so a caller that replays the
+    history's own builds through incremental_apply judges each verdict once.
+    `schedule init` goes on from the history's end, so it seeds
+    pending.last_verdict from the ledger."""
     stable = ledger.universe.difference(*ledger.flipped_at.values())
-    if always_passed_only:
-        stable -= {t for record in records for t, verdict in record.verdicts.items() if verdict == "fail"}
-    tests = sorted(ledger.universe)
+    tests, last = sorted(ledger.universe), len(records) - 1
     return ScheduleState(
         staleness={t: 0 for t in tests},
         stable={t: t in stable for t in tests},
         pending=new_pending(tests),
+        failed_at={t: r.seq - last for r in records for t, v in r.verdicts.items() if v == "fail"},
     )
 
 
@@ -74,7 +73,8 @@ def day_tick(state: ScheduleState, executed: Iterable[str]) -> ScheduleState:
     }
     for t in executed_set - staleness.keys():
         staleness[t] = 0
-    return ScheduleState(staleness=staleness, stable=dict(state.stable), pending=state.pending)
+    return ScheduleState(staleness=staleness, stable=dict(state.stable), pending=state.pending,
+                         failed_at=dict(state.failed_at))
 
 
 def select_stable(
@@ -150,8 +150,8 @@ def office_hours_tick(
 
 
 def save_state(state: ScheduleState, fp: IO[str]) -> None:
-    """Persist as one JSON document: the clock, the change stamps and one
-    record per tracked test.
+    """Persist as one JSON document: the clock, the change and failure
+    stamps and one record per tracked test.
 
     The bytes are those of ``json.dumps(doc, sort_keys=True,
     separators=(",", ":"))``, but the ``tests`` object is written here, a
@@ -170,7 +170,8 @@ def save_state(state: ScheduleState, fp: IO[str]) -> None:
             f'"stable":{"true" if stable.get(t, False) else "false"},'
             f'"staleness":{staleness.get(t, 0)}}}'
         )
-    rest = {"kind": "schedule-state", "clock": clock, "changed_at": pending.changed_at}
+    rest = {"kind": "schedule-state", "clock": clock, "changed_at": pending.changed_at,
+            "failed_at": state.failed_at}
     # "tests" sorts after every other key
     fp.write(json.dumps(rest, sort_keys=True, separators=(",", ":"))[:-1]
              + ',"tests":{' + ",".join(records) + "}}\n")
@@ -197,13 +198,16 @@ def _reject_test(t: str, info: object, clock: int) -> None:
 
 def load_state(fp: IO[str]) -> ScheduleState:
     """Read a save_state document; a malformed one raises ValidationError."""
-    doc = read_document(fp, "schedule-state", {"clock": int, "changed_at": dict, "tests": dict})
-    clock, changed_at = doc["clock"], doc["changed_at"]
+    doc = read_document(fp, "schedule-state",
+                        {"clock": int, "changed_at": dict, "tests": dict, "failed_at": dict})
+    clock, changed_at, failed_at = doc["clock"], doc["changed_at"], doc["failed_at"]
     if clock < 0:
         raise ValidationError(f"schedule-state: negative clock {clock}")
-    check_ids([*changed_at, *doc["tests"]], "schedule-state")
+    check_ids([*changed_at, *doc["tests"], *failed_at], "schedule-state")
     if not all(type(s) is int and 0 < s <= clock for s in changed_at.values()):
         raise ValidationError(f"schedule-state: changed_at stamps must be integers in 1..{clock}")
+    if not all(type(s) is int and s <= clock for s in failed_at.values()):
+        raise ValidationError(f"schedule-state: failed_at stamps must be integers up to {clock}")
     staleness: dict[str, int] = {}
     stable: dict[str, bool] = {}
     last_run: dict[str, int] = {}
@@ -224,4 +228,5 @@ def load_state(fp: IO[str]) -> ScheduleState:
         staleness=staleness,
         stable=stable,
         pending=PendingChanges(clock, changed_at, last_run, last_verdict),
+        failed_at=failed_at,
     )

@@ -229,12 +229,13 @@ def advance(matrix: SensitivityMatrix, delta: Delta) -> SensitivityMatrix:
     """Fold one build's block into the matrix in place and return it,
     blended as ``_blend`` says.
 
-    Decay multiplies ``scale`` by keep (at keep 0 that is 0, and the
-    renormalisation empties the matrix), and the block adds one stored
-    value, s = weight / scale * value, to each of its entries, so a build
-    costs O(|delta|). A column holding none of the block's files takes them
-    all in one ``dict.update``. An entry the block creates under
-    ``drop_threshold`` is never stored, and a credit only adds.
+    Decay multiplies ``scale`` by keep: at keep 0 that is 0, and the
+    renormalisation empties the matrix; at a cumulative fold's keep of 1
+    it never moves. The block adds one stored value, s = weight / scale *
+    value, to each of its entries, so a build costs O(|delta|). A column
+    holding none of the block's files takes them all in one
+    ``dict.update``. An entry the block creates under ``drop_threshold``
+    is never stored, and a credit only adds.
 
     So an entry falls below the threshold only by decay, and a min-heap is
     the one place one above 0 is deleted: afterwards none remains if none
@@ -252,10 +253,9 @@ def advance(matrix: SensitivityMatrix, delta: Delta) -> SensitivityMatrix:
         )
     weight, keep = _blend(matrix)
     cols, threshold = matrix.cols, matrix.drop_threshold
-    if keep < 1.0:
-        matrix.scale *= keep
-        if matrix.scale < _SCALE_FLOOR:
-            _renormalise(matrix)
+    matrix.scale *= keep
+    if matrix.scale < _SCALE_FLOOR:
+        _renormalise(matrix)
     # entries decay onto the threshold: one group per column to begin with
     if threshold > 0.0 and keep < 1.0 and matrix._heap is None:
         matrix._heap = [(min(col.values()), t, tuple(col)) for t, col in cols.items() if col]

@@ -15,12 +15,14 @@ import pytest
 from hypothesis import given, settings
 
 from flipsense import evaluate, sensitivity
+from flipsense.baselines import hbtp_scores, recency_scores
 from flipsense.cli import _parse_grid, _parse_size_range, main
 from flipsense.errors import ValidationError
 from flipsense.evaluate import MethodConfig, replay_sizes
 from flipsense.history import extract_flips, read_history, write_history
 from flipsense.schedule import load_state
 from flipsense.sensitivity import load_matrix, save_matrix
+from flipsense.synth import SynthConfig, generate
 
 from conftest import history_lines
 
@@ -111,7 +113,7 @@ class TestPrioritise:
             (["prioritise", "--snapshot", str(_unpruned_snapshot(hist, tmp_path)), "--changes",
               str(changes), "-n", "25", "--show-scores"], ("0", "3")),
             (["schedule", "office", "--state", "{state}", "--matrix", str(matrix),
-              "--history", str(hist), "--changes", str(changes), "--observe", "-k", "5"],
+              "--changes", str(changes), "--observe", "-k", "5"],
              ("0", "3")),
         ]
         for args, seeds in cases:
@@ -500,8 +502,7 @@ class TestSchedule:
         capsys.readouterr()
         assert main([
             "schedule", "office", "--state", str(state), "--matrix", str(matrix),
-            "--history", str(history_file), "--changes", str(changes_file),
-            "-k", "2", "--observe",
+            "--changes", str(changes_file), "-k", "2", "--observe",
         ]) == 0
         selection = capsys.readouterr().out.strip().splitlines()
         assert len(selection) == 2
@@ -543,8 +544,7 @@ class TestSchedule:
                      "--save-snapshot", str(matrix)]) == 0
         changes.write_text("f1\nf3\n", encoding="utf-8")
         assert main(["schedule", "office", "--state", str(state), "--matrix", str(matrix),
-                     "--history", str(history_file), "--changes", str(changes), "-k", "1",
-                     "--observe"]) == 0
+                     "--changes", str(changes), "-k", "1", "--observe"]) == 0
         with open(matrix, encoding="utf-8") as fp:
             before = load_matrix(fp).cols
         results.write_text(json.dumps({"t1": "fail", "t2": "pass"}), encoding="utf-8")
@@ -572,7 +572,7 @@ class TestSchedule:
         main(["heatmap", "--input", str(hist), "--out", str(tmp_path / "hm"),
               "--save-snapshot", str(matrix)])
         assert main(["schedule", "office", "--state", str(state), "--matrix", str(matrix),
-                     "--history", str(hist), "--changes", str(changes), "-k", "2", "--observe"]) == 0
+                     "--changes", str(changes), "-k", "2", "--observe"]) == 0
         capsys.readouterr()
         return state, matrix
 
@@ -596,6 +596,50 @@ class TestSchedule:
         # t1's column decays by 1 - alpha and is credited alpha on the observed file
         assert cols["t1"] == {"f1": pytest.approx(0.8 * 0.2), "f2": pytest.approx(0.8)}
         assert cols["a0"] == {"f2": pytest.approx(0.8)}
+
+    def test_apply_stamps_a_failure_at_the_clock(self, two_build_loop, tmp_path, capsys):
+        # init stamped t1's failure at the last build as clock 0; office
+        # --observe ticked the clock to 1, where apply stamps a0's failure
+        # and leaves t1's pass alone
+        state, matrix = two_build_loop
+        self._apply_and_pick(state, matrix, tmp_path, capsys)
+        with open(state, encoding="utf-8") as fp:
+            assert load_state(fp).failed_at == {"t1": 0, "a0": 1}
+
+    @pytest.mark.parametrize("seed, split", [(3, 2), (7, 12), (11, 25)])
+    def test_stamps_score_as_hbtp_over_the_grown_history(self, seed, split, tmp_path, capsys):
+        # init on a prefix, then office --observe and apply with each later
+        # build's full verdicts: the recency office reads from the state is,
+        # after init and after every apply, bit for bit HBTP over the
+        # history grown by those builds
+        records, _ = generate(SynthConfig(seed=seed, n_builds=30, n_files=40, n_tests=30))
+        hist, state, matrix, changes, results = (
+            tmp_path / n for n in ("history.jsonl", "state.json", "matrix.json", "changes.txt",
+                                   "results.json"))
+        with open(hist, "w", encoding="utf-8") as fp:
+            write_history(records[:split], fp)
+        assert main(["schedule", "init", "--history", str(hist), "--state", str(state)]) == 0
+        assert main(["heatmap", "--input", str(hist), "--out", str(tmp_path / "hm"),
+                     "--save-snapshot", str(matrix)]) == 0
+        for grown in range(split, len(records) + 1):
+            if grown > split:
+                record = records[grown - 1]
+                changes.write_text("".join(f + "\n" for f in sorted(record.changed_files)),
+                                   encoding="utf-8")
+                results.write_text(json.dumps(record.verdicts), encoding="utf-8")
+                assert main(["schedule", "office", "--state", str(state), "--matrix", str(matrix),
+                             "--changes", str(changes), "-k", "5", "--observe"]) == 0
+                assert main(["schedule", "apply", "--state", str(state), "--matrix", str(matrix),
+                             "--results", str(results)]) == 0
+            with open(state, encoding="utf-8") as fp:
+                loaded = load_state(fp)
+            pending = loaded.pending
+            recency = recency_scores(loaded.failed_at, pending.clock, pending.tests())
+            hbtp = hbtp_scores(records[:grown], extract_flips(records[:grown]), grown)
+            assert {t: v.hex() for t, v in recency.positive.items()} \
+                == {t: v.hex() for t, v in hbtp.positive.items()}, grown
+            assert recency.known == hbtp.known
+        capsys.readouterr()
 
     def test_a_state_without_last_verdicts_judges_no_first_flip(self, two_build_loop, tmp_path,
                                                                  capsys):
@@ -622,8 +666,7 @@ class TestSchedule:
         before = state.read_bytes()
         capsys.readouterr()
         assert main(["schedule", "office", "--state", str(state), "--matrix", str(matrix),
-                     "--history", str(history_file), "--changes", str(changes_file),
-                     "--observe", *flag]) == 2
+                     "--changes", str(changes_file), "--observe", *flag]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
@@ -659,6 +702,7 @@ def _state_doc():
     return {
         "kind": "schedule-state", "clock": 3, "changed_at": {"f1": 3, "f2": 1},
         "tests": {"t1": {"staleness": 2, "stable": True, "last_run": 1, "last_verdict": "pass"}},
+        "failed_at": {"t1": -4},
     }
 
 
@@ -764,6 +808,12 @@ _BAD_STATES = {
     "test id empty": _edit(_state_doc(), ("tests", ""), _state_doc()["tests"]["t1"]),
     "changed_at file id empty": _edit(_state_doc(), ("changed_at", ""), 2),
     "unknown verdict": _edit(_state_doc(), ("tests", "t1", "last_verdict"), "maybe"),
+    "no failed_at": _edit(_state_doc(), ("failed_at",), _DROP),  # written before the stamps
+    "failed_at a list": _edit(_state_doc(), ("failed_at",), ["t1"]),
+    "failure stamp a string": _edit(_state_doc(), ("failed_at", "t1"), "-4"),
+    "failure stamp a bool": _edit(_state_doc(), ("failed_at", "t1"), True),
+    "failure stamp above clock": _edit(_state_doc(), ("failed_at", "t1"), 4),
+    "failed_at test id empty": _edit(_state_doc(), ("failed_at", ""), 1),
 }
 
 
@@ -822,7 +872,7 @@ class TestMalformedDocuments:
     @pytest.mark.parametrize("table, argv, digest", [
         (_BAD_SNAPSHOTS, ["prioritise", "--snapshot", "{doc}", "--changes", "{changes}", "-n", "1"],
          "5516b4814d2f1ac572a183a7fe0b12ef"),
-        (_BAD_STATES, ["schedule", "cost", "--state", "{doc}"], "ea6c862c7cb608f103d57d0961954d75"),
+        (_BAD_STATES, ["schedule", "cost", "--state", "{doc}"], "976ef38ccc9f1bd70ce07bd603ce9e35"),
     ], ids=["snapshot", "state"])
     def test_error_lines_are_pinned(self, table, argv, digest, changes_file, tmp_path, capsys):
         # every case's one error line, word for word; the readers' fast
@@ -834,6 +884,20 @@ class TestMalformedDocuments:
             assert main([a.format(doc=path, changes=changes_file) for a in argv]) == 2
             lines.append(f"{name}: {capsys.readouterr().err}")
         assert hashlib.md5("".join(lines).encode("utf-8")).hexdigest() == digest
+
+    @pytest.mark.parametrize("name, line", [
+        ("no failed_at", "schedule-state: missing field 'failed_at'"),
+        ("failed_at a list", "schedule-state: field 'failed_at' has type list"),
+        ("failure stamp a string", "schedule-state: failed_at stamps must be integers up to 3"),
+        ("failure stamp a bool", "schedule-state: failed_at stamps must be integers up to 3"),
+        ("failure stamp above clock", "schedule-state: failed_at stamps must be integers up to 3"),
+        ("failed_at test id empty", "schedule-state: ids must be non-empty strings"),
+    ])
+    def test_failure_stamp_lines(self, name, line, tmp_path, capsys):
+        path = tmp_path / "state.json"
+        _write_doc(path, _BAD_STATES[name])
+        assert main(["schedule", "cost", "--state", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {line}\n")
 
     def test_valid_documents_load(self, changes_file, tmp_path, capsys):
         # the unedited documents above are accepted, so each case tests its edit
@@ -932,8 +996,8 @@ def test_fuzz_load_matrix(text, n):
 @st.composite
 def state_texts(draw):
     """Small state documents: a valid one, or one with a single flaw in the
-    clock, the change stamps, a test or one of its fields, drawn from values
-    that may happen to be valid."""
+    clock, the change or failure stamps, a test or one of its fields, drawn
+    from values that may happen to be valid."""
     clock = draw(st.integers(min_value=0, max_value=5))
     stamps = st.integers(min_value=1, max_value=max(clock, 1))
     changed_at = draw(st.dictionaries(st.sampled_from(["f1", "f2", "f3"]), stamps)) if clock else {}
@@ -943,12 +1007,18 @@ def state_texts(draw):
             "last_verdict": draw(st.sampled_from([None, "pass", "fail"]))}
         for t in draw(st.lists(st.sampled_from(["t1", "t2", "t3"]), unique=True))
     }
-    doc = {"kind": "schedule-state", "clock": clock, "changed_at": changed_at, "tests": tests}
-    flaw = draw(st.sampled_from([None, "clock", "changed_at", "stamp", "test", "field"]))
-    if flaw in ("clock", "changed_at"):
+    failed_at = draw(st.dictionaries(st.sampled_from(sorted(tests) or ["t1"]),
+                                     st.integers(min_value=-9, max_value=clock)))
+    doc = {"kind": "schedule-state", "clock": clock, "changed_at": changed_at, "tests": tests,
+           "failed_at": failed_at}
+    flaw = draw(st.sampled_from([None, "clock", "changed_at", "stamp", "failed_at",
+                                 "failure stamp", "test", "field"]))
+    if flaw in ("clock", "changed_at", "failed_at"):
         doc[flaw] = draw(_ANY_VALUES)
     elif flaw == "stamp":
         changed_at[draw(st.sampled_from(["f1", "f2", "f3"]))] = draw(_ANY_VALUES)
+    elif flaw == "failure stamp":
+        failed_at[draw(st.sampled_from(["t1", "t2", "t3"]))] = draw(_ANY_VALUES)
     elif flaw and tests:
         t = draw(st.sampled_from(sorted(tests)))
         if flaw == "test":
@@ -971,6 +1041,7 @@ def test_fuzz_load_state(text, n):
     assert type(pending.clock) is int and pending.clock >= 0
     assert all(type(s) is int and 0 < s <= pending.clock for s in pending.changed_at.values())
     assert all(type(s) is int and 0 <= s <= pending.clock for s in pending.last_run.values())
+    assert all(type(s) is int and s <= pending.clock for s in state.failed_at.values())
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "state.json")
         with open(path, "w", encoding="utf-8") as fp:
@@ -1203,7 +1274,7 @@ class TestPinnedOutputs:
         root, path, _ = desk_history
         state = root / "state.json"
         _stdout_md5(["schedule", "init", "--history", path, "--state", str(state)])
-        assert hashlib.md5(state.read_bytes()).hexdigest() == "b55b691f75352cd73ab770772be5d4ba"
+        assert hashlib.md5(state.read_bytes()).hexdigest() == "b8118fbe13f37f6d957a57c7239cd3b4"
 
     @pytest.mark.parametrize("n, digest", [
         ("25", "d41c0735b0f4325af5af8dfc587998ba"),
@@ -1228,7 +1299,7 @@ class TestPinnedOutputs:
         _stdout_md5(["heatmap", "--input", path, "--alpha", "0.3", "--out", str(tmp_path / "hm"),
                      "--save-snapshot", str(matrix)])
         assert _stdout_md5(["schedule", "office", "--state", str(state), "--matrix", str(matrix),
-                            "--history", path, "--changes", changes, "--observe", "-k", "5"]) \
+                            "--changes", changes, "--observe", "-k", "5"]) \
             == "d52f0c553ebf58d0ab70ec5338d55315"
 
     @pytest.mark.parametrize("method, digest", [
@@ -1248,7 +1319,9 @@ class TestPinnedOutputs:
         # history of builds 0-39; schedule apply rewrites the matrix and
         # the state every day, credits t0053's flip on its first run (build
         # 40, judged against its build-39 verdict that init records), and
-        # takes t0003 out of the stable pass once it sees it flip at build 44
+        # takes t0003 out of the stable pass once it sees it flip at build 44;
+        # office recency reads the failures apply stamps, so the history
+        # written for init is never appended to
         _, path, _ = desk_history
         records = read_history(path)
         hist, changes, state, matrix, results, executed = (
@@ -1275,7 +1348,7 @@ class TestPinnedOutputs:
             stable = json.loads(run("schedule", "stable", "--state", state, "--strategy", "round_robin",
                                     "--window", "3", "--budget", "3", "--format", "machine"))["selected"]
             office = json.loads(run("schedule", "office", "--state", state, "--matrix", matrix,
-                                    "--history", hist, "--changes", changes, "--observe", "-k", "5",
+                                    "--changes", changes, "--observe", "-k", "5",
                                     "--format", "machine"))["selected"]
             ran = sorted(set(stable) | set(office))
             results.write_text(json.dumps({t: record.verdicts[t] for t in ran}), encoding="utf-8")
@@ -1284,9 +1357,7 @@ class TestPinnedOutputs:
             run("schedule", "tick", "--state", state, "--executed", executed)
             run("prioritise", "--snapshot", matrix, "--changes", changes, "-n", "25", "--format", "machine")
             run("schedule", "cost", "--state", state)
-            with open(hist, "a", encoding="utf-8") as fp:
-                write_history([record], fp)
         run("schedule", "stable", "--state", state, "--budget", "9")
-        assert hashlib.md5(stdout.getvalue().encode("utf-8")).hexdigest() == "33c641e1dbb88cb3334250f1f8ba39d2"
-        assert hashlib.md5(matrix.read_bytes()).hexdigest() == "9a8266a37cacc40e337b4eae5e19ef33"
-        assert hashlib.md5(state.read_bytes()).hexdigest() == "c8b90c5c22991a984ac99b18d8245bd5"
+        assert hashlib.md5(stdout.getvalue().encode("utf-8")).hexdigest() == "9ae804e38becdaea4659873d8b6a02cf"
+        assert hashlib.md5(matrix.read_bytes()).hexdigest() == "72f5a04d18e0fcb3df5e07be00466cb0"
+        assert hashlib.md5(state.read_bytes()).hexdigest() == "c83cce0a8d570dedde2ac306cfcec800"

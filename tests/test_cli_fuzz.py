@@ -71,16 +71,14 @@ COMMANDS = {
         "--change-size": RANGES, "--hit": FLOATS, "--noise": FLOATS, "--initial-fail": FLOATS,
         "--truth": "outfile",
     }),
-    "schedule init": ([("--history", "history"), ("--state", "outfile")], {
-        "--stable-rule": _choice("never-flipped", "always-passed", "x"),
-    }),
+    "schedule init": ([("--history", "history"), ("--state", "outfile")], {}),
     "schedule cost": ([("--state", "state")], {"--format": _choice("human", "machine")}),
     "schedule stable": ([("--state", "state"), ("--budget", INTS)], {
         "--strategy": _choice("cost_min", "round_robin", "x"), "--window": INTS,
         "--format": _choice("human", "machine"),
     }),
-    "schedule office": ([("--state", "state"), ("--matrix", "snapshot"), ("--history", "history"),
-                         ("--changes", "changes"), ("-k", INTS)], {
+    "schedule office": ([("--state", "state"), ("--matrix", "snapshot"), ("--changes", "changes"),
+                         ("-k", INTS)], {
         "-w": FLOATS, "--score-mode": _choice("sum", "max"), "--observe": None,
         "--format": _choice("human", "machine"),
     }),

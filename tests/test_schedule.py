@@ -167,17 +167,12 @@ class TestStableTests:
         ledger = extract_flips(records)
         assert state_from_history(records, ledger).stable_tests() == ["always_fail", "always_pass"]
 
-    def test_always_passed_rule(self):
-        records = self.history()
-        ledger = extract_flips(records)
-        state = state_from_history(records, ledger, always_passed_only=True)
-        assert state.stable_tests() == ["always_pass"]
-
     def test_state_from_history(self):
         records = self.history()
         state = state_from_history(records, extract_flips(records))
         assert state.stable == {"flippy": False, "always_fail": True, "always_pass": True}
         assert set(state.pending.accumulated) == set(state.staleness)
+        assert state.failed_at == {"always_fail": 0, "flippy": 0}
 
 
 class TestOfficeHoursTick:
@@ -359,6 +354,7 @@ def json_dumps_state(state):
         "kind": "schedule-state",
         "clock": pending.clock,
         "changed_at": pending.changed_at,
+        "failed_at": state.failed_at,
         "tests": {
             t: {
                 "staleness": state.staleness.get(t, 0),
@@ -379,7 +375,8 @@ _STATE_IDS = st.text(st.sampled_from('ab"\\\x00\x1f\x7f/é \U0001f600'), min_s
 
 @st.composite
 def schedule_states(draw):
-    """States whose tests may be known to any subset of the four maps."""
+    """States whose tests may be known to any subset of the four maps, with
+    failure stamps at or before the clock."""
     clock = draw(st.integers(0, 10**6))
     stamps = st.integers(1, clock) if clock else st.nothing()
     changed_at = draw(st.dictionaries(_STATE_IDS, stamps, max_size=5)) if clock else {}
@@ -391,6 +388,7 @@ def schedule_states(draw):
             draw(st.dictionaries(_STATE_IDS, st.integers(0, clock), max_size=5)),
             draw(st.dictionaries(_STATE_IDS, st.sampled_from(VERDICTS), max_size=5)),
         ),
+        failed_at=draw(st.dictionaries(_STATE_IDS, st.integers(-10**6, clock), max_size=5)),
     )
 
 
@@ -406,3 +404,4 @@ class TestStateWriter:
         tests = state.staleness.keys() | state.stable.keys() | state.pending.tests()
         assert loaded.staleness == {t: state.staleness.get(t, 0) for t in tests}
         assert loaded.pending.last_verdict == state.pending.last_verdict
+        assert loaded.failed_at == state.failed_at

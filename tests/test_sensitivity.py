@@ -198,6 +198,15 @@ class TestAdvance:
                 count = sum(1 for c, fl in deltas if f in c and t in fl)
                 assert m.entry(f, t) == count
 
+    @pytest.mark.parametrize("d_mode", ["constant", "linear"])
+    def test_cumulative_fold_keeps_scale_one_and_no_heap(self, d_mode):
+        # decay multiplies the scale by a cumulative keep of 1.0, which
+        # leaves it exactly 1.0, and a fold that never decays keeps no heap
+        records, _ = generate(SynthConfig(seed=7))
+        config = MethodConfig("cumulative", d_mode=d_mode)
+        for matrix in fold(records, extract_flips(records), config):
+            assert matrix.scale == 1.0 and matrix._heap is None
+
     def test_prunes_below_threshold(self):
         m = empty_matrix(alpha=0.5, drop_threshold=1e-3)
         m = advance(m, build_delta({"f1"}, {"t1"}, "linear"))  # 0.5
