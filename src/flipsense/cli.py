@@ -430,14 +430,15 @@ def cmd_schedule_apply(args) -> int:
     executed = _read_ids(args.executed) if args.executed else sorted(verdicts)
     before = state.pending.last_verdict
     matrix, state.pending = sensitivity.incremental_apply(matrix, state.pending, executed, verdicts)
-    for t in executed:  # stable means never flipped; a flip is a verdict unlike the last
-        if before.get(t, verdicts[t]) != verdicts[t]:
-            state.stable[t] = False
-        if verdicts[t] == "fail":
+    ran = {t: verdicts[t] for t in executed}  # the apply has checked each one
+    for t in sensitivity.flipped_tests(before, ran):  # stable means never flipped
+        state.stable[t] = False
+    for t, verdict in ran.items():
+        if verdict == "fail":
             state.failed_at[t] = state.pending.clock
     _write_atomic(args.matrix, sensitivity.save_matrix, matrix)
     _write_atomic(args.state, schedule.save_state, state)
-    print(f"applied {len(executed)} verdicts")
+    print(f"applied {len(ran)} verdicts")
     return 0
 
 

@@ -40,6 +40,7 @@ import bisect
 import csv
 import functools
 import heapq
+import itertools
 import json
 import math
 import operator
@@ -417,6 +418,12 @@ def incremental_observe(
     return PendingChanges(clock, changed_at, dict(pending.last_run), dict(pending.last_verdict))
 
 
+def flipped_tests(last_verdict: Mapping[str, str], verdicts: Mapping[str, str]) -> list[str]:
+    """The tests whose verdict differs from their last known one, in
+    ``verdicts``' order; a test seen for the first time never flips."""
+    return [t for t, v in verdicts.items() if last_verdict.get(t, v) != v]
+
+
 def incremental_apply(
     matrix: SensitivityMatrix,
     pending: PendingChanges,
@@ -431,39 +438,46 @@ def incremental_apply(
     So an EMA column decays by (1 - alpha) and a cumulative one, which
     counts, only gains. Either way its accumulated set resets. Tests that
     did not run are untouched.
-    """
-    weight, keep = _blend(matrix)
-    cols = _true_cols(matrix)
-    files = set(matrix.files)
-    tests = set(matrix.tests)
-    last_run = dict(pending.last_run)
-    last_verdict = dict(pending.last_verdict)
-    since = pending._changed_since()
 
-    # only the copies above change, so a bad verdict leaves the inputs as they were
-    for t in sorted(set(executed)):
+    Only the executed tests that flipped or hold a column cost a step of
+    their own, in id order; only a flipped test's files are found. The
+    verdicts are checked in one pass, the file registry grows by one slice
+    of the sorted stamps (the files changed since the earliest executed
+    test last ran), and the stamps are two dict merges.
+    """
+    run = sorted(set(executed))
+    verdicts = dict(zip(run, map(new_verdicts.get, run)))  # a missing verdict reads None
+    values = list(verdicts.values())
+    if sum(map(values.count, VERDICTS)) != len(values):  # counted in C, not a test at a time
+        t = next(t for t, v in verdicts.items() if v not in VERDICTS)
         if t not in new_verdicts:
             raise ValueError(f"executed test {t!r} has no verdict")
-        verdict = new_verdicts[t]
-        if verdict not in VERDICTS:
-            raise ValueError(f"test {t!r} has verdict {verdict!r}")
-        flipped = last_verdict.get(t, verdict) != verdict  # a test seen first never flips
-        acc = since(last_run.get(t, pending.clock))  # a test seen first starts now
+        raise ValueError(f"test {t!r} has verdict {verdicts[t]!r}")
+
+    weight, keep = _blend(matrix)
+    cols = _true_cols(matrix)
+    since = pending._changed_since()
+    clock, last_run = pending.clock, pending.last_run
+    flips = set(flipped_tests(pending.last_verdict, verdicts))
+    for t in sorted(flips.union(cols.keys() & verdicts.keys())):
         col = {f: keep * v for f, v in cols.pop(t, {}).items()}
-        if flipped and acc:
+        # a test seen first starts now, with nothing accumulated
+        if t in flips and (acc := since(last_run.get(t, clock))):
             value = weight / _d(matrix.d_mode, len(acc))
             for f in acc:
                 col[f] = value + col.get(f, 0.0)
         col = {f: v for f, v in col.items() if v and v >= matrix.drop_threshold}
         if col:
             cols[t] = col
-        files.update(acc)
-        tests.add(t)
-        last_run[t] = pending.clock
-        last_verdict[t] = verdict
 
+    files = set(matrix.files)
+    files.update(since(min(map(last_run.get, run, itertools.repeat(clock)), default=clock)))
+    tests = set(matrix.tests)
+    tests.update(run)
     new_matrix = replace(matrix, cols=cols, files=files, tests=tests, scale=1.0)
-    return new_matrix, PendingChanges(pending.clock, dict(pending.changed_at), last_run, last_verdict)
+    return new_matrix, PendingChanges(clock, dict(pending.changed_at),
+                                      last_run | dict.fromkeys(run, clock),
+                                      pending.last_verdict | verdicts)
 
 
 def flakiness_index(matrix: SensitivityMatrix) -> list[tuple[str, float, float]]:

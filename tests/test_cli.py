@@ -606,6 +606,24 @@ class TestSchedule:
         with open(state, encoding="utf-8") as fp:
             assert load_state(fp).failed_at == {"t1": 0, "a0": 1}
 
+    def test_apply_counts_each_executed_test_once(self, two_build_loop, tmp_path, capsys):
+        # a test named twice in --executed ran once: one verdict applied, and
+        # the same matrix and state as naming it once
+        state, matrix = two_build_loop
+        results, executed = tmp_path / "results.json", tmp_path / "executed.txt"
+        results.write_text(json.dumps({"a0": "fail", "t1": "pass"}), encoding="utf-8")
+        written = []
+        for names in ("a0\n", "a0\na0\n"):
+            s, m = tmp_path / f"state-{len(written)}.json", tmp_path / f"matrix-{len(written)}.json"
+            s.write_bytes(state.read_bytes())
+            m.write_bytes(matrix.read_bytes())
+            executed.write_text(names, encoding="utf-8")
+            assert main(["schedule", "apply", "--state", str(s), "--matrix", str(m),
+                         "--results", str(results), "--executed", str(executed)]) == 0
+            assert capsys.readouterr().out == "applied 1 verdicts\n"
+            written.append((s.read_bytes(), m.read_bytes()))
+        assert written[0] == written[1]
+
     @pytest.mark.parametrize("seed, split", [(3, 2), (7, 12), (11, 25)])
     def test_stamps_score_as_hbtp_over_the_grown_history(self, seed, split, tmp_path, capsys):
         # init on a prefix, then office --observe and apply with each later

@@ -37,7 +37,7 @@ from flipsense.sensitivity import (
 )
 from flipsense.synth import SynthConfig, generate
 
-from conftest import histories, sum_left_to_right
+from conftest import histories, sum_left_to_right, verdicts
 
 
 def nnz(matrix):
@@ -796,6 +796,95 @@ class TestScoringOracle:
             (t for t, v in expected.items() if v > 0.0), key=lambda t: (-expected[t], t))
 
 
+def reference_apply(matrix, pending, executed, new_verdicts):
+    """The per-test loop: every executed test in id order checks its
+    verdict, finds the files changed since it last ran and rebuilds its
+    column, and then stamps itself."""
+    weight, keep = (matrix.alpha, 1.0 - matrix.alpha) if matrix.update_mode == "ema" else (1.0, 1.0)
+    cols = {}
+    for t, col in matrix.cols.items():  # true values; one that underflows is left out
+        col = {f: v * matrix.scale for f, v in col.items() if v * matrix.scale}
+        if col:
+            cols[t] = col
+    files, tests = set(matrix.files), set(matrix.tests)
+    last_run, last_verdict = dict(pending.last_run), dict(pending.last_verdict)
+    since = pending._changed_since()
+    for t in sorted(set(executed)):
+        if t not in new_verdicts:
+            raise ValueError(f"executed test {t!r} has no verdict")
+        verdict = new_verdicts[t]
+        if verdict not in ("pass", "fail"):
+            raise ValueError(f"test {t!r} has verdict {verdict!r}")
+        flipped = last_verdict.get(t, verdict) != verdict
+        acc = since(last_run.get(t, pending.clock))
+        col = {f: keep * v for f, v in cols.pop(t, {}).items()}
+        if flipped and acc:
+            value = weight / (float(len(acc)) if matrix.d_mode == "linear" else 1.0)
+            for f in acc:
+                col[f] = value + col.get(f, 0.0)
+        col = {f: v for f, v in col.items() if v and v >= matrix.drop_threshold}
+        if col:
+            cols[t] = col
+        files.update(acc)
+        tests.add(t)
+        last_run[t] = pending.clock
+        last_verdict[t] = verdict
+    new_matrix = replace(matrix, cols=cols, files=files, tests=tests, scale=1.0)
+    return new_matrix, PendingChanges(pending.clock, dict(pending.changed_at), last_run, last_verdict)
+
+
+def apply_bits(matrix, pending):
+    """Everything an apply writes, each value as float.hex and each dict in
+    its insertion order."""
+    return (
+        [(t, [(f, v.hex()) for f, v in col.items()]) for t, col in matrix.cols.items()],
+        sorted(matrix.files), sorted(matrix.tests), matrix.scale.hex(), pending.clock,
+        list(pending.changed_at.items()), list(pending.last_run.items()),
+        list(pending.last_verdict.items()),
+    )
+
+
+_APPLY_FILES = [f"f{i}" for i in range(5)]
+_APPLY_TESTS = [f"t{i}" for i in range(6)]
+
+
+@st.composite
+def apply_cases(draw):
+    """A matrix, its pending stamps, an executed list and its verdicts. The
+    test pool holds tests with a column, tests known only to the registry
+    or the stamps, and tests seen nowhere; a verdict may be missing or bad."""
+    update_mode, alpha = draw(st.sampled_from(
+        [("ema", 0.0), ("ema", 0.3), ("ema", 0.8), ("ema", 1.0), ("cumulative", None)]))
+    stored = st.floats(min_value=0.0, max_value=4.0, exclude_min=True)
+    cols = draw(st.dictionaries(st.sampled_from(_APPLY_TESTS[:4]), st.dictionaries(
+        st.sampled_from(_APPLY_FILES), stored, min_size=1), max_size=4))
+    matrix = SensitivityMatrix(
+        cols=cols,
+        files=set().union(*cols.values(), draw(st.sets(st.sampled_from(_APPLY_FILES)))),
+        tests=set(cols) | draw(st.sets(st.sampled_from(_APPLY_TESTS))),
+        d_mode=draw(st.sampled_from(D_MODES)), update_mode=update_mode, alpha=alpha,
+        drop_threshold=draw(st.sampled_from([0.0, 1e-12, 0.1])),
+        scale=draw(st.sampled_from([1.0, 0.5, 0.3**5, 1e-300])),
+    )
+    clock = draw(st.integers(0, 4))
+    pending = PendingChanges(
+        clock,
+        draw(st.dictionaries(st.sampled_from(_APPLY_FILES), st.integers(min(1, clock), clock),
+                             min_size=min(1, clock))),
+        draw(st.dictionaries(st.sampled_from(_APPLY_TESTS), st.integers(0, clock), min_size=3)),
+        draw(st.dictionaries(st.sampled_from(_APPLY_TESTS), verdicts, min_size=3)),
+    )
+    executed = draw(st.lists(st.sampled_from(_APPLY_TESTS), max_size=8))
+    new_verdicts = {t: draw(verdicts) for t in draw(st.permutations(_APPLY_TESTS))}
+    for t in draw(st.sets(st.sampled_from(_APPLY_TESTS), max_size=2)):
+        bad = draw(st.sampled_from([None, "maybe", "missing"]))
+        if bad == "missing":
+            del new_verdicts[t]
+        else:
+            new_verdicts[t] = bad
+    return matrix, pending, executed, new_verdicts
+
+
 class TestIncremental:
     def test_observe_unions(self):
         pending = new_pending(["t1"])
@@ -842,8 +931,8 @@ class TestIncremental:
         m = empty_matrix(alpha=0.8)
         with pytest.raises(ValueError, match="no verdict"):
             incremental_apply(m, new_pending(["t"]), {"t"}, {})
-        # checked as it applies: the second executed test, in id order, is
-        # named after the first was applied, and the inputs are left alone
+        # the first bad verdict in id order is named, here the second
+        # executed test's, and the inputs are left alone
         m = SensitivityMatrix(
             cols={"a": {"f1": 0.4}, "b": {"f2": 0.2}}, files=frozenset({"f1", "f2"}),
             tests=frozenset({"a", "b"}), d_mode="linear", update_mode="ema", alpha=0.8,
@@ -857,6 +946,22 @@ class TestIncremental:
         with pytest.raises(ValueError, match="test 'b' has verdict 'maybe'"):
             incremental_apply(m, pending, ["b", "a"], {"a": "fail", "b": "maybe"})
         assert m.cols == cols and pending == before
+
+    @given(apply_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_apply_matches_the_per_test_loop(self, case):
+        matrix, pending, executed, new_verdicts = case
+        before = apply_bits(matrix, pending)
+        try:
+            expected = apply_bits(*reference_apply(matrix, pending, executed, new_verdicts))
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                incremental_apply(matrix, pending, executed, new_verdicts)
+            assert str(raised.value) == str(exc)  # the same test named
+        else:
+            assert apply_bits(*incremental_apply(matrix, pending, executed, new_verdicts)) \
+                == expected
+        assert apply_bits(matrix, pending) == before
 
     def test_first_execution_is_not_a_flip(self):
         m = empty_matrix(alpha=0.8)
