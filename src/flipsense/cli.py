@@ -431,7 +431,7 @@ def cmd_schedule_apply(args) -> int:
     before = state.pending.last_verdict
     matrix, state.pending = sensitivity.incremental_apply(matrix, state.pending, executed, verdicts)
     ran = {t: verdicts[t] for t in executed}  # the apply has checked each one
-    for t in sensitivity.flipped_tests(before, ran):  # stable means never flipped
+    for t in history.flipped_tests(before, ran):  # stable means never flipped
         state.stable[t] = False
     for t, verdict in ran.items():
         if verdict == "fail":

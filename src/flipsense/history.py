@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import IO, Iterable
+from typing import IO, Iterable, Mapping
 
 from .errors import HistoryParseError, ValidationError
 
@@ -153,6 +153,12 @@ def write_history(records: Iterable[BuildRecord], fp: IO[str]) -> None:
         fp.write("\n")
 
 
+def flipped_tests(last_verdict: Mapping[str, str], verdicts: Mapping[str, str]) -> list[str]:
+    """The tests whose verdict differs from their last known one, in
+    ``verdicts``' order; a test seen for the first time never flips."""
+    return [t for t, v in verdicts.items() if last_verdict.get(t, v) != v]
+
+
 def extract_flips(records: list[BuildRecord]) -> FlipLedger:
     """Derive the flipped and predictable sets from a validated history.
 
@@ -166,8 +172,7 @@ def extract_flips(records: list[BuildRecord]) -> FlipLedger:
     predictable_at: dict[int, frozenset[str]] = {}
 
     for record in records:
-        # a test seen for the first time compares with its own verdict
-        flipped_now = [t for t, v in record.verdicts.items() if last_verdict.get(t, v) != v]
+        flipped_now = flipped_tests(last_verdict, record.verdicts)
         last_verdict.update(record.verdicts)
         if flipped_now:
             flipped_at[record.seq] = frozenset(flipped_now)

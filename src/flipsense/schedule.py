@@ -21,7 +21,6 @@ from .sensitivity import (
     PendingChanges,
     ScoreVector,
     SensitivityMatrix,
-    check_fields,
     check_ids,
     new_pending,
     read_document,
@@ -149,81 +148,57 @@ def office_hours_tick(
     return select_top_n(ScoreVector(positive, universe), k, universe)
 
 
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
+
+
 def save_state(state: ScheduleState, fp: IO[str]) -> None:
     """Persist as one JSON document: the clock, the change and failure
-    stamps and one record per tracked test.
+    stamps, and one object per per-test field, keyed by test id.
 
+    staleness, stable and last_run map every tracked test, with defaults 0,
+    false and the clock; last_verdict maps the tests with a known verdict.
     The bytes are those of ``json.dumps(doc, sort_keys=True,
-    separators=(",", ":"))``, but the ``tests`` object is written here, a
-    record at a time, without building a dict per test.
+    separators=(",", ":"))`` and a newline.
     """
     pending = state.pending
-    clock, staleness, stable = pending.clock, state.staleness, state.stable
-    last_run, last_verdict = pending.last_run, pending.last_verdict
-    encode = json.encoder.encode_basestring_ascii
-    records = []
-    for t in sorted(staleness.keys() | stable.keys() | pending.tests()):
-        verdict = last_verdict.get(t)
-        records.append(
-            f'{encode(t)}:{{"last_run":{last_run.get(t, clock)},'
-            f'"last_verdict":{"null" if verdict is None else encode(verdict)},'
-            f'"stable":{"true" if stable.get(t, False) else "false"},'
-            f'"staleness":{staleness.get(t, 0)}}}'
-        )
-    rest = {"kind": "schedule-state", "clock": clock, "changed_at": pending.changed_at,
-            "failed_at": state.failed_at}
-    # "tests" sorts after every other key
-    fp.write(json.dumps(rest, sort_keys=True, separators=(",", ":"))[:-1]
-             + ',"tests":{' + ",".join(records) + "}}\n")
-
-
-_TEST_FIELDS = {
-    "staleness": int,
-    "stable": bool,
-    "last_run": int,
-    "last_verdict": (str, type(None)),
-}
-
-
-def _reject_test(t: str, info: object, clock: int) -> None:
-    """Raise the ValidationError that names the first fault of a test record."""
-    where = f"schedule-state test {t!r}"
-    check_fields(info, _TEST_FIELDS, where)
-    if info["staleness"] < 0:
-        raise ValidationError(f"{where}: negative staleness {info['staleness']}")
-    if not 0 <= info["last_run"] <= clock:
-        raise ValidationError(f"{where}: last_run {info['last_run']} outside 0..{clock}")
-    raise ValidationError(f"{where}: verdict {info['last_verdict']!r}")
+    clock, staleness, stable, last_run = pending.clock, state.staleness, state.stable, pending.last_run
+    tests = sorted(staleness.keys() | stable.keys() | pending.tests())
+    doc = {"kind": "schedule-state", "clock": clock, "changed_at": pending.changed_at,
+           "failed_at": state.failed_at, "staleness": {t: staleness.get(t, 0) for t in tests},
+           "stable": {t: stable.get(t, False) for t in tests},
+           "last_run": {t: last_run.get(t, clock) for t in tests},
+           "last_verdict": pending.last_verdict}
+    fp.write(_ENCODER.encode(doc) + "\n")
 
 
 def load_state(fp: IO[str]) -> ScheduleState:
-    """Read a save_state document; a malformed one raises ValidationError."""
-    doc = read_document(fp, "schedule-state",
-                        {"clock": int, "changed_at": dict, "tests": dict, "failed_at": dict})
+    """Read a save_state document, checking each field in one pass; a
+    malformed one, or one that holds the older per-test records, raises
+    ValidationError."""
+    doc = read_document(fp, "schedule-state", {"clock": int, "changed_at": dict, "failed_at": dict,
+                        **dict.fromkeys(("staleness", "stable", "last_run", "last_verdict"), dict)})
     clock, changed_at, failed_at = doc["clock"], doc["changed_at"], doc["failed_at"]
+    staleness, stable, last_run, last_verdict = (
+        doc["staleness"], doc["stable"], doc["last_run"], doc["last_verdict"])
     if clock < 0:
         raise ValidationError(f"schedule-state: negative clock {clock}")
-    check_ids([*changed_at, *doc["tests"], *failed_at], "schedule-state")
+    check_ids([*changed_at, *failed_at, *staleness], "schedule-state")
     if not all(type(s) is int and 0 < s <= clock for s in changed_at.values()):
         raise ValidationError(f"schedule-state: changed_at stamps must be integers in 1..{clock}")
     if not all(type(s) is int and s <= clock for s in failed_at.values()):
         raise ValidationError(f"schedule-state: failed_at stamps must be integers up to {clock}")
-    staleness: dict[str, int] = {}
-    stable: dict[str, bool] = {}
-    last_run: dict[str, int] = {}
-    last_verdict: dict[str, str] = {}
-    verdicts = (None, *VERDICTS)
-    for t, info in doc["tests"].items():
-        if not (type(info) is dict and type(info.get("staleness")) is int and info["staleness"] >= 0
-                and type(info.get("stable")) is bool and type(info.get("last_run")) is int
-                and 0 <= info["last_run"] <= clock and "last_verdict" in info
-                and info["last_verdict"] in verdicts):
-            _reject_test(t, info, clock)
-        staleness[t] = info["staleness"]
-        stable[t] = info["stable"]
-        last_run[t] = info["last_run"]
-        if info["last_verdict"] is not None:
-            last_verdict[t] = info["last_verdict"]
+    if not (staleness.keys() == stable.keys() == last_run.keys()
+            and last_verdict.keys() <= staleness.keys()):
+        raise ValidationError("schedule-state: staleness, stable and last_run must map the same "
+                              "tests, and last_verdict only those")
+    if not all(type(s) is int and s >= 0 for s in staleness.values()):
+        raise ValidationError("schedule-state: staleness values must be integers >= 0")
+    if not all(type(s) is bool for s in stable.values()):
+        raise ValidationError("schedule-state: stable values must be true or false")
+    if not all(type(s) is int and 0 <= s <= clock for s in last_run.values()):
+        raise ValidationError(f"schedule-state: last_run stamps must be integers in 0..{clock}")
+    if not all(v in VERDICTS for v in last_verdict.values()):
+        raise ValidationError("schedule-state: last_verdict values must be pass or fail")
     return ScheduleState(
         staleness=staleness,
         stable=stable,

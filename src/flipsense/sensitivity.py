@@ -49,7 +49,7 @@ from dataclasses import dataclass, field, replace
 from typing import IO, AbstractSet, Iterable, Mapping
 
 from .errors import ConfigError, ValidationError
-from .history import VERDICTS
+from .history import VERDICTS, flipped_tests
 
 D_MODES = ("linear", "constant")
 UPDATE_MODES = ("ema", "cumulative")
@@ -416,12 +416,6 @@ def incremental_observe(
     clock = pending.clock + 1
     changed_at = {**pending.changed_at, **dict.fromkeys(changed_files, clock)}
     return PendingChanges(clock, changed_at, dict(pending.last_run), dict(pending.last_verdict))
-
-
-def flipped_tests(last_verdict: Mapping[str, str], verdicts: Mapping[str, str]) -> list[str]:
-    """The tests whose verdict differs from their last known one, in
-    ``verdicts``' order; a test seen for the first time never flips."""
-    return [t for t, v in verdicts.items() if last_verdict.get(t, v) != v]
 
 
 def incremental_apply(

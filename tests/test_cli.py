@@ -19,7 +19,7 @@ from flipsense.baselines import hbtp_scores, recency_scores
 from flipsense.cli import _parse_grid, _parse_size_range, main
 from flipsense.errors import ValidationError
 from flipsense.evaluate import MethodConfig, replay_sizes
-from flipsense.history import extract_flips, read_history, write_history
+from flipsense.history import VERDICTS, extract_flips, read_history, write_history
 from flipsense.schedule import load_state
 from flipsense.sensitivity import load_matrix, save_matrix
 from flipsense.synth import SynthConfig, generate
@@ -661,12 +661,11 @@ class TestSchedule:
 
     def test_a_state_without_last_verdicts_judges_no_first_flip(self, two_build_loop, tmp_path,
                                                                  capsys):
-        # a state written before init recorded verdicts holds null ones; it
-        # still loads, and its first apply only records the verdicts
+        # a state that knows no test's last verdict loads, and its first
+        # apply only records the verdicts
         state, matrix = two_build_loop
         doc = json.loads(state.read_text(encoding="utf-8"))
-        for info in doc["tests"].values():
-            info["last_verdict"] = None
+        doc["last_verdict"] = {}
         state.write_text(json.dumps(doc), encoding="utf-8")
         picked, cols = self._apply_and_pick(state, matrix, tmp_path, capsys)
         assert picked == ["a0"]
@@ -719,8 +718,8 @@ def _snapshot_doc():
 def _state_doc():
     return {
         "kind": "schedule-state", "clock": 3, "changed_at": {"f1": 3, "f2": 1},
-        "tests": {"t1": {"staleness": 2, "stable": True, "last_run": 1, "last_verdict": "pass"}},
-        "failed_at": {"t1": -4},
+        "failed_at": {"t1": -4}, "staleness": {"t1": 2}, "stable": {"t1": True},
+        "last_run": {"t1": 1}, "last_verdict": {"t1": "pass"},
     }
 
 
@@ -797,13 +796,11 @@ _BAD_STATES = {
     "broken json": "{broken",
     "array": "[1]",
     "snapshot as state": _snapshot_doc(),
-    "no tests": _edit(_state_doc(), ("tests",), _DROP),
-    "tests a list": _edit(_state_doc(), ("tests",), ["t1"]),
-    "test not an object": _edit(_state_doc(), ("tests", "t1"), 2),
-    "no staleness": _edit(_state_doc(), ("tests", "t1", "staleness"), _DROP),
-    "negative staleness": _edit(_state_doc(), ("tests", "t1", "staleness"), -1),
-    "staleness a string": _edit(_state_doc(), ("tests", "t1", "staleness"), "2"),
-    "stable a number": _edit(_state_doc(), ("tests", "t1", "stable"), 1),
+    "record layout": {  # one record per test, as states were once written
+        "kind": "schedule-state", "clock": 3, "changed_at": {"f1": 3, "f2": 1},
+        "tests": {"t1": {"staleness": 2, "stable": True, "last_run": 1, "last_verdict": "pass"}},
+        "failed_at": {"t1": -4},
+    },
     "old format with accumulated": {  # every test's pending file list
         "kind": "schedule-state",
         "tests": {"t1": {"staleness": 2, "stable": True, "accumulated": ["f1"],
@@ -818,20 +815,33 @@ _BAD_STATES = {
     "stamp zero": _edit(_state_doc(), ("changed_at", "f1"), 0),
     "stamp above clock": _edit(_state_doc(), ("changed_at", "f1"), 4),
     "stamp a float": _edit(_state_doc(), ("changed_at", "f1"), 2.0),
-    "no last_run": _edit(_state_doc(), ("tests", "t1", "last_run"), _DROP),
-    "last_run above clock": _edit(_state_doc(), ("tests", "t1", "last_run"), 4),
-    "last_run negative": _edit(_state_doc(), ("tests", "t1", "last_run"), -1),
-    "last_run a bool": _edit(_state_doc(), ("tests", "t1", "last_run"), True),
-    "no last verdict": _edit(_state_doc(), ("tests", "t1", "last_verdict"), _DROP),
-    "test id empty": _edit(_state_doc(), ("tests", ""), _state_doc()["tests"]["t1"]),
     "changed_at file id empty": _edit(_state_doc(), ("changed_at", ""), 2),
-    "unknown verdict": _edit(_state_doc(), ("tests", "t1", "last_verdict"), "maybe"),
     "no failed_at": _edit(_state_doc(), ("failed_at",), _DROP),  # written before the stamps
     "failed_at a list": _edit(_state_doc(), ("failed_at",), ["t1"]),
     "failure stamp a string": _edit(_state_doc(), ("failed_at", "t1"), "-4"),
     "failure stamp a bool": _edit(_state_doc(), ("failed_at", "t1"), True),
     "failure stamp above clock": _edit(_state_doc(), ("failed_at", "t1"), 4),
     "failed_at test id empty": _edit(_state_doc(), ("failed_at", ""), 1),
+    "no staleness": _edit(_state_doc(), ("staleness",), _DROP),
+    "staleness a list": _edit(_state_doc(), ("staleness",), [2]),
+    "negative staleness": _edit(_state_doc(), ("staleness", "t1"), -1),
+    "staleness a string": _edit(_state_doc(), ("staleness", "t1"), "2"),
+    "staleness a bool": _edit(_state_doc(), ("staleness", "t1"), True),
+    "no stable": _edit(_state_doc(), ("stable",), _DROP),
+    "stable a number": _edit(_state_doc(), ("stable", "t1"), 1),
+    "no last_run": _edit(_state_doc(), ("last_run",), _DROP),
+    "last_run above clock": _edit(_state_doc(), ("last_run", "t1"), 4),
+    "last_run negative": _edit(_state_doc(), ("last_run", "t1"), -1),
+    "last_run a bool": _edit(_state_doc(), ("last_run", "t1"), True),
+    "no last verdict": _edit(_state_doc(), ("last_verdict",), _DROP),
+    "unknown verdict": _edit(_state_doc(), ("last_verdict", "t1"), "maybe"),
+    "verdict null": _edit(_state_doc(), ("last_verdict", "t1"), None),  # once written for none
+    "verdict a list": _edit(_state_doc(), ("last_verdict", "t1"), ["pass"]),
+    "test missing from last_run": _edit(_state_doc(), ("last_run",), {}),
+    "verdict for an untracked test": _edit(_state_doc(), ("last_verdict", "t2"), "fail"),
+    "test id empty": _edit(_edit(_edit(_edit(
+        _state_doc(), ("staleness", ""), 0), ("stable", ""), False), ("last_run", ""), 0),
+        ("last_verdict", ""), "pass"),
 }
 
 
@@ -890,7 +900,7 @@ class TestMalformedDocuments:
     @pytest.mark.parametrize("table, argv, digest", [
         (_BAD_SNAPSHOTS, ["prioritise", "--snapshot", "{doc}", "--changes", "{changes}", "-n", "1"],
          "5516b4814d2f1ac572a183a7fe0b12ef"),
-        (_BAD_STATES, ["schedule", "cost", "--state", "{doc}"], "976ef38ccc9f1bd70ce07bd603ce9e35"),
+        (_BAD_STATES, ["schedule", "cost", "--state", "{doc}"], "7d8dd9088de9d24d726fbf77d997cab2"),
     ], ids=["snapshot", "state"])
     def test_error_lines_are_pinned(self, table, argv, digest, changes_file, tmp_path, capsys):
         # every case's one error line, word for word; the readers' fast
@@ -1013,53 +1023,68 @@ def test_fuzz_load_matrix(text, n):
 
 @st.composite
 def state_texts(draw):
-    """Small state documents: a valid one, or one with a single flaw in the
-    clock, the change or failure stamps, a test or one of its fields, drawn
-    from values that may happen to be valid."""
+    """Small state documents and their flaw: a valid one (flaw None), or one
+    with a single flaw in the clock, the change or failure stamps, a
+    per-test field, one of its values or the tests it maps, drawn from
+    values that may happen to be valid."""
     clock = draw(st.integers(min_value=0, max_value=5))
     stamps = st.integers(min_value=1, max_value=max(clock, 1))
     changed_at = draw(st.dictionaries(st.sampled_from(["f1", "f2", "f3"]), stamps)) if clock else {}
-    tests = {
-        t: {"staleness": draw(st.integers(min_value=0, max_value=9)), "stable": draw(st.booleans()),
-            "last_run": draw(st.integers(min_value=0, max_value=clock)),
-            "last_verdict": draw(st.sampled_from([None, "pass", "fail"]))}
-        for t in draw(st.lists(st.sampled_from(["t1", "t2", "t3"]), unique=True))
+    tests = draw(st.lists(st.sampled_from(["t1", "t2", "t3"]), unique=True))
+    fields = {
+        "staleness": {t: draw(st.integers(min_value=0, max_value=9)) for t in tests},
+        "stable": {t: draw(st.booleans()) for t in tests},
+        "last_run": {t: draw(st.integers(min_value=0, max_value=clock)) for t in tests},
+        "last_verdict": draw(st.dictionaries(st.sampled_from(tests), st.sampled_from(VERDICTS)))
+        if tests else {},
     }
-    failed_at = draw(st.dictionaries(st.sampled_from(sorted(tests) or ["t1"]),
+    failed_at = draw(st.dictionaries(st.sampled_from(tests or ["t1"]),
                                      st.integers(min_value=-9, max_value=clock)))
-    doc = {"kind": "schedule-state", "clock": clock, "changed_at": changed_at, "tests": tests,
-           "failed_at": failed_at}
+    doc = {"kind": "schedule-state", "clock": clock, "changed_at": changed_at,
+           "failed_at": failed_at, **fields}
     flaw = draw(st.sampled_from([None, "clock", "changed_at", "stamp", "failed_at",
-                                 "failure stamp", "test", "field"]))
+                                 "failure stamp", "field", "value", "tests"]))
     if flaw in ("clock", "changed_at", "failed_at"):
         doc[flaw] = draw(_ANY_VALUES)
     elif flaw == "stamp":
         changed_at[draw(st.sampled_from(["f1", "f2", "f3"]))] = draw(_ANY_VALUES)
     elif flaw == "failure stamp":
         failed_at[draw(st.sampled_from(["t1", "t2", "t3"]))] = draw(_ANY_VALUES)
-    elif flaw and tests:
-        t = draw(st.sampled_from(sorted(tests)))
-        if flaw == "test":
-            tests[t] = draw(_ANY_VALUES)
-        else:
-            tests[t][draw(st.sampled_from(sorted(tests[t])))] = draw(_ANY_VALUES)
-    return json.dumps(doc)
+    elif flaw:
+        name = draw(st.sampled_from(sorted(fields)))
+        if flaw == "field":
+            doc[name] = draw(_ANY_VALUES)
+        elif flaw == "value":
+            fields[name][draw(st.sampled_from(["t1", "t2", "t3"]))] = draw(_ANY_VALUES)
+        elif fields[name] and draw(st.booleans()):  # a tracked test left out
+            del fields[name][draw(st.sampled_from(sorted(fields[name])))]
+        else:  # an untracked test mapped
+            fields[name]["t4"] = {"staleness": 0, "stable": False, "last_run": 0,
+                                  "last_verdict": "pass"}[name]
+    return json.dumps(doc), flaw
 
 
 @settings(max_examples=300, deadline=None)
 @given(state_texts(), st.integers(min_value=1, max_value=4))
-def test_fuzz_load_state(text, n):
+def test_fuzz_load_state(drawn, n):
     # a state either fails validation or holds only integer stamps in range,
-    # and then the state readers exit 0
+    # and then the state readers exit 0; an unflawed state always loads
+    text, flaw = drawn
     try:
         state = load_state(io.StringIO(text))
     except ValidationError:
+        assert flaw is not None
         return
     pending = state.pending
     assert type(pending.clock) is int and pending.clock >= 0
     assert all(type(s) is int and 0 < s <= pending.clock for s in pending.changed_at.values())
     assert all(type(s) is int and 0 <= s <= pending.clock for s in pending.last_run.values())
     assert all(type(s) is int and s <= pending.clock for s in state.failed_at.values())
+    assert state.staleness.keys() == state.stable.keys() == pending.last_run.keys()
+    assert pending.last_verdict.keys() <= pending.last_run.keys()
+    assert all(type(s) is int and s >= 0 for s in state.staleness.values())
+    assert all(type(s) is bool for s in state.stable.values())
+    assert all(v in VERDICTS for v in pending.last_verdict.values())
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "state.json")
         with open(path, "w", encoding="utf-8") as fp:
@@ -1292,7 +1317,7 @@ class TestPinnedOutputs:
         root, path, _ = desk_history
         state = root / "state.json"
         _stdout_md5(["schedule", "init", "--history", path, "--state", str(state)])
-        assert hashlib.md5(state.read_bytes()).hexdigest() == "b8118fbe13f37f6d957a57c7239cd3b4"
+        assert hashlib.md5(state.read_bytes()).hexdigest() == "d558a41583ffa65573f31b6b367f82e9"
 
     @pytest.mark.parametrize("n, digest", [
         ("25", "d41c0735b0f4325af5af8dfc587998ba"),
@@ -1378,4 +1403,4 @@ class TestPinnedOutputs:
         run("schedule", "stable", "--state", state, "--budget", "9")
         assert hashlib.md5(stdout.getvalue().encode("utf-8")).hexdigest() == "9ae804e38becdaea4659873d8b6a02cf"
         assert hashlib.md5(matrix.read_bytes()).hexdigest() == "72f5a04d18e0fcb3df5e07be00466cb0"
-        assert hashlib.md5(state.read_bytes()).hexdigest() == "c83cce0a8d570dedde2ac306cfcec800"
+        assert hashlib.md5(state.read_bytes()).hexdigest() == "d433bfadf941b2dd421d1d30d6f4f928"

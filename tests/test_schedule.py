@@ -346,24 +346,19 @@ def test_pending_changes_match_a_file_set_per_test(alpha, tracked, steps):
 
 
 def json_dumps_state(state):
-    """The state bytes as one json.dumps of the whole document, a dict per
-    test: the reference for save_state."""
+    """The state bytes as one json.dumps of the whole document, each
+    per-test field an object keyed by test id: the reference for save_state."""
     pending = state.pending
-    tests = sorted(state.staleness.keys() | state.stable.keys() | pending.tests())
+    tests = state.staleness.keys() | state.stable.keys() | pending.tests()
     doc = {
         "kind": "schedule-state",
         "clock": pending.clock,
         "changed_at": pending.changed_at,
         "failed_at": state.failed_at,
-        "tests": {
-            t: {
-                "staleness": state.staleness.get(t, 0),
-                "stable": state.stable.get(t, False),
-                "last_run": pending.last_run.get(t, pending.clock),
-                "last_verdict": pending.last_verdict.get(t),
-            }
-            for t in tests
-        },
+        "staleness": {t: state.staleness.get(t, 0) for t in tests},
+        "stable": {t: state.stable.get(t, False) for t in tests},
+        "last_run": {t: pending.last_run.get(t, pending.clock) for t in tests},
+        "last_verdict": pending.last_verdict,
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
@@ -403,5 +398,9 @@ class TestStateWriter:
         loaded = load_state(io.StringIO(buf.getvalue()))
         tests = state.staleness.keys() | state.stable.keys() | state.pending.tests()
         assert loaded.staleness == {t: state.staleness.get(t, 0) for t in tests}
+        assert loaded.stable == {t: state.stable.get(t, False) for t in tests}
+        assert loaded.pending.last_run == {t: state.pending.last_run.get(t, state.pending.clock)
+                                           for t in tests}
+        assert loaded.pending.changed_at == state.pending.changed_at
         assert loaded.pending.last_verdict == state.pending.last_verdict
         assert loaded.failed_at == state.failed_at
