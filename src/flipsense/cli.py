@@ -106,14 +106,10 @@ def _parse_grid(text: str) -> list[float]:
     return [a for a in grid if lo <= a <= hi + 1e-12]
 
 
-def _dumps(doc) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-
-
 def _emit(args, doc: dict, lines) -> None:
     """Print the machine document or the human lines, as --format asks."""
     if args.format == "machine":
-        print(_dumps(doc))
+        print(history.CANONICAL.encode(doc))
         return
     for line in lines:
         print(line)
@@ -255,7 +251,8 @@ def cmd_replay(args) -> int:
             (out / f"{metric}.csv").write_text(evaluate.figure_csv(figures, metric), encoding="utf-8")
         for name in ("reports", "improvement"):
             if doc[name]:
-                (out / f"{name}.json").write_text(_dumps(doc[name]) + "\n", encoding="utf-8")
+                (out / f"{name}.json").write_text(history.CANONICAL.encode(doc[name]) + "\n",
+                                                  encoding="utf-8")
 
     lines = []
     for m in methods:

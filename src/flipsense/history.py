@@ -26,6 +26,10 @@ VERDICTS = ("pass", "fail")
 # unhashable one TypeError
 _VERDICT = {v: v for v in VERDICTS}
 
+# the one canonical form of every document and machine output: keys sorted
+# at every depth, no spaces, ASCII only, floats as repr prints them
+CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
+
 
 @dataclass(frozen=True)
 class BuildRecord:
@@ -136,15 +140,8 @@ def read_history(path_or_fp) -> list[BuildRecord]:
 
 def record_to_line(record: BuildRecord) -> str:
     """Canonical single-line form: sorted changes, sorted result keys."""
-    return json.dumps(
-        {
-            "build": record.build_id,
-            "changes": sorted(record.changed_files),
-            "results": {t: record.verdicts[t] for t in sorted(record.verdicts)},
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    )
+    return CANONICAL.encode({"build": record.build_id, "changes": sorted(record.changed_files),
+                             "results": record.verdicts})
 
 
 def write_history(records: Iterable[BuildRecord], fp: IO[str]) -> None:

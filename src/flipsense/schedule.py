@@ -10,13 +10,12 @@ counts the days since test i last ran.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Mapping, Sequence
 
 from .baselines import dissimilarity_order
 from .errors import ValidationError
-from .history import VERDICTS, BuildRecord, FlipLedger
+from .history import CANONICAL, VERDICTS, BuildRecord, FlipLedger
 from .sensitivity import (
     PendingChanges,
     ScoreVector,
@@ -148,17 +147,13 @@ def office_hours_tick(
     return select_top_n(ScoreVector(positive, universe), k, universe)
 
 
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
-
-
 def save_state(state: ScheduleState, fp: IO[str]) -> None:
     """Persist as one JSON document: the clock, the change and failure
     stamps, and one object per per-test field, keyed by test id.
 
     staleness, stable and last_run map every tracked test, with defaults 0,
     false and the clock; last_verdict maps the tests with a known verdict.
-    The bytes are those of ``json.dumps(doc, sort_keys=True,
-    separators=(",", ":"))`` and a newline.
+    The bytes are ``history.CANONICAL``'s and a newline.
     """
     pending = state.pending
     clock, staleness, stable, last_run = pending.clock, state.staleness, state.stable, pending.last_run
@@ -168,7 +163,7 @@ def save_state(state: ScheduleState, fp: IO[str]) -> None:
            "stable": {t: stable.get(t, False) for t in tests},
            "last_run": {t: last_run.get(t, clock) for t in tests},
            "last_verdict": pending.last_verdict}
-    fp.write(_ENCODER.encode(doc) + "\n")
+    fp.write(CANONICAL.encode(doc) + "\n")
 
 
 def load_state(fp: IO[str]) -> ScheduleState:

@@ -49,7 +49,7 @@ from dataclasses import dataclass, field, replace
 from typing import IO, AbstractSet, Iterable, Mapping
 
 from .errors import ConfigError, ValidationError
-from .history import VERDICTS, flipped_tests
+from .history import CANONICAL, VERDICTS, flipped_tests
 
 D_MODES = ("linear", "constant")
 UPDATE_MODES = ("ema", "cumulative")
@@ -449,18 +449,17 @@ def incremental_apply(
         raise ValueError(f"test {t!r} has verdict {verdicts[t]!r}")
 
     weight, keep = _blend(matrix)
-    cols = _true_cols(matrix)
+    cols, threshold = _true_cols(matrix), matrix.drop_threshold
     since = pending._changed_since()
     clock, last_run = pending.clock, pending.last_run
     flips = set(flipped_tests(pending.last_verdict, verdicts))
     for t in sorted(flips.union(cols.keys() & verdicts.keys())):
-        col = {f: keep * v for f, v in cols.pop(t, {}).items()}
+        old, credit = cols.pop(t, {}), {}
         # a test seen first starts now, with nothing accumulated
         if t in flips and (acc := since(last_run.get(t, clock))):
-            value = weight / _d(matrix.d_mode, len(acc))
-            for f in acc:
-                col[f] = value + col.get(f, 0.0)
-        col = {f: v for f, v in col.items() if v and v >= matrix.drop_threshold}
+            credit = dict.fromkeys(acc, weight / _d(matrix.d_mode, len(acc)))
+        col = {f: v for f in {**old, **credit}
+               if (v := credit.get(f, 0.0) + keep * old.get(f, 0.0)) and v >= threshold}
         if col:
             cols[t] = col
 
@@ -496,13 +495,13 @@ def export_heatmap(matrix: SensitivityMatrix, heatmap_fp: IO[str], flakiness_fp:
 
     Values carry 6 significant digits; absent entries are written as 0.
     """
-    tests = sorted(matrix.tests)
-    # file -> (test position, cell) of each entry, the cell from the same
-    # product entry() returns; every other cell is "0", as 0.0 prints
+    tests, cols = sorted(matrix.tests), _true_cols(matrix)
+    # file -> (test position, cell) of each entry's true value; every other
+    # cell, an underflowed entry's too, is "0", as 0.0 prints
     nonzeros: dict[str, list[tuple[int, str]]] = {}
     for i, t in enumerate(tests):
-        for f, stored in matrix.cols.get(t, {}).items():
-            nonzeros.setdefault(f, []).append((i, f"{stored * matrix.scale:.6g}"))
+        for f, v in cols.get(t, {}).items():
+            nonzeros.setdefault(f, []).append((i, f"{v:.6g}"))
     writer = csv.writer(heatmap_fp, lineterminator="\n")
     writer.writerow(["file"] + tests)
     for f in sorted(matrix.files):
@@ -520,31 +519,23 @@ def export_heatmap(matrix: SensitivityMatrix, heatmap_fp: IO[str], flakiness_fp:
 def read_document(
     fp: IO[str], kind: str, fields: Mapping[str, type | tuple[type, ...]]
 ) -> dict:
-    """Parse one JSON object whose "kind" is `kind` and which holds the
-    given fields; anything else raises ValidationError. Each distinct
-    number text is converted to a float once."""
+    """Parse one JSON object whose "kind" is `kind` and which holds each
+    given field with a value of its type; anything else raises
+    ValidationError. Each distinct number text is converted to a float once."""
     try:
         doc = json.load(fp, parse_float=_Memo(float).__getitem__)
     except (ValueError, RecursionError) as exc:  # invalid JSON or text, or nested too deeply
         raise ValidationError(f"{kind}: not one JSON document ({exc})") from exc
     if not isinstance(doc, dict) or doc.get("kind") != kind:
         raise ValidationError(f"not a {kind} document")
-    check_fields(doc, fields, kind)
-    return doc
-
-
-def check_fields(obj: object, fields: Mapping[str, type | tuple[type, ...]], where: str) -> None:
-    """Raise ValidationError unless obj is a JSON object holding every named
-    field with a value of its type."""
-    if not isinstance(obj, dict):
-        raise ValidationError(f"{where}: expected an object, got {type(obj).__name__}")
     for name, types in fields.items():
-        if name not in obj:
-            raise ValidationError(f"{where}: missing field {name!r}")
-        value = obj[name]
+        if name not in doc:
+            raise ValidationError(f"{kind}: missing field {name!r}")
+        value = doc[name]
         # JSON true/false load as bool, a subclass of int: never a number here
         if not isinstance(value, types) or isinstance(value, bool) and types is not bool:
-            raise ValidationError(f"{where}: field {name!r} has type {type(value).__name__}")
+            raise ValidationError(f"{kind}: field {name!r} has type {type(value).__name__}")
+    return doc
 
 
 def check_ids(ids: list, where: str) -> None:
@@ -581,11 +572,10 @@ def save_matrix(matrix: SensitivityMatrix, fp: IO[str]) -> None:
     tests, and the columns (test -> file -> true value), leaving out an
     entry whose true value underflows to 0.0, which no snapshot may hold.
 
-    The bytes are those of ``json.dumps(doc, sort_keys=True,
-    separators=(",", ":"))``, but ``cols`` is written here, so that each
-    distinct true value is printed once with ``repr``, as ``json.dumps``
-    prints a float; stored values are floats, as every operation here
-    makes them.
+    The bytes are ``history.CANONICAL``'s, but ``cols`` is written here,
+    so that each distinct true value is printed once with ``repr``, as the
+    encoder prints a float; stored values are floats, as every operation
+    here makes them.
     """
     encode, number = json.encoder.encode_basestring_ascii, _Memo(repr)
     true_cols = matrix.cols if matrix.scale == 1.0 else _true_cols(matrix)
@@ -603,8 +593,8 @@ def save_matrix(matrix: SensitivityMatrix, fp: IO[str]) -> None:
         "tests": sorted(matrix.tests),
     }
     # "alpha" and "cols" sort before every other key
-    fp.write('{"alpha":' + json.dumps(matrix.alpha) + ',"cols":{' + cols + "},"
-             + json.dumps(rest, sort_keys=True, separators=(",", ":"))[1:] + "\n")
+    fp.write('{"alpha":' + CANONICAL.encode(matrix.alpha) + ',"cols":{' + cols + "},"
+             + CANONICAL.encode(rest)[1:] + "\n")
 
 
 def _check_column(t: str, col: object, threshold: float) -> dict[str, float]:

@@ -10,13 +10,12 @@ output.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from typing import IO
 
 from .errors import ConfigError, ValidationError
-from .history import BuildRecord
+from .history import CANONICAL, BuildRecord
 
 # generate holds a verdict per build and test and an id per file
 MAX_CELLS = 10_000_000
@@ -97,5 +96,4 @@ def generate(config: SynthConfig) -> tuple[list[BuildRecord], dict[str, tuple[st
 
 
 def write_truth(truth: dict[str, tuple[str, ...]], fp: IO[str]) -> None:
-    json.dump({t: list(fs) for t, fs in truth.items()}, fp, sort_keys=True, separators=(",", ":"))
-    fp.write("\n")
+    fp.write(CANONICAL.encode({t: list(fs) for t, fs in truth.items()}) + "\n")

@@ -1404,3 +1404,60 @@ class TestPinnedOutputs:
         assert hashlib.md5(stdout.getvalue().encode("utf-8")).hexdigest() == "9ae804e38becdaea4659873d8b6a02cf"
         assert hashlib.md5(matrix.read_bytes()).hexdigest() == "72f5a04d18e0fcb3df5e07be00466cb0"
         assert hashlib.md5(state.read_bytes()).hexdigest() == "d433bfadf941b2dd421d1d30d6f4f928"
+
+
+def _canonical(text: str) -> str:
+    """What the text holds, as json.dumps writes it canonically, newline included."""
+    return json.dumps(json.loads(text), sort_keys=True, separators=(",", ":")) + "\n"
+
+
+class TestCanonicalWriters:
+    """Each machine output and each replay document is the canonical form of
+    what it holds. Every id carries a quote, a backslash and a non-ASCII
+    letter, and the builds list their verdicts in reverse key order."""
+
+    @pytest.fixture(scope="class")
+    def odd_run(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("odd")
+        config = SynthConfig(seed=3, n_builds=30, n_files=20, n_tests=10, change_set_size=(1, 4))
+        records, _ = generate(config)
+        odd = lambda i: i + 'é"\\'
+        with open(root / "history.jsonl", "w", encoding="utf-8") as fp:
+            for r in records:
+                verdicts = {odd(t): r.verdicts[t] for t in sorted(r.verdicts, reverse=True)}
+                fp.write(json.dumps({"build": r.build_id, "changes": [odd(f) for f in r.changed_files],
+                                     "results": verdicts}) + "\n")
+        (root / "changes.txt").write_text(odd("f0003") + "\n" + odd("f0007") + "\n", encoding="utf-8")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["schedule", "init", "--history", str(root / "history.jsonl"),
+                         "--state", str(root / "state.json")]) == 0
+            assert main(["heatmap", "--input", str(root / "history.jsonl"), "--alpha", "0.3",
+                         "--out", str(root / "hm"), "--save-snapshot", str(root / "matrix.json")]) == 0
+        return root
+
+    @pytest.mark.parametrize("argv", [
+        ["ingest", "{root}/history.jsonl"],
+        ["prioritise", "--history", "{root}/history.jsonl", "--changes", "{root}/changes.txt",
+         "-n", "6", "--show-scores"],
+        ["replay", "--input", "{root}/history.jsonl", "--method", "all", "--runs", "3"],
+        ["sweep-alpha", "--input", "{root}/history.jsonl", "--grid", "0:1:0.25"],
+        ["schedule", "cost", "--state", "{root}/state.json"],
+        ["schedule", "stable", "--state", "{root}/state.json", "--budget", "3"],
+        ["schedule", "office", "--state", "{root}/state.json", "--matrix", "{root}/matrix.json",
+         "--changes", "{root}/changes.txt", "-k", "4"],
+    ], ids=["ingest", "prioritise", "replay", "sweep-alpha", "schedule-cost", "schedule-stable",
+            "schedule-office"])
+    def test_machine_stdout(self, odd_run, argv):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main([a.format(root=odd_run) for a in argv] + ["--format", "machine"]) == 0
+        assert out.getvalue() == _canonical(out.getvalue())
+
+    def test_replay_documents(self, odd_run):
+        out = odd_run / "replay"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["replay", "--input", str(odd_run / "history.jsonl"), "--method", "all",
+                         "--runs", "3", "--out", str(out)]) == 0
+        for name in ("reports.json", "improvement.json"):
+            text = (out / name).read_text(encoding="utf-8")
+            assert text == _canonical(text)

@@ -5,7 +5,7 @@ import json
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from flipsense.errors import HistoryParseError, ValidationError
 from flipsense.history import (
@@ -231,6 +231,27 @@ class TestRoundTrip:
         line = record_to_line(r)
         assert line.index('"a"') < line.index('"z"')
         assert line.index("t1") < line.index("t2")
+
+
+# ids the encoder must escape: a quote, a backslash, a control character
+# and non-ASCII letters
+_LINE_IDS = st.text(st.sampled_from('ab"\\\x01é\U0001f600'), min_size=1, max_size=4)
+
+
+class TestLineWriter:
+    @settings(max_examples=200)
+    @given(st.lists(_LINE_IDS, unique=True, max_size=5),
+           st.dictionaries(_LINE_IDS, st.sampled_from(VERDICTS), max_size=6))
+    @example(["z", "a"], {"t2": "pass", "t1": "fail", "é": "pass", "a": "fail"})
+    def test_bytes_are_canonical(self, changes, results):
+        # results arrive in draw order, not key order: the writer sorts them
+        records = [rec(0, changes, results), rec(1, reversed(changes), dict(reversed(results.items())))]
+        buf = io.StringIO()
+        write_history(records, buf)
+        canonical = [json.dumps({"build": r.build_id, "changes": sorted(changes), "results": results},
+                                sort_keys=True, separators=(",", ":")) for r in records]
+        assert [record_to_line(r) for r in records] == canonical
+        assert buf.getvalue() == "".join(line + "\n" for line in canonical)
 
 
 class TestPredictableStats:

@@ -1222,3 +1222,9 @@ class TestSnapshotScoresAsItsMatrix:
             [(t, fraction.hex(), mean.hex()) for t, fraction, mean in flakiness_index(m)]
             for m in (live, loaded))
         assert live_index == loaded_index
+        tables = []
+        for m in (live, loaded):
+            heatmap, flakiness = io.StringIO(), io.StringIO()
+            export_heatmap(m, heatmap, flakiness)
+            tables.append((heatmap.getvalue(), flakiness.getvalue()))
+        assert tables[0] == tables[1]

@@ -1,13 +1,16 @@
 """Synthetic history generation: determinism and planted dynamics."""
 
 import io
+import json
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given, settings
 
 from flipsense.errors import ConfigError, ValidationError
 from flipsense.history import extract_flips, ingest_history, summarise, write_history
 from flipsense.cli import main
-from flipsense.synth import MAX_CELLS, SynthConfig, generate
+from flipsense.synth import MAX_CELLS, SynthConfig, generate, write_truth
 
 
 def small(**kw):
@@ -117,3 +120,15 @@ class TestDynamics:
             assert len(r.verdicts) == 5
         # one build is one record: build 0, with the initial verdicts
         assert generate(small(n_builds=1))[0] == records[:1]
+
+
+class TestTruthWriter:
+    @settings(max_examples=100)
+    @given(st.dictionaries(st.text(min_size=1, max_size=3),
+                           st.lists(st.text(min_size=1, max_size=3)).map(tuple), max_size=5))
+    @example({"t2": ("f1",), "t1": ("f2", "f0"), "é": ()})
+    def test_bytes_are_canonical(self, truth):
+        buf = io.StringIO()
+        write_truth(truth, buf)
+        doc = {t: list(fs) for t, fs in truth.items()}
+        assert buf.getvalue() == json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
