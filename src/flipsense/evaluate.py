@@ -1,39 +1,52 @@
 """History replay: score a selection method against the predictable tests.
 
 For every build k >= 1 with at least one predictable test, the method
-selects n tests using only information available before k (the matrix state
-from builds 1..k-1); the selection is scored by
+selects n tests using only information available before k (the credits of
+builds 1..k-1); the selection is scored by
 
     precision = |selected & predictable| / |selected|
     recall    = |selected & predictable| / |predictable|
     F         = 2 P R / (P + R)          (0 when P + R = 0)
 
-and the matrix is only then advanced with build k's delta. Builds without
-predictable tests never enter any average. A build where the selection
-misses every predictable test is a zero result; the fraction of those is
-the headline robustness number, and the decay weight alpha is tuned by
-minimising it over the whole history. The random method scores the mean
-over its runs from the hits h summed over them: P = h / (n runs) and
-R = h / (|predictable| runs), and since F = 2h / (n + |predictable|) is
-linear in h, the F of those is the mean F.
+Builds without predictable tests never enter any average. A build where
+the selection misses every predictable test is a zero result; the fraction
+of those is the headline robustness number, and the decay weight alpha is
+tuned by minimising it over the whole history. The random method scores
+the mean over its runs from the hits h summed over them: P = h / (n runs)
+and R = h / (|predictable| runs), and since F = 2h / (n + |predictable|)
+is linear in h, the F of those is the mean F.
+
+The matrix methods score from a ``CreditIndex`` built once per call, not
+from a folded matrix: the exact EMA (or count) of the credits before k,
+with nothing pruned. A file's entry for a test adds w_j * v_j over the
+builds j that credit both, in build order; a score reduces the changed
+files' entries in file id order, by sum or max; a score below FLOOR counts
+as 0. ``fold`` remains for the commands that keep a matrix.
 """
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
-from itertools import repeat
-from operator import add
+from operator import add, itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .baselines import RandomPolicy, shuffled_universe
 from .errors import ConfigError, UndefinedMetricError, ValidationError
 from .history import BuildRecord, FlipLedger
-from .sensitivity import SensitivityMatrix, advance, build_delta, empty_matrix, select_top_n, slice_scores
+# perfbench's tracer wraps advance, build_delta, slice_scores and
+# select_top_n on this module: slice_scores is not called here, but it must
+# stay importable from it
+from .sensitivity import (Delta, ScoreVector, SensitivityMatrix, advance, build_delta,
+                          empty_matrix, select_top_n, slice_scores)
 
 METHODS = ("ema", "cumulative", "random")
+# a score below the smallest normal double counts as 0: the EMA recursion
+# could not represent it either
+FLOOR = sys.float_info.min
 # figure metric -> the EvalReport aggregate that fills its table
 FIGURE_FIELDS = {
     "zero_pct": "zero_pct",
@@ -198,38 +211,135 @@ def _largest_size(sizes: Sequence[int]) -> int:
     return max(sizes)
 
 
-def _build_hits(records: Sequence[BuildRecord], ledger: FlipLedger, config: MethodConfig,
-                largest: int) -> Iterator[tuple[int, int, list[int], list[int]]]:
-    """Yield (seq, |predictable|, hits, firsts) per evaluated build, as ``_size_rows``
-    reads them: the predictable tests' positions pooled over every ranking (one
-    for a matrix method, one per run for random) and each ranking's first hit."""
-    if config.method == "random":
+class CreditIndex(NamedTuple):
+    """A history's credits, free of alpha: ``rows`` maps each file to the
+    positions j >= 1 of the builds that changed it and flipped some test,
+    in build order, and ``deltas[j]`` is build j's block, its flipped tests
+    and its value 1/d(|C_j|)."""
+
+    rows: dict[str, list[int]]
+    deltas: list[Delta]
+
+    @classmethod
+    def build(cls, records: Sequence[BuildRecord], ledger: FlipLedger, d_mode: str) -> "CreditIndex":
+        deltas = [build_delta(r.changed_files, ledger.flipped(r.seq), d_mode) for r in records]
+        rows: dict[str, list[int]] = {}
+        for j, delta in enumerate(deltas[1:], start=1):
+            if delta.tests:
+                for f in delta.files:
+                    rows.setdefault(f, []).append(j)
+        return cls(rows, deltas)
+
+    def overlaps(self, changed: Iterable[str], i: int) -> list[list[int]]:
+        """For each changed file credited before position i, in file id
+        order, the positions that credit it, in build order."""
+        rows = self.rows
+        groups = []
+        for f in sorted(f for f in changed if f in rows):
+            row = rows[f]
+            credited = row[:bisect_left(row, i)]
+            if credited:
+                groups.append(credited)
+        return groups
+
+
+def _credit_paths(groups: list[list[int]], deltas: list[Delta]) -> dict[tuple, list[str]]:
+    """The tests one build's overlaps credit, keyed by how: the (file
+    position, build) pairs that credit the test, in file id order and then
+    build order. A key fixes its tests' score at every alpha."""
+    paths: dict[str, tuple] = {}
+    path = paths.get
+    for p, credited in enumerate(groups):
+        for j in credited:
+            pair = ((p, j),)
+            for t in deltas[j].tests:
+                paths[t] = path(t, ()) + pair
+    by_path: dict[tuple, list[str]] = {}
+    for t, key in paths.items():
+        by_path.setdefault(key, []).append(t)
+    return by_path
+
+
+def _index_scores(paths: dict[tuple, list[str]], credit: dict[int, float], score_mode: str,
+                  largest: int) -> dict[str, float]:
+    """The scores that can place in a ranking of length ``largest``. A
+    file's entry adds the ``credit`` of its builds, in build order; a score
+    reduces its entries in file id order (``+`` for sum, ``max``), as
+    ``slice_scores`` reduces a matrix's; a score below FLOOR counts as 0.
+    A score below ``largest`` others cannot place, so it is left out, but
+    every score tied with a placed one is kept for the ranking's id order."""
+    reduce_ = add if score_mode == "sum" else max
+    scored = []
+    for path, tests in paths.items():
+        score = entry = 0.0
+        file = path[0][0]
+        for p, j in path:
+            if p != file:
+                score, entry, file = reduce_(score, entry), 0.0, p
+            entry += credit[j]
+        score = reduce_(score, entry)  # 0.0 + v and max(0.0, v) are v
+        if score >= FLOOR:
+            scored.append((score, tests))
+    scored.sort(key=itemgetter(0), reverse=True)
+    placed: dict[str, float] = {}
+    for score, tests in scored:
+        if len(placed) >= largest and score < last:
+            break
+        placed.update(dict.fromkeys(tests, score))
+        last = score
+    return placed
+
+
+def _build_hits(records: Sequence[BuildRecord], ledger: FlipLedger, configs: Sequence[MethodConfig],
+                largest: int) -> Iterator[tuple[int, int, list[tuple[list[int], list[int]]]]]:
+    """Yield (seq, |predictable|, [(hits, firsts) per config]) per evaluated
+    build, as ``_size_rows`` reads them: the predictable tests' positions
+    pooled over every ranking (one for a matrix method, one per run for
+    random) and each ranking's first hit. Random comes alone; matrix
+    methods share one d_mode, and so one credit index.
+
+    A matrix method ranks the build at position i from the credit index's
+    builds j < i, without a matrix: build j weighs w_j = weight * keep **
+    (i-1-j), with (weight, keep) = (alpha, 1 - alpha) for ema and (1, 1)
+    for cumulative, and credits w_j * v_j to each pair of a file it changed
+    and a test it flipped. The overlaps and their paths are found once a
+    build and only re-weighted per config. ``select_top_n`` ranks the
+    scores that can place, which rank as all the positive scores would.
+    """
+    universe = ledger.universe
+    random = configs[0].method == "random"
+    if random:
+        (config,) = configs
         # test -> (position, run) of every place it holds in a ranking
         places: dict[str, list[tuple[int, int]]] = {}
-        for run, ranking in enumerate(shuffled_universe(ledger.universe, config.policy, largest)):
+        for run, ranking in enumerate(shuffled_universe(universe, config.policy, largest)):
             for pos, t in enumerate(ranking):
                 places.setdefault(t, []).append((pos, run))
-        matrices = repeat(None)
     else:
-        matrices = fold(records, ledger, config)
+        index = CreditIndex.build(records, ledger, configs[0].d_mode)
+        blends = [(c.alpha, 1.0 - c.alpha) if c.method == "ema" else (1.0, 1.0) for c in configs]
 
-    # zip pairs build k with the state after build k-1, so selection
-    # strictly precedes the update with build k's delta.
-    for record, matrix in zip(records[1:], matrices):
+    for i, record in enumerate(records[1:], start=1):
         predictable = ledger.predictable(record.seq)
         if not predictable:
             continue
-        if matrix is None:
+        if random:
             pairs = sorted(pair for t in predictable for pair in places.get(t, ()))
-            hits = [pos for pos, _ in pairs]
             # walked from the back, each run's last write is its first hit
             firsts = sorted({run: pos for pos, run in reversed(pairs)}.values())
-        else:
-            scores = slice_scores(matrix, record.changed_files, config.score_mode)
-            ranking = select_top_n(scores, largest, ledger.universe)
+            yield record.seq, len(predictable), [([pos for pos, _ in pairs], firsts)]
+            continue
+        groups = index.overlaps(record.changed_files, i)
+        paths = _credit_paths(groups, index.deltas)
+        credited = {j for js in groups for j in js}
+        ranked = []
+        for config, (weight, keep) in zip(configs, blends):
+            credit = {j: weight * keep ** (i - 1 - j) * index.deltas[j].value for j in credited}
+            scores = _index_scores(paths, credit, config.score_mode, largest)
+            ranking = select_top_n(ScoreVector(scores, universe), largest, universe)
             hits = [pos for pos, t in enumerate(ranking) if t in predictable]
-            firsts = hits[:1]
-        yield record.seq, len(predictable), hits, firsts
+            ranked.append((hits, hits[:1]))
+        yield record.seq, len(predictable), ranked
 
 
 def replay_sizes(records: Sequence[BuildRecord], ledger: FlipLedger, config: MethodConfig,
@@ -242,7 +352,7 @@ def replay_sizes(records: Sequence[BuildRecord], ledger: FlipLedger, config: Met
     ks = sorted({min(n, length) for n in sizes})  # sizes >= length share k = length
     rows: dict[int, list[BuildMetrics]] = {k: [] for k in ks}
     runs = config.policy.runs if config.method == "random" else 1
-    for seq, m, hits, firsts in _build_hits(records, ledger, config, largest):
+    for seq, m, [(hits, firsts)] in _build_hits(records, ledger, [config], largest):
         for k, row in zip(ks, _size_rows(seq, hits, firsts, runs, m, ks)):
             rows[k].append(row)
     return {n: _finish_report(config, n, rows[min(n, length)]) for n in sizes}
@@ -282,13 +392,18 @@ def sweep_alpha(records: Sequence[BuildRecord], ledger: FlipLedger, grid: Sequen
     """
     check_grid(grid)
     largest = _largest_size(sizes)
+    configs = [MethodConfig(method="ema", alpha=a, d_mode=d_mode, score_mode=score_mode)
+               for a in sorted(set(grid))]
+    starts: list[list[int]] = [[] for _ in configs]
+    for *_, ranked in _build_hits(records, ledger, configs, largest):
+        for first, (_, firsts) in zip(starts, ranked):
+            first.append(firsts[0] if firsts else largest)
     table: list[SweepPoint] = []
-    for a in sorted(set(grid)):
-        config = MethodConfig(method="ema", alpha=a, d_mode=d_mode, score_mode=score_mode)
-        starts = sorted(firsts[0] if firsts else largest
-                        for *_, firsts in _build_hits(records, ledger, config, largest))
-        zero_counts = {n: len(starts) - bisect_left(starts, n) for n in sizes}
-        table.append(SweepPoint(alpha=a, zero_counts=zero_counts, total_zero=sum(zero_counts.values())))
+    for config, first in zip(configs, starts):
+        first.sort()
+        zero_counts = {n: len(first) - bisect_left(first, n) for n in sizes}
+        table.append(SweepPoint(alpha=config.alpha, zero_counts=zero_counts,
+                                total_zero=sum(zero_counts.values())))
     best = min(table, key=lambda p: (p.total_zero, p.alpha))
     return best.alpha, table
 

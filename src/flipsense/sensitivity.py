@@ -25,13 +25,15 @@ extends, not one per entry; that heap is the one place an entry whose true
 value is above 0 is deleted. A build's credits are one block, a frozen
 ``Delta`` of its changed files, its flipped tests and the one value
 1/d(|changed|), so a build costs one scaled value and a C-level update of
-each column it reaches. Every score and mean adds ``stored * scale`` per
-entry, as a snapshot holds it, left to right: ``sum`` varies by version.
-``advance`` therefore updates its matrix in place; every other operation
-returns a new object and leaves its inputs alone, except that
+each column it reaches. Every score and mean of a matrix adds ``stored *
+scale`` per entry, as a snapshot holds it, left to right: ``sum`` varies
+by version. ``advance`` therefore updates its matrix in place; every other
+operation returns a new object and leaves its inputs alone, except that
 ``slice_scores`` fills in the matrix's derived row index (file -> tests),
 the one cache an operation builds. ``advance`` keeps it current up to
 stale rows: pruning only marks a row, which is compacted when next read.
+Replay and the alpha sweep fold no matrix: they score the exact, unpruned
+credits of ``evaluate.CreditIndex``.
 """
 
 from __future__ import annotations

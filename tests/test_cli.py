@@ -1287,7 +1287,7 @@ class TestPinnedOutputs:
 
     @pytest.mark.parametrize("argv, digest", [
         (["sweep-alpha", "--input", "{history}", "--grid", "0:1:0.1", "--format", "machine"],
-         "5a2d38e2a83b3d49dd796804d1b06e94"),
+         "4707efeb8db8c620bfa4ca68231b2d21"),
         (["prioritise", "--history", "{history}", "--changes", "{changes}", "-n", "25",
           "--method", "ema", "--format", "machine"], "848925d40d00976ff7af20e1a4418101"),
         (["replay", "--input", "{history}", "--method", "cumulative", "--score-mode", "max",

@@ -3,8 +3,10 @@
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 from itertools import chain
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -32,9 +34,15 @@ from flipsense.evaluate import (
     _size_rows,
 )
 from flipsense.history import extract_flips
+from flipsense.sensitivity import ScoreVector, select_top_n
 from flipsense.synth import SynthConfig, generate
 
 from conftest import rec, sum_left_to_right
+
+# the benchmark's independent checkers and its tracer, read as they are
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import reference  # noqa: E402
+import tracer  # noqa: E402
 
 
 class TestMetrics:
@@ -667,3 +675,167 @@ class TestSizesAgree:
             assert len(reports[n].per_build) == len(whole)
             assert all(a is b for a, b in zip(reports[n].per_build, whole))
         assert not any(a is b for a, b in zip(reports[length - 1].per_build, whole))
+
+
+class TestExactReplay:
+    """Replay rows and sweep zero counts against perfbench's closed form:
+    ``reference.CreditIndex`` scores every build from the history alone,
+    and a row must lie in the range of intersections that valid
+    selections under those scores have. The sweep's zero count at a size
+    lies between the builds that every valid selection misses and those
+    that some valid selection misses."""
+
+    @staticmethod
+    def zero_bounds(records, reports, score):
+        """Check every row; return size -> (forced, possible) zero results."""
+        builds = [(r.changed_files, r.verdicts) for r in records]
+        _, predictable, universe = reference.flips(builds)
+        seqs = [k for k in range(1, len(records)) if predictable[k]]
+        bounds = {}
+        for n, report in reports.items():
+            rows = [row._asdict() for row in report.per_build]
+            assert [row["seq"] for row in rows] == seqs
+            n_eff, forced, possible = min(n, len(universe)), 0, 0
+            for row, k in zip(rows, seqs):
+                scores = score(records[k].changed_files, k - 1)
+                lo, hi = reference.intersection_range(scores, len(universe), n, predictable[k])
+                assert reference.row_matches(row, k, n_eff, predictable[k], lo, hi), (n, k, lo, hi)
+                forced += hi == 0
+                possible += lo == 0
+            bounds[n] = forced, possible
+        return bounds
+
+    @settings(max_examples=100, deadline=None)
+    @given(sweep_cases())
+    # the desk history at alpha 0.9: a fold that prunes entries below 1e-12
+    # made 198 zero results over sizes 5..25, where the exact EMA makes 150
+    @example((generate(SynthConfig(seed=7))[0], [0.0, 0.9, 1.0], "sum", "linear", list(DESK_SIZES)))
+    def test_rows_and_zero_counts_follow_the_closed_form(self, case):
+        # the closed form knows the default d_mode and sum scores only
+        records, alphas, _, _, sizes = case
+        ledger = extract_flips(records)
+        builds = [(r.changed_files, r.verdicts) for r in records]
+        index = reference.CreditIndex(builds, reference.flips(builds)[0])
+        _, table = sweep_alpha(records, ledger, alphas, sizes)
+        for point in table:
+            reports = replay_sizes(records, ledger, MethodConfig("ema", alpha=point.alpha), sizes)
+            bounds = self.zero_bounds(records, reports, lambda c, upto: index.ema(c, upto, point.alpha))
+            for n in sizes:
+                forced, possible = bounds[n]
+                assert forced <= point.zero_counts[n] <= possible, (point.alpha, n)
+                assert point.zero_counts[n] == reports[n].zero_count()
+        self.zero_bounds(records, replay_sizes(records, ledger, MethodConfig("cumulative"), sizes),
+                         index.counts)
+
+    @settings(max_examples=100, deadline=None)
+    @given(sweep_cases())
+    def test_rankings_follow_the_stated_sum_order(self, case):
+        # a plain loop over the history: a file's entry adds w_j * v_j in
+        # build order, a score reduces the entries in file id order, and a
+        # score below the smallest normal double is 0; every row must count
+        # the predictable tests that select_top_n ranks from those scores
+        records, alphas, score_mode, d_mode, sizes = case
+        ledger = extract_flips(records)
+        universe, largest = ledger.universe, max(sizes)
+        reduce_ = (lambda a, b: a + b) if score_mode == "sum" else max
+
+        def scores(i, alpha):
+            totals = {}
+            for f in sorted(records[i].changed_files):
+                entries = {}
+                for j in range(1, i):
+                    if f in records[j].changed_files:
+                        d = len(records[j].changed_files) if d_mode == "linear" else 1
+                        w = 1.0 if alpha is None else alpha * (1.0 - alpha) ** (i - 1 - j)
+                        for t in ledger.flipped(records[j].seq):
+                            entries[t] = entries.get(t, 0.0) + w * (1.0 / d)
+                for t, v in entries.items():
+                    totals[t] = reduce_(totals.get(t, 0.0), v)
+            return {t: v for t, v in totals.items() if v >= sys.float_info.min}
+
+        configs = [MethodConfig("ema", alpha=a, d_mode=d_mode, score_mode=score_mode) for a in alphas]
+        configs.append(MethodConfig("cumulative", d_mode=d_mode, score_mode=score_mode))
+        for config in configs:
+            reports = replay_sizes(records, ledger, config, sizes)
+            rows = {n: iter(reports[n].per_build) for n in sizes}
+            for i, record in enumerate(records[1:], start=1):
+                predictable = ledger.predictable(record.seq)
+                if not predictable:
+                    continue
+                alpha = config.alpha if config.method == "ema" else None
+                ranking = select_top_n(ScoreVector(scores(i, alpha), universe), largest, universe)
+                for n in sizes:
+                    row = next(rows[n])
+                    assert row.seq == record.seq
+                    assert row.intersection == len(predictable.intersection(ranking[:n])), (config, i, n)
+
+    def test_alpha_one_credits_only_the_previous_build(self):
+        # f1 credits t1 at build 1 and t2 at build 2; at build 3 alpha 1
+        # weighs build 2 by 1 * 0.0 ** 0 == 1.0 and build 1 by 0.0, so t1,
+        # predictable there, is only padding after a0; alpha 0.5 ranks it
+        # second, after t2's fresher credit
+        tests = ("a0", "t1", "t2")
+        fails = {1: {"t1"}, 2: {"t1", "t2"}, 3: {"t2"}}
+        records = [rec(0, [], dict.fromkeys(tests, "pass"))] + [
+            rec(seq, ["f1"], {t: "fail" if t in fails[seq] else "pass" for t in tests})
+            for seq in (1, 2, 3)
+        ]
+        ledger = extract_flips(records)
+        assert ledger.predictable_at == {3: {"t1"}}
+        for alpha, hits in ((1.0, [0, 0, 1]), (0.5, [0, 1, 1])):
+            reports = replay_sizes(records, ledger, MethodConfig("ema", alpha=alpha), [1, 2, 3])
+            assert [reports[n].per_build[0].intersection for n in (1, 2, 3)] == hits, alpha
+
+    def test_alpha_zero_selects_padding_only(self, desk_history):
+        records, ledger = desk_history
+        ids = sorted(ledger.universe)
+        reports = replay_sizes(records, ledger, MethodConfig("ema", alpha=0.0), DESK_SIZES)
+        for n in DESK_SIZES:
+            predictable = [ledger.predictable(row.seq) for row in reports[n].per_build]
+            assert [row.intersection for row in reports[n].per_build] \
+                == [len(p.intersection(ids[:n])) for p in predictable]
+
+    def test_a_tie_for_the_last_place_goes_to_the_smaller_id(self):
+        # at build 3 counting scores b 1 (f1, build 1) and a 1 (f2, build
+        # 2): a, predictable there, wins the one place by id, though b's
+        # credit comes first in file order
+        tests = ("a", "b", "z")
+        fails = {1: {"b"}, 2: {"a", "b"}, 3: {"b"}}
+        changes = {1: ["f1"], 2: ["f2"], 3: ["f1", "f2"]}
+        records = [rec(0, [], dict.fromkeys(tests, "pass"))] + [
+            rec(seq, changes[seq], {t: "fail" if t in fails[seq] else "pass" for t in tests})
+            for seq in (1, 2, 3)
+        ]
+        ledger = extract_flips(records)
+        assert ledger.predictable_at == {3: {"a"}}
+        assert replay(records, ledger, MethodConfig("cumulative"), 1).per_build[0].intersection == 1
+
+    @pytest.mark.parametrize("age, first", [(306, "z9"), (308, "a0")])
+    def test_a_score_below_the_smallest_normal_double_is_padding(self, age, first):
+        # z9 flips at build 1 on f1 and is predictable at the last build,
+        # which changes f1 again after ``age`` quiet builds: its alpha 0.9
+        # score 0.9 * 0.1 ** age is a normal double at age 306, and at 308
+        # a subnormal one, which ranks as a zero score, after a0 by id
+        pass_all = {"a0": "pass", "z9": "pass"}
+        records = [rec(0, [], pass_all), rec(1, ["f1"], {"a0": "pass", "z9": "fail"})]
+        records += [rec(seq, []) for seq in range(2, age + 2)]
+        records.append(rec(age + 2, ["f1"], pass_all))
+        assert 0.0 < 0.9 * 0.1 ** 308 < sys.float_info.min <= 0.9 * 0.1 ** 306
+        ledger = extract_flips(records)
+        assert ledger.predictable_at == {age + 2: {"z9"}}
+        row = replay(records, ledger, MethodConfig("ema", alpha=0.9), 1).per_build[0]
+        assert row.intersection == (first == "z9")
+
+
+class TestTracerContract:
+    """perfbench's tracer wraps each layer function at every module name
+    the program calls it by; each name it lists must be there, and be the
+    function itself, or a traced benchmark run fails or times nothing."""
+
+    @pytest.mark.parametrize("qualname", sorted(tracer.WRAPPED))
+    def test_every_wrapped_name_is_on_each_module(self, qualname):
+        import importlib
+        home, attr = qualname.split(".")
+        fn = getattr(importlib.import_module(f"flipsense.{home}"), attr)
+        for name in tracer.WRAPPED[qualname]:
+            assert getattr(importlib.import_module(f"flipsense.{name}"), attr, None) is fn, name
